@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import facevectors, fan, hj, hochschild, lvm, nctorus, polytope, svg
 from .errors import InputError, NctoricError, RationalInput
@@ -176,7 +175,8 @@ def _cmd_gvec(args) -> str:
 def _cmd_hh(args) -> str:
     A = hochschild.FinDimAlgebra.from_json(_load_json(args.algebra))
     if args.action == "ranks":
-        return _emit({"ranks": hochschild.hh_ranks(A, args.upto)})
+        upto = 3 if args.upto is None else args.upto
+        return _emit({"ranks": hochschild.hh_ranks(A, upto)})
     even, odd = hochschild.hp_truncated(A, args.N, args.upto)
     return _emit({"even": even, "odd": odd, "N": args.N})
 
@@ -223,7 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", default=None)
     p.add_argument("--theta1", default=None)
     p.add_argument("--theta2", default=None)
-    p.add_argument("--search-bound", type=int, default=None)
     p.set_defaults(handler=_cmd_nctorus)
 
     p = sub.add_parser("gvec")
@@ -234,7 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hh")
     p.add_argument("action", choices=["ranks", "hp"])
     p.add_argument("--algebra", required=True)
-    p.add_argument("--upto", type=int, default=3)
+    # default: degree 3 for ranks, 2N - 1 (the least valid) for hp
+    p.add_argument("--upto", type=int, default=None)
     p.add_argument("--N", type=int, default=3)
     p.set_defaults(handler=_cmd_hh)
 

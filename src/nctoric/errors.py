@@ -23,10 +23,6 @@ class RationalInput(NctoricError):
     name = "RationalInput"
 
 
-class IrrationalInput(NctoricError):
-    name = "IrrationalInput"
-
-
 class PoleAtInput(NctoricError):
     name = "PoleAtInput"
 

@@ -51,22 +51,15 @@ def _binomial_decomposition(l: int, i: int):
     return parts
 
 
-def shadow(l: int, i: int, literal: bool = False) -> int:
+def shadow(l: int, i: int) -> int:
     """Macaulay shift l^<i> = C(n_i + 1, i + 1) + C(n_{i-1} + 1, i) + ...
-    applied to the decreasing binomial expansion of l at level i.
-
-    With literal=True the numerators are left unshifted (an alternative
-    convention kept for comparison; it is strictly smaller and rejects
-    some genuine face-ring growth)."""
+    applied to the decreasing binomial expansion of l at level i."""
     if l <= 0 or i <= 0:
         return 0
-    parts = _binomial_decomposition(l, i)
-    if literal:
-        return sum(comb(n, k + 1) for n, k in parts)
-    return sum(comb(n + 1, k + 1) for n, k in parts)
+    return sum(comb(n + 1, k + 1) for n, k in _binomial_decomposition(l, i))
 
 
-def is_m_vector(l, literal: bool = False) -> bool:
+def is_m_vector(l) -> bool:
     """l_0 = 1 and 0 <= l_{i+1} <= l_i^<i> for i >= 1."""
     l = list(l)
     if not l or l[0] != 1:
@@ -74,7 +67,7 @@ def is_m_vector(l, literal: bool = False) -> bool:
     if any(x < 0 for x in l):
         return False
     for i in range(1, len(l) - 1):
-        if l[i + 1] > shadow(l[i], i, literal=literal):
+        if l[i + 1] > shadow(l[i], i):
             return False
     return True
 

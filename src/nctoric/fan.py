@@ -1,16 +1,20 @@
-"""Cones and fans: normal fans, smoothness/orbifold classification, 2D dual
-cones with semigroup generators, and refinement checking."""
+"""Cones and fans: normal fans, smoothness/orbifold classification, the
+Hirzebruch-Jung chain of a 2D cone, 2D dual cones with their Hilbert
+bases, and refinement checking.
+
+A Fan stores its rays once, canonical and in exact lexicographic order, and
+its faces as a subset-closed family of frozensets of ray indices, the form
+of SimplePolytope.incidence."""
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd
 
 from .errors import (DimensionMismatch, InputError, NonRational,
                      NotSimplicial, WrongDimension)
-from .linalg import int_det
+from .linalg import int_det, scalar_rank
 from .polytope import SimplePolytope, rational_direction
-from .scalars import Scalar
+from .scalars import Scalar, sorted_vectors
 
 SMOOTH = "Smooth"
 NON_RATIONAL = "NonRational"
@@ -21,10 +25,12 @@ def canonical_ray(v):
     vector when the direction is rational, else v scaled so its first
     nonzero entry has absolute value 1."""
     v = [Scalar._coerce(x) for x in v]
+    nz = next((x for x in v if not x.is_zero()), None)
+    if nz is None:
+        raise InputError("the zero vector spans no ray")
     r = rational_direction(v)
     if r is not None:
         return tuple(Scalar(x) for x in r)
-    nz = next(x for x in v if not x.is_zero())
     scale = abs(nz).inverse()
     return tuple(x * scale for x in v)
 
@@ -41,23 +47,25 @@ class Cone:
         if any(len(r) != ambient_dim for r in rays):
             raise InputError("rays of mixed dimension")
         self.ambient_dim = ambient_dim
-        self.rays = tuple(sorted(set(rays), key=_ray_key))
+        self.rays = tuple(sorted_vectors(set(rays)))
         if self._contains_line():
             raise InputError("cone contains a line (not strictly convex)")
+
+    @classmethod
+    def _view(cls, rays, ambient_dim):
+        """Cone on rays that are already canonical and sorted."""
+        c = object.__new__(cls)
+        c.rays, c.ambient_dim = rays, ambient_dim
+        return c
 
     def _contains_line(self):
         if self.ambient_dim == 1:
             return len({r[0].sign() for r in self.rays}) == 2
         if self.ambient_dim == 2:
-            # a 2D cone contains a line iff two rays are opposite or some
-            # ray lies strictly between two rays spanning more than a halfplane
-            for u, w in combinations(self.rays, 2):
-                if _cross(u, w).is_zero() and _dot(u, w).sign() < 0:
-                    return True
-            if len(self.rays) >= 3:
-                # angular span > pi detection: sort and check gaps
-                return _angular_span_exceeds_pi(self.rays)
-            return False
+            # pointed iff some ray r has every ray strictly to its left or
+            # on r itself: then all rays lie in an open halfplane
+            return bool(self.rays) and not any(
+                all(_left_of(r, s) for s in self.rays) for r in self.rays)
         # higher dimensions: only cones built from simple polytope data are
         # constructed; check no ray is the negative of a combination of others
         # via the crude opposite-pair test
@@ -79,7 +87,6 @@ class Cone:
 
     @property
     def dim(self):
-        from .linalg import scalar_rank
         return scalar_rank([list(r) for r in self.rays])
 
     def is_rational(self):
@@ -111,10 +118,6 @@ class Cone:
         raise WrongDimension("membership implemented for ambient dim <= 2")
 
 
-def _ray_key(r):
-    return tuple((float(x), str(x)) for x in r)
-
-
 def _dot(u, w):
     return sum((a * b for a, b in zip(u, w)), Scalar(0))
 
@@ -123,16 +126,20 @@ def _cross(u, w):
     return u[0] * w[1] - u[1] * w[0]
 
 
-def _angular_span_exceeds_pi(rays):
-    import math
-    angs = sorted(math.atan2(float(r[1]), float(r[0])) for r in rays)
-    gaps = [b - a for a, b in zip(angs, angs[1:])]
-    gaps.append(2 * math.pi - (angs[-1] - angs[0]))
-    return max(gaps) < math.pi  # float heuristic backed by pairwise exact test
+def _left_of(r, s):
+    c = _cross(r, s).sign()
+    return c > 0 or (c == 0 and _dot(r, s).sign() > 0)
+
+
+def _face_key(face):
+    return (len(face), sorted(face))
 
 
 class Fan:
-    """Finite fan; faces of member cones are filled in automatically."""
+    """Finite fan; faces of member cones are filled in automatically.
+
+    `rays` is the sorted tuple of canonical rays and `faces` the
+    subset-closed family of cones as frozensets of indices into it."""
 
     def __init__(self, cones, ambient_dim=None):
         cones = list(cones)
@@ -140,47 +147,64 @@ class Fan:
             ambient_dim = cones[0].ambient_dim
         elif ambient_dim is None:
             raise InputError("empty fan needs an ambient dimension")
-        full = set()
-        for c in cones:
-            full.add(c)
-            for k in range(len(c.rays)):
-                for sub in combinations(c.rays, k):
-                    face = Cone(list(sub), ambient_dim)
-                    full.add(face)
+        self._build(ambient_dim, {r: r for c in cones for r in c.rays},
+                    [c.rays for c in cones])
+
+    @classmethod
+    def from_faces(cls, ambient_dim, rays, faces):
+        """Fan on canonical rays given as a mapping key -> ray, with cones
+        given as sets of keys; faces of the cones are filled in."""
+        F = object.__new__(cls)
+        F._build(ambient_dim, rays, faces)
+        return F
+
+    def _build(self, ambient_dim, rays, faces):
+        table = tuple(sorted_vectors(set(rays.values())))
+        pos = {r: i for i, r in enumerate(table)}
+        index = {key: pos[r] for key, r in rays.items()}
+        closed = set()
+        for face in sorted({frozenset(index[k] for k in f) for f in faces},
+                           key=len, reverse=True):
+            if face not in closed:
+                closed.update(frozenset(sub) for k in range(len(face) + 1)
+                              for sub in combinations(face, k))
         self.ambient_dim = ambient_dim
-        self.cones = frozenset(full)
+        self.rays = table
+        self.faces = frozenset(closed)
 
     def __eq__(self, other):
-        return isinstance(other, Fan) and self.cones == other.cones
+        return isinstance(other, Fan) and self.ambient_dim == other.ambient_dim \
+            and self.rays == other.rays and self.faces == other.faces
 
     def __hash__(self):
-        return hash(self.cones)
+        return hash((self.rays, self.faces))
 
     def __len__(self):
-        return len(self.cones)
+        return len(self.faces)
+
+    def _cone(self, face):
+        return Cone._view(tuple(self.rays[i] for i in sorted(face)),
+                          self.ambient_dim)
 
     @property
-    def rays(self):
-        return sorted({r for c in self.cones for r in c.rays}, key=_ray_key)
+    def cones(self):
+        return frozenset(self._cone(f) for f in self.faces)
 
     def maximal_cones(self):
-        out = []
-        for c in self.cones:
-            if not any(set(c.rays) < set(d.rays) for d in self.cones if d is not c):
-                out.append(c)
-        return out
+        # in a subset-closed family a face is maximal iff it is no other
+        # face minus one of its rays
+        covered = {f - {i} for f in self.faces for i in f}
+        return [self._cone(f) for f in sorted(self.faces, key=_face_key)
+                if f not in covered]
 
 
 def normal_fan(P: SimplePolytope) -> Fan:
     """Fan with one cone per member of F, generated by the outward facet
     normals (negated inward rows), so the unit square yields the four
     coordinate quadrants."""
-    outward = [[-x for x in nrm] for nrm, _ in P.facets]
-    cones = [Cone([], P.dim)]
-    for I in P.incidence:
-        if I:
-            cones.append(Cone([outward[i] for i in I], P.dim))
-    return Fan(cones, P.dim)
+    used = {i for I in P.incidence for i in I}
+    rays = {i: canonical_ray([-x for x in P.facets[i][0]]) for i in used}
+    return Fan.from_faces(P.dim, rays, P.incidence)
 
 
 def cone_classify(sigma: Cone):
@@ -196,57 +220,78 @@ def cone_classify(sigma: Cone):
     return SMOOTH if idx == 1 else ("Orbifold", idx)
 
 
+# -- the Hirzebruch-Jung chain of a 2D cone ------------------------------------
+
+
+def _bezout(p, q):
+    """(s, t) with s p + t q = 1 for coprime integers p, q."""
+    r0, r1, s0, s1, t0, t1 = p, q, 1, 0, 0, 1
+    while r1:
+        k = r0 // r1
+        r0, r1 = r1, r0 - k * r1
+        s0, s1 = s1, s0 - k * s1
+        t0, t1 = t1, t0 - k * t1
+    return (s0, t0) if r0 > 0 else (-s0, -t0)
+
+
+def hj_frame(v, w):
+    """Bezout normalisation of cone(v, w), for v a primitive integer vector
+    and w a ray (of Scalars) off the line of v.
+
+    Returns (e, x, y): e is integral, {v, e} is a lattice basis and
+    w = x e - y v with x > 0 <= y < x, so in the frame (e, v) the cone is
+    cone((0, 1), (x, -y)) and its chain is driven by the HJ digits of x/y."""
+    p, q = v
+    s, t = _bezout(p, q)
+    eps = 1 if _cross(v, w) > 0 else -1
+    e = (-eps * t, eps * s)             # cross(v, e) = eps
+    x = eps * _cross(v, w)              # w = x e + beta v
+    beta = -eps * _cross(e, w)
+    c = (beta / x).ceil()
+    return (e[0] + c * p, e[1] + c * q), x, x * c - beta
+
+
+def hj_digits(m: int, k: int) -> list:
+    """Digits a_i >= 2 of the descending fraction of m/k > 1 (none when
+    k = 0): a = ceil(m/k), then continue with k/(a k - m)."""
+    digits = []
+    while k:
+        a = -(-m // k)
+        digits.append(a)
+        m, k = k, a * k - m
+    return digits
+
+
+def hj_chain(v, e, digits) -> list:
+    """Rays u_1, ..., u_r (r = len(digits)) of u_0 = v, u_1 = e,
+    u_{j+1} = a_j u_j - u_{j-1}; for the full digits of a rational cone
+    u_{r+1} would be its second ray."""
+    if not digits:
+        return []
+    chain = [list(v), list(e)]
+    for a in digits[:-1]:
+        (x0, y0), (x1, y1) = chain[-2], chain[-1]
+        chain.append([a * x1 - x0, a * y1 - y0])
+    return chain[1:]
+
+
 def dual_cone_2d(sigma: Cone):
-    """Dual cone rays and the Hilbert basis of sigma-dual intersect Z^2."""
+    """Dual cone rays and the Hilbert basis of sigma-dual intersect Z^2:
+    the Hirzebruch-Jung chain of the dual cone, its two rays included."""
     if sigma.ambient_dim != 2 or len(sigma.rays) != 2:
         raise WrongDimension("dual cone computed for full 2D cones only")
     if not sigma.is_rational():
         raise NonRational("dual cone needs a rational cone")
-    (u, w) = sigma.rays
-    ui = [int(x.a) for x in u]
-    wi = [int(x.a) for x in w]
-    if _cross(u, w).sign() < 0:
-        ui, wi = wi, ui
+    u, w = ([int(x.a) for x in r] for r in sigma.rays)
+    if _cross(u, w) < 0:
+        u, w = w, u
     # with u -> w counterclockwise, the dual's extreme rays are u rotated
     # by +90 and w rotated by -90
-    d1 = (-ui[1], ui[0])
-    d2 = (wi[1], -wi[0])
-    dual_rays = [d1, d2]
-    basis = _hilbert_basis_2d(d1, d2)
-    return [list(r) for r in dual_rays], basis
-
-
-def _hilbert_basis_2d(d1, d2):
-    """Minimal generating set of the semigroup of lattice points of
-    cone(d1, d2): enumerate lattice points of the fundamental parallelogram
-    {s d1 + t d2 : 0 <= s, t <= 1} and drop reducible ones."""
-    pts = set()
-    det = d1[0] * d2[1] - d1[1] * d2[0]
-    if det == 0:
-        raise WrongDimension("dual cone degenerate")
-    span = abs(det)
-    for x in range(min(0, d1[0] + d2[0]) - span, max(0, d1[0] + d2[0]) + span + 1):
-        for y in range(min(0, d1[1] + d2[1]) - span, max(0, d1[1] + d2[1]) + span + 1):
-            if (x, y) == (0, 0):
-                continue
-            # barycentric: (x,y) = s d1 + t d2 with s,t in [0,1]
-            s_num = x * d2[1] - y * d2[0]
-            t_num = y * d1[0] - x * d1[1]
-            if det < 0:
-                s_num, t_num = -s_num, -t_num
-            if 0 <= s_num <= span and 0 <= t_num <= span:
-                pts.add((x, y))
-    basis = []
-    for p in sorted(pts):
-        reducible = False
-        for q in pts:
-            r = (p[0] - q[0], p[1] - q[1])
-            if q != p and r in pts:
-                reducible = True
-                break
-        if not reducible:
-            basis.append(list(p))
-    return sorted(basis)
+    d1 = [-u[1], u[0]]
+    d2 = [w[1], -w[0]]
+    e, x, y = hj_frame(d1, [Scalar(a) for a in d2])
+    inner = hj_chain(d1, e, hj_digits(int(x.a), int(y.a)))
+    return [d1, d2], sorted([d1] + inner + [d2])
 
 
 def is_refinement(fine: Fan, coarse: Fan) -> bool:
@@ -257,19 +302,20 @@ def is_refinement(fine: Fan, coarse: Fan) -> bool:
     n = fine.ambient_dim
     if n > 2:
         raise WrongDimension("refinement test implemented for dim <= 2")
+    fine_cones = fine.cones
     for sigma in coarse.cones:
         if len(sigma.rays) <= 1:
             # points and rays must appear among cones of the fine fan
             if not any(_cone_inside(sigma, tau) and _cone_inside(tau, sigma)
-                       for tau in fine.cones):
+                       for tau in fine_cones):
                 return False
             continue
         if n == 1:
-            if not any(set(tau.rays) == set(sigma.rays) for tau in fine.cones):
+            if not any(set(tau.rays) == set(sigma.rays) for tau in fine_cones):
                 return False
             continue
         # 2D sector: the full-dimensional fine cones inside sigma must tile it
-        inside = [tau for tau in fine.cones
+        inside = [tau for tau in fine_cones
                   if len(tau.rays) == 2 and _cone_inside(tau, sigma)]
         if not _tiles_sector(inside, sigma):
             return False
@@ -310,17 +356,25 @@ def _tiles_sector(parts, sigma: Cone) -> bool:
 
 
 def fan_to_json(F: Fan) -> dict:
-    cones = []
-    for c in sorted(F.cones, key=lambda c: (len(c.rays), [_ray_key(r) for r in c.rays])):
-        cones.append({"rays": [[x.to_json() for x in r] for r in c.rays]})
-    return {"dim": F.ambient_dim, "cones": cones}
+    rays = [[x.to_json() for x in r] for r in F.rays]
+    return {"dim": F.ambient_dim,
+            "cones": [{"rays": [rays[i] for i in sorted(f)]}
+                      for f in sorted(F.faces, key=_face_key)]}
 
 
 def fan_from_json(obj) -> Fan:
     try:
-        cones = [Cone([[Scalar.from_json(x) for x in r] for r in c["rays"]],
-                      obj["dim"])
+        dim = obj["dim"]
+        cones = [[tuple(Scalar.from_json(x) for x in r) for r in c["rays"]]
                  for c in obj["cones"]]
     except (KeyError, TypeError) as e:
         raise InputError(f"bad fan JSON: {e}") from e
-    return Fan(cones, obj["dim"])
+    raw = {r for c in cones for r in c}
+    if any(len(r) != dim for r in raw):
+        raise InputError(f"bad fan JSON: a ray is not of dimension {dim!r}")
+    F = Fan.from_faces(dim, {r: canonical_ray(r) for r in raw}, cones)
+    # faces of a strictly convex cone are strictly convex, and every
+    # maximal face is a listed cone, so checking those checks them all
+    if any(sigma._contains_line() for sigma in F.maximal_cones()):
+        raise InputError("cone contains a line (not strictly convex)")
+    return F

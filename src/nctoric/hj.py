@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .errors import (DivisionByZero, NotNormalizable, OutOfRange,
-                     PeriodNotFound)
-from .fan import Cone, Fan
+from .errors import (DivisionByZero, InputError, NotNormalizable,
+                     OutOfRange, PeriodNotFound)
+from .fan import Cone, Fan, hj_chain, hj_digits, hj_frame
 from .scalars import Scalar
 
 #: safety valve for period detection on quadratic irrationals
@@ -36,20 +35,13 @@ def hj_expand(x, depth: int | None = None) -> HJExpansion:
 
     Rational x > 1 terminates; quadratic-irrational x yields `depth` digits
     together with the detected (preperiod, period) structure."""
+    _check_depth(depth)
     x = Scalar._coerce(x)
     if x <= Scalar(1):
         raise OutOfRange("expansion needs x > 1")
     if x.is_rational:
-        digits = []
-        cur = x
-        while True:
-            a = cur.ceil()
-            digits.append(a)
-            rem = Scalar(a) - cur
-            if rem.is_zero():
-                break
-            cur = rem.inverse()
-        return HJExpansion(tuple(digits), x, True)
+        return HJExpansion(tuple(hj_digits(x.a.numerator, x.a.denominator)),
+                           x, True)
     if depth is None:
         depth = 12
     digits = []
@@ -96,64 +88,6 @@ def hj_evaluate(digits) -> Scalar:
     return Scalar(val)
 
 
-def _normalize_cone(sigma: Cone):
-    """Unimodular map sending sigma to cone((0,1), slope form).
-
-    Returns (M, v1_img) with M integral, |det M| = 1, M*r2 = (0,1) and
-    M*r1 = (m, -k)-like (second coordinate strictly between -first and 0,
-    after an extra shear), plus the slope Scalar m/k > 1."""
-    if sigma.ambient_dim != 2 or len(sigma.rays) != 2:
-        raise NotNormalizable("need a full-dimensional 2D cone")
-    r1, r2 = sigma.rays
-    # prefer a rational ray as the one mapped to (0,1)
-    candidates = [(r1, r2), (r2, r1)]
-    for v1, v2 in candidates:
-        if all(x.is_rational for x in v2):
-            p, q = int(v2[0].a), int(v2[1].a)
-            if gcd(abs(p), abs(q)) != 1:
-                continue
-            # unimodular M with M (p,q) = (0,1): rows (y, -x) and (s, t)
-            # where s p + t q = 1
-            s, t = _bezout(p, q)
-            M = [[q, -p], [s, t]]
-            w = _apply(M, v1)
-            if w[0].sign() < 0:
-                # flip the first axis to land in the right halfplane
-                M = [[-q, p], [s, t]]
-                w = _apply(M, v1)
-            if w[0].sign() <= 0:
-                continue
-            # shear (1,0;t,1) fixes (0,1); arrange -x < y' <= 0
-            c = w[1] / w[0]
-            sh = -(c.floor()) - 1
-            if (c - Scalar(c.floor())).is_zero():
-                sh = -c.floor()  # y'/x = integer: shear to exactly 0
-            M = [[M[0][0], M[0][1]], [M[1][0] + sh * M[0][0], M[1][1] + sh * M[0][1]]]
-            w = _apply(M, v1)
-            return M, w
-    raise NotNormalizable("no rational primitive ray to normalize")
-
-
-def _bezout(p, q):
-    # s p + t q = 1 for coprime p, q
-    old_r, r = p, q
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_s, s = s, old_s - qq * s
-        old_t, t = t, old_t - qq * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
-
-
-def _apply(M, v):
-    return [Scalar._coerce(M[0][0]) * v[0] + Scalar._coerce(M[0][1]) * v[1],
-            Scalar._coerce(M[1][0]) * v[0] + Scalar._coerce(M[1][1]) * v[1]]
-
-
 def resolve_cone(sigma: Cone, depth: int | None = None):
     """Subdivide a 2D cone along the Hirzebruch-Jung rays.
 
@@ -163,44 +97,36 @@ def resolve_cone(sigma: Cone, depth: int | None = None):
     ray stays non-smooth.
 
     Returns (fan, inserted_rays, M) where M is the normalizing unimodular
-    map used (for traceability)."""
-    M, w = _normalize_cone(sigma)
-    # w = image of the non-normalized ray: (x, -y) with 0 <= y < x
-    x, y = w[0], -w[1]
-    rational = x.is_rational and y.is_rational
-    if rational and y.is_zero():
-        # already smooth: w is (m, 0) with m = 1 by primitivity
-        return Fan([sigma]), [], M
-    slope = x / y
-    if not slope.is_rational and depth is None:
-        depth = 5
-    exp = hj_expand(slope, depth=depth)
-    digits = list(exp.digits)
-    # u_{j+1} = a_j u_j - u_{j-1}, u_0 = (0,1), u_1 = (1,0); the inserted
-    # rays are u_1..u_r (the last digit would close the sweep at w itself)
-    u_prev = [Scalar(0), Scalar(1)]
-    u_cur = [Scalar(1), Scalar(0)]
-    inserted_std = [u_cur]
-    for a in digits[:-1]:
-        u_nxt = [Scalar(a) * u_cur[0] - u_prev[0],
-                 Scalar(a) * u_cur[1] - u_prev[1]]
-        inserted_std.append(u_nxt)
-        u_prev, u_cur = u_cur, u_nxt
-    # map the inserted rays back through M^{-1}
-    a, b, c, d = M[0][0], M[0][1], M[1][0], M[1][1]
-    det = a * d - b * c  # +-1
-    Minv = [[d * det, -b * det], [-c * det, a * det]]
-    inserted = [_apply(Minv, u) for u in inserted_std]
-    # boundary rays in the original frame, ordered (0,1)-side first
-    r2 = next(r for r in sigma.rays
-              if all(e.is_rational for e in r)
-              and _same_ray(_apply(M, list(r)), [Scalar(0), Scalar(1)]))
-    r1 = next(r for r in sigma.rays if r != r2)
-    chain = [list(r2)] + inserted + [list(r1)]
-    cones = [Cone([chain[i], chain[i + 1]]) for i in range(len(chain) - 1)]
-    return Fan(cones), inserted, M
+    map used (for traceability): it sends the rational ray kept fixed to
+    (0, 1) and the first inserted ray (for a smooth cone, the other ray)
+    to (1, 0)."""
+    _check_depth(depth)
+    if sigma.ambient_dim != 2 or len(sigma.rays) != 2:
+        raise NotNormalizable("need a full-dimensional 2D cone")
+    w, v = sigma.rays
+    if not all(x.is_rational for x in v):
+        v, w = w, v
+        if not all(x.is_rational for x in v):
+            raise NotNormalizable("no rational primitive ray to normalize")
+    v = [int(x.a) for x in v]
+    e, x, y = hj_frame(v, w)
+    digits = ()
+    if not y.is_zero():
+        slope = x / y
+        if not slope.is_rational and depth is None:
+            depth = 5
+        digits = hj_expand(slope, depth=depth).digits
+    inserted = [[Scalar(a) for a in u] for u in hj_chain(v, e, digits)]
+    chain = [tuple(Scalar(a) for a in v)] + [tuple(u) for u in inserted] + [w]
+    F = Fan.from_faces(2, dict(enumerate(chain)),
+                       [(j, j + 1) for j in range(len(chain) - 1)])
+    # the rows of M are the cross products with v and with e, signed by
+    # det(v, e) = +-1
+    eps = v[0] * e[1] - v[1] * e[0]
+    M = [[-eps * v[1], eps * v[0]], [eps * e[1], -eps * e[0]]]
+    return F, inserted, M
 
 
-def _same_ray(u, v):
-    from .fan import canonical_ray
-    return canonical_ray(u) == canonical_ray(v)
+def _check_depth(depth):
+    if depth is not None and depth < 1:
+        raise InputError(f"depth must be >= 1, got {depth}")

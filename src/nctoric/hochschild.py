@@ -386,13 +386,20 @@ def _reduced_basis(A: FinDimAlgebra, k: int):
             for rest in product(others, repeat=k)]
 
 
-def hp_truncated(A: FinDimAlgebra, N: int, up_to: int = 6) -> tuple:
+def hp_truncated(A: FinDimAlgebra, N: int, up_to: int | None = None) -> tuple:
     """(even_rank, odd_rank) of the truncated periodic complex
     (C^red[u]/u^N, d + uB): ranks of the total homology at total degree 0
     (even) and 1 (odd), with u of degree +2 and C_k in degree -k, so the
-    summand u^j C_k sits in degree 2j - k."""
+    summand u^j C_k sits in degree 2j - k.
+
+    Total degrees -1..2 reach C_k up to k = 2N - 1, so `up_to` (default
+    2N - 1) must be at least that; a smaller one would cut the complex."""
     if N < 1:
         raise InputError("truncation order must be >= 1")
+    if up_to is None:
+        up_to = 2 * N - 1
+    if up_to < 2 * N - 1:
+        raise InputError(f"up_to must be >= 2N - 1 = {2 * N - 1}, got {up_to}")
     if up_to > 6:
         raise ComplexTooLarge("degrees beyond 6 are out of range")
     _guard(A.dim, min(2 * N, up_to) + 2)

@@ -162,7 +162,6 @@ def leaf_dichotomy(cfg: Configuration) -> str:
 class GaleData:
     vectors: list        # n rows, each of length n - 2m - 1
     epsilons: list       # Scalar vector of length n
-    cfg: Configuration = None
 
 
 def gale_transform(cfg: Configuration, epsilons=None) -> GaleData:
@@ -177,7 +176,7 @@ def gale_transform(cfg: Configuration, epsilons=None) -> GaleData:
         epsilons = [Scalar._coerce(e) for e in epsilons]
         if len(epsilons) != cfg.n:
             raise InputError("need one epsilon per vector")
-    return GaleData(vectors=vectors, epsilons=epsilons, cfg=cfg)
+    return GaleData(vectors=vectors, epsilons=epsilons)
 
 
 def polytope_from_gale(g: GaleData) -> SimplePolytope:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PoleAtInput, RationalInput
+from .errors import NctoricError, PoleAtInput, RationalInput
 from .scalars import Scalar
 
 CLOSED_LEAVES = "ClosedLeaves"
@@ -159,8 +159,8 @@ def morita_equivalent(theta, theta_p) -> dict:
             W = _mat_mul2(_convergent_matrix(dig2x, j),
                           _mat_inv2(_convergent_matrix(dig1x, i)))
             det = W[0][0] * W[1][1] - W[0][1] * W[1][0]
-            assert det == 1
-            assert mobius_apply(W, t) == tp
+            if det != 1 or mobius_apply(W, t) != tp:
+                raise NctoricError(f"Morita witness {W} fails its check")
             candidates.append(W)
     if not candidates:
         return {"equivalent": True, "witness": None,

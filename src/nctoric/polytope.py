@@ -15,7 +15,7 @@ from math import gcd
 from .errors import (Empty, InputError, IrrationalNormals, NotSimple,
                      Unbounded)
 from .linalg import scalar_kernel_basis, solve_exact
-from .scalars import Scalar, common_field
+from .scalars import Scalar, common_field, sorted_vectors
 
 IRRATIONAL = "Irrational"
 RATIONAL_DELZANT = "RationalDelzant"
@@ -85,7 +85,7 @@ class SimplePolytope:
         # tighten active sets to all facets through the vertex
         self.vertices = []
         self.vertex_facets = []
-        for vx in sorted(verts, key=lambda t: [ (float(s), str(s)) for s in t ]):
+        for vx in sorted_vectors(verts):
             x = list(vx)
             active = frozenset(i for i in range(self.N)
                                if (self._eval(i, x) - self.facets[i][1]).is_zero())

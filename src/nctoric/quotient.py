@@ -4,7 +4,7 @@ vector in kernel coordinates.
 
 The ambient torus moment map carries a factor of pi per coordinate; since
 only zero-sets and linear identities are ever tested, that factor is
-normalized away (MOMENT_SCALE below) so all arithmetic stays in Q.
+dropped so all arithmetic stays in Q.
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ from itertools import combinations
 from .errors import CodimensionOne, RankDeficient
 from .linalg import int_rank, integer_kernel_basis, transpose
 from .polytope import SimplePolytope, normal_data
-
-#: documented stand-in for the pi factor of the ambient moment map
-MOMENT_SCALE = 1
-
 
 def forbidden_strata(family, N: int):
     """Inclusion-minimal index sets outside the subset-closed family.

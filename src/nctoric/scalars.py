@@ -208,10 +208,14 @@ class Scalar:
 
     @staticmethod
     def from_json(obj) -> "Scalar":
-        if isinstance(obj, dict):
-            return Scalar(Fraction(obj["a"]), Fraction(obj.get("b", 0)), obj.get("d", 0))
-        if isinstance(obj, (int, str)):
-            return Scalar(Fraction(obj))
+        try:
+            if isinstance(obj, dict):
+                return Scalar(Fraction(obj["a"]), Fraction(obj.get("b", 0)),
+                              obj.get("d", 0))
+            if isinstance(obj, (int, str)):
+                return Scalar(Fraction(obj))
+        except (ValueError, ZeroDivisionError) as e:
+            raise InputError(f"not a scalar: {obj!r}") from e
         raise InputError(f"not a scalar: {obj!r}")
 
 
@@ -262,6 +266,8 @@ def parse_scalar(text: str) -> Scalar:
             return Scalar.sqrt_int(int(t[5:-1]))
         if "/" in t:
             eat()
+            if int(t.split("/")[1]) == 0:
+                raise InputError(f"zero denominator in scalar literal {text!r}")
             return Scalar(Fraction(t))
         if t.isdigit():
             eat()
@@ -305,3 +311,13 @@ def common_field(values) -> int:
             elif d != v.d:
                 raise FieldMismatch(f"mixed fields sqrt({d}) and sqrt({v.d})")
     return d
+
+
+def sorted_vectors(vectors) -> list:
+    """Vectors of Scalars in exact lexicographic order.  The entries must
+    share one field (FieldMismatch otherwise), so any two compare; rational
+    vectors are compared through their Fractions."""
+    vectors = list(vectors)
+    if common_field(x for v in vectors for x in v) == 0:
+        return sorted(vectors, key=lambda v: [x.a for x in v])
+    return sorted(vectors)

@@ -6,7 +6,7 @@ import pytest
 
 from nctoric import lvm, polytope
 from nctoric.cli import run
-from nctoric.hochschild import ground_field, group_algebra_z2
+from nctoric.hochschild import ground_field, group_algebra_z2, matrix_algebra
 
 
 def invoke(capsys, argv):
@@ -192,6 +192,12 @@ def test_input_errors(capsys, tmp_path):
     code, out = invoke(capsys, ["polytope", "info",
                                 str(tmp_path / "missing.json")])
     assert code == 3
+    # the zero vector spans no ray
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"rays": [["0", "0"], ["1", "0"]]}))
+    code, out = invoke(capsys, ["fan", "classify", str(path)])
+    assert code == 3
+    assert json.loads(out)["error"] == "InputError"
 
 
 def test_domain_errors(capsys, tmp_path):
@@ -207,6 +213,49 @@ def test_domain_errors(capsys, tmp_path):
     code, out = invoke(capsys, ["polytope", "info", str(path)])
     assert code == 4
     assert json.loads(out)["error"] == "Empty"
+
+
+def test_zero_denominator_is_an_input_error(capsys, tmp_path):
+    code, out = invoke(capsys, ["hj", "expand", "--value", "1/0"])
+    assert code == 3
+    assert json.loads(out)["error"] == "InputError"
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"rays": [["0", "1"], ["2", "1/0"]]}))
+    code, out = invoke(capsys, ["hj", "resolve", "--cone", str(path)])
+    assert code == 3
+    assert json.loads(out)["error"] == "InputError"
+
+
+def test_depth_below_one_is_an_input_error(capsys, tmp_path):
+    code, out = invoke(capsys, ["hj", "expand", "--value", "sqrt(2)",
+                                "--depth=-3"])
+    assert code == 3
+    assert json.loads(out)["error"] == "InputError"
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"rays": [["0", "1"], ["2", "-1"]]}))
+    code, out = invoke(capsys, ["hj", "resolve", "--cone", str(path),
+                                "--depth", "0"])
+    assert code == 3
+    assert json.loads(out)["error"] == "InputError"
+
+
+def test_search_bound_is_no_option(capsys):
+    assert invoke(capsys, ["nctorus", "morita", "--theta1", "sqrt(2)",
+                           "--theta2", "1+sqrt(2)",
+                           "--search-bound", "5"])[0] == 2
+
+
+def test_hh_hp_truncation(capsys, tmp_path):
+    path = tmp_path / "m2.json"
+    path.write_text(json.dumps(matrix_algebra(2).to_json()))
+    # the default truncation is 2N - 1 = 5 for the default N = 3
+    code, out = invoke(capsys, ["hh", "hp", "--algebra", str(path)])
+    assert code == 0
+    assert parse(out)["payload"] == {"even": 1, "odd": 0, "N": 3}
+    code, out = invoke(capsys, ["hh", "hp", "--algebra", str(path),
+                                "--upto", "3"])
+    assert code == 3
+    assert json.loads(out)["error"] == "InputError"
 
 
 def test_byte_determinism(square_file):

@@ -39,9 +39,6 @@ def test_shadow():
     assert shadow(4, 2) == 5        # C(3,2)+C(1,1) -> C(4,3)+C(2,2)
     assert shadow(2, 1) == 3
     assert shadow(10, 3) == 15      # C(5,3) -> C(6,4)
-    # literal (unshifted-numerator) variant is strictly smaller
-    assert shadow(3, 1, literal=True) == 3
-    assert shadow(1, 1, literal=True) == 0
 
 
 def shadow_oracle(l, i):

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from nctoric.errors import InputError, NonRational, NotSimplicial
+from nctoric.errors import FieldMismatch, InputError, NonRational, NotSimplicial
 from nctoric.fan import (Cone, Fan, canonical_ray, cone_classify, dual_cone_2d,
                          fan_from_json, fan_to_json, is_refinement,
                          normal_fan)
@@ -37,6 +39,31 @@ def test_normal_fan_square_nine_cones():
     quadrants = {Cone([[1, 0], [0, 1]]), Cone([[-1, 0], [0, 1]]),
                  Cone([[1, 0], [0, -1]]), Cone([[-1, 0], [0, -1]])}
     assert set(maxima) == quadrants
+
+
+def test_cone_with_a_line_is_rejected_exactly():
+    # r1 + r2 + 2 r3 = 0, with r1 and r2 a hair off opposite
+    with pytest.raises(InputError):
+        Cone([[10**20, 1], [-10**20, 1], [0, -1]])
+    with pytest.raises(InputError):
+        Cone([[1, 0], [-1, 1], [0, -1]])
+    assert len(Cone([[10**20, 1], [-10**20, 1], [0, 1]]).rays) == 3
+
+
+def test_fan_rays_of_two_fields_are_rejected():
+    r2, r3 = Scalar.sqrt_int(2), Scalar.sqrt_int(3)
+    with pytest.raises(FieldMismatch):
+        Fan([Cone([[Scalar(1), r2]]), Cone([[Scalar(1), r3]])])
+
+
+def test_normal_fan_of_cube_is_all_faces_of_its_orthants():
+    for d in (2, 3, 4):
+        F = normal_fan(cube(d))
+        subsets = {frozenset(sub) for c in F.maximal_cones()
+                   for k in range(d + 1) for sub in combinations(c.rays, k)}
+        assert {frozenset(c.rays) for c in F.cones} == subsets
+        assert len(F) == len(subsets) == 3 ** d
+        assert len(F.rays) == 2 * d
 
 
 def test_normal_fan_rectangle_equals_square_fan():
@@ -107,8 +134,43 @@ def test_dual_cone_and_hilbert_basis():
         dual_cone_2d(Cone([[1, 0], [Scalar(1), Scalar.sqrt_int(2)]]))
 
 
+def hilbert_basis_oracle(d1, d2):
+    """Brute force: the lattice points of the parallelogram
+    {s d1 + t d2 : 0 <= s, t <= 1} that are no sum of two others.  The scan
+    box is the parallelogram's bounding box, so no point is missed."""
+    det = d1[0] * d2[1] - d1[1] * d2[0]
+    sgn = 1 if det > 0 else -1
+    corners = [(0, 0), d1, d2, (d1[0] + d2[0], d1[1] + d2[1])]
+    pts = set()
+    for x in range(min(c[0] for c in corners), max(c[0] for c in corners) + 1):
+        for y in range(min(c[1] for c in corners), max(c[1] for c in corners) + 1):
+            s = sgn * (x * d2[1] - y * d2[0])
+            t = sgn * (y * d1[0] - x * d1[1])
+            if (x, y) != (0, 0) and 0 <= s <= abs(det) and 0 <= t <= abs(det):
+                pts.add((x, y))
+    return sorted(list(p) for p in pts
+                  if not any((p[0] - q[0], p[1] - q[1]) in pts
+                             for q in pts if q != p))
+
+
+def test_hilbert_basis_matches_brute_force():
+    # the cone whose dual rays lie outside a det-sized scan box
+    rays, basis = dual_cone_2d(Cone([[-1, 2], [-3, 5]]))
+    assert basis == [[-2, -1], [5, 3]] == hilbert_basis_oracle(*rays)
+    rng = random.Random(11)
+    dets = set()
+    while len(dets) < 80:
+        u = [rng.randint(-15, 15), rng.randint(-15, 15)]
+        w = [rng.randint(-15, 15), rng.randint(-15, 15)]
+        det = u[0] * w[1] - u[1] * w[0]
+        if det == 0 or abs(det) > 200 or abs(det) in dets:
+            continue
+        dets.add(abs(det))
+        rays, basis = dual_cone_2d(Cone([u, w]))
+        assert basis == hilbert_basis_oracle(*rays), (u, w)
+
+
 def test_hilbert_basis_random_cones_vs_oracle():
-    import random
     rng = random.Random(3)
     for _ in range(15):
         u = (rng.randint(1, 4), rng.randint(-3, 3))
@@ -142,3 +204,9 @@ def test_fan_json_roundtrip():
     assert fan_from_json(fan_to_json(F)) == F
     with pytest.raises(InputError):
         fan_from_json({"cones": "nope"})
+    with pytest.raises(InputError):
+        fan_from_json({"dim": 2, "cones": [{"rays": [["1", "0"], ["-1", "0"]]}]})
+    with pytest.raises(InputError):
+        fan_from_json({"dim": 2, "cones": [{"rays": [["1", "0", "0"]]}]})
+    with pytest.raises(InputError):
+        Cone([[0, 0], [1, 0]])

@@ -228,6 +228,14 @@ def test_hp_truncated_known():
         hp_truncated(ground_field(), 0)
 
 
+def test_hp_truncated_needs_degrees_up_to_2n_minus_1():
+    m2 = matrix_algebra(2)
+    assert hp_truncated(m2, 2) == hp_truncated(m2, 2, 4) == (1, 0)
+    for up_to in (3, 4):
+        with pytest.raises(InputError):
+            hp_truncated(m2, 3, up_to)
+
+
 def test_size_and_degree_guards():
     with pytest.raises(ComplexTooLarge):
         hh_ranks(ground_field(), 7)

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from nctoric.errors import PoleAtInput, RationalInput
+from nctoric import nctorus
+from nctoric.errors import NctoricError, PoleAtInput, RationalInput
 from nctoric.nctorus import (CLOSED_LEAVES, DENSE_LEAVES, cf_expand,
                              kronecker_classify, mobius_apply,
                              morita_equivalent)
@@ -109,3 +110,10 @@ def test_morita_equivalence_relation():
 
 def test_morita_distinct_fields():
     assert not morita_equivalent(R2, Scalar(1) + R3)["equivalent"]
+
+
+def test_morita_witness_is_checked_without_assert(monkeypatch):
+    monkeypatch.setattr(nctorus, "_convergent_matrix",
+                        lambda digits, i: ((1, 0), (0, 1)))
+    with pytest.raises(NctoricError):
+        morita_equivalent(R2, Scalar(1) + R2)
