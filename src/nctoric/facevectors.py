@@ -42,11 +42,15 @@ def _binomial_decomposition(l: int, i: int):
     rest = l
     k = i
     while rest > 0 and k >= 1:
-        n = k
-        while comb(n + 1, k) <= rest:
-            n += 1
-        parts.append((n, k))
-        rest -= comb(n, k)
+        # the largest n with C(n, k) <= rest, by doubling then bisection
+        lo, hi = k, 2 * k
+        while comb(hi, k) <= rest:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if comb(mid, k) <= rest else (lo, mid)
+        parts.append((lo, k))
+        rest -= comb(lo, k)
         k -= 1
     return parts
 

@@ -12,7 +12,7 @@ from itertools import combinations
 
 from .errors import (DimensionMismatch, InputError, NonRational,
                      NotSimplicial, WrongDimension)
-from .linalg import int_det, scalar_rank
+from .linalg import int_det, scalar_rank, zero_in_hull
 from .polytope import SimplePolytope, rational_direction
 from .scalars import Scalar, sorted_vectors
 
@@ -59,20 +59,9 @@ class Cone:
         return c
 
     def _contains_line(self):
-        if self.ambient_dim == 1:
-            return len({r[0].sign() for r in self.rays}) == 2
-        if self.ambient_dim == 2:
-            # pointed iff some ray r has every ray strictly to its left or
-            # on r itself: then all rays lie in an open halfplane
-            return bool(self.rays) and not any(
-                all(_left_of(r, s) for s in self.rays) for r in self.rays)
-        # higher dimensions: only cones built from simple polytope data are
-        # constructed; check no ray is the negative of a combination of others
-        # via the crude opposite-pair test
-        for u, w in combinations(self.rays, 2):
-            if all((a + b).is_zero() for a, b in zip(u, w)):
-                return True
-        return False
+        # the rays are nonzero, so the cone holds a line iff some nonnegative
+        # combination of them with weights summing to 1 vanishes
+        return zero_in_hull(self.rays)
 
     def __eq__(self, other):
         return isinstance(other, Cone) and self.rays == other.rays \
@@ -124,11 +113,6 @@ def _dot(u, w):
 
 def _cross(u, w):
     return u[0] * w[1] - u[1] * w[0]
-
-
-def _left_of(r, s):
-    c = _cross(r, s).sign()
-    return c > 0 or (c == 0 and _dot(r, s).sign() > 0)
 
 
 def _face_key(face):

@@ -241,6 +241,53 @@ def solve_exact(A: ScalarMatrix, b):
     return ("affine", part, kernel)
 
 
+def has_nonneg_solution(A: ScalarMatrix, b) -> bool:
+    """Exact test for some t >= 0 with A t = b, by phase I of the simplex
+    method under Bland's rule, which cannot cycle (Bland, Math. Oper. Res.
+    2, 1977).
+
+    The tableau holds Fractions when every entry is rational and Scalars of
+    the shared field otherwise (FieldMismatch on mixed fields).  Each row
+    starts with its own artificial basic variable and the objective row as
+    the sum of the rows, so its right-hand side is the sum of the
+    artificials; t exists iff pivoting drives that to zero.  An artificial
+    that leaves the basis never re-enters, so its column is not kept."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    if len(b) != m:
+        raise DimensionMismatch("rhs length != row count")
+    T = [[Scalar._coerce(e) for e in row] + [Scalar._coerce(b[i])]
+         for i, row in enumerate(A)]
+    if common_field(e for row in T for e in row) == 0:
+        T = [[e.a for e in row] for row in T]
+    T = [[-e for e in row] if row[n] < 0 else row for row in T]
+    basis = [n + i for i in range(m)]  # indices >= n are artificial
+    obj = [sum(col) for col in zip(*T)] if T else [0]
+    while obj[n] != 0:
+        # Bland: the smallest column that lowers the artificial sum enters,
+        # and ratio ties leave by the smallest basic index
+        j = next((j for j in range(n) if obj[j] > 0), None)
+        if j is None:
+            return False
+        r = min((i for i in range(m) if T[i][j] > 0),
+                key=lambda i: (T[i][n] / T[i][j], basis[i]))
+        inv = 1 / T[r][j]
+        T[r] = [e * inv for e in T[r]]
+        for row in T + [obj]:
+            f = row[j]
+            if row is not T[r] and f != 0:
+                row[:] = [x - f * y for x, y in zip(row, T[r])]
+        basis[r] = j
+    return True
+
+
+def zero_in_hull(points) -> bool:
+    """Is 0 in the convex hull of the points?  t >= 0, sum t_i = 1 and
+    sum t_i p_i = 0."""
+    rows = [list(coords) for coords in zip(*points)] + [[1] * len(points)]
+    return has_nonneg_solution(rows, [0] * (len(rows) - 1) + [1])
+
+
 def scalar_kernel_basis(A: ScalarMatrix, n: int) -> list:
     """Kernel basis of an m x n ScalarMatrix (n passed for the m = 0 case)."""
     if not A:

@@ -16,7 +16,7 @@ from itertools import combinations
 from .errors import (DegenerateFoliation, DegenerateSystem, InputError,
                      IrrationalWeights, WrongDimension)
 from .linalg import (_independent, primitive, rational_subspace_dim,
-                     scalar_kernel_basis, solve_exact)
+                     scalar_kernel_basis, solve_exact, zero_in_hull)
 from .polytope import SimplePolytope, rational_direction
 from .scalars import Scalar, common_field
 
@@ -66,58 +66,12 @@ def configuration_from_json(obj) -> Configuration:
         raise InputError(f"bad configuration JSON: {e}") from e
 
 
-def _zero_in_hull(points, dim) -> bool:
-    """Exact test for 0 in conv(points) in R^dim via Caratheodory: check
-    barycentric feasibility over all subsets of size <= dim + 1."""
-    for k in range(1, min(len(points), dim + 1) + 1):
-        for sub in combinations(points, k):
-            # solve sum t_i p_i = 0, sum t_i = 1, t_i >= 0
-            rows = [[Scalar._coerce(p[j]) for p in sub] for j in range(dim)]
-            rows.append([Scalar(1)] * k)
-            rhs = [Scalar(0)] * dim + [Scalar(1)]
-            res = solve_exact(rows, rhs)
-            if res[0] == "unique":
-                if all(t.sign() >= 0 for t in res[1]):
-                    return True
-            elif res[0] == "affine":
-                if _nonneg_in_affine(res[1], res[2]):
-                    return True
-    return False
-
-
-def _nonneg_in_affine(part, kernel) -> bool:
-    """Does the affine family part + span(kernel) meet the nonnegative
-    orthant?  Vertex enumeration over the (tiny) parameter space."""
-    k = len(kernel)
-    nvar = len(part)
-    if k == 0:
-        return all(t.sign() >= 0 for t in part)
-    # candidate basic solutions: force k coordinates to zero
-    for zeros in combinations(range(nvar), k):
-        rows = [[kernel[j][i] for j in range(k)] for i in zeros]
-        rhs = [-part[i] for i in zeros]
-        res = solve_exact(rows, rhs)
-        cands = []
-        if res[0] == "unique":
-            cands = [res[1]]
-        elif res[0] == "affine":
-            cands = [res[1]]
-        for c in cands:
-            t = [part[i] + sum((kernel[j][i] * c[j] for j in range(k)), Scalar(0))
-                 for i in range(nvar)]
-            if all(x.sign() >= 0 for x in t):
-                return True
-    return False
-
-
 def check_admissible(cfg: Configuration) -> dict:
     """Siegel: 0 in conv(Lambda); weak hyperbolicity: no 2m-subset's hull
     contains 0."""
     pts = cfg.real_points()
-    dim = 2 * cfg.m
-    siegel = _zero_in_hull(pts, dim)
-    weak = all(not _zero_in_hull(list(sub), dim)
-               for sub in combinations(pts, 2 * cfg.m))
+    siegel = zero_in_hull(pts)
+    weak = all(not zero_in_hull(sub) for sub in combinations(pts, 2 * cfg.m))
     return {"siegel": siegel, "weak_hyperbolic": weak}
 
 
@@ -193,11 +147,10 @@ def siegel_index_family(cfg: Configuration):
     the minimal forbidden zero-sets (complements), mirroring the removed
     coordinate subspaces."""
     pts = cfg.real_points()
-    dim = 2 * cfg.m
     avoid = []
     for k in range(1, cfg.n + 1):
         for I in combinations(range(cfg.n), k):
-            if not _zero_in_hull([pts[i] for i in I], dim):
+            if not zero_in_hull([pts[i] for i in I]):
                 avoid.append(frozenset(I))
     return avoid
 
@@ -207,7 +160,6 @@ def minimal_forbidden_zero_sets(cfg: Configuration):
     lies outside the union of admissible leaves (0 not in the hull of the
     complementary sub-configuration)."""
     pts = cfg.real_points()
-    dim = 2 * cfg.m
     allidx = set(range(cfg.n))
     minimal = []
     for k in range(1, cfg.n + 1):
@@ -216,7 +168,7 @@ def minimal_forbidden_zero_sets(cfg: Configuration):
             if any(m0 <= s for m0 in minimal):
                 continue
             rest = [pts[i] for i in sorted(allidx - s)]
-            if not rest or not _zero_in_hull(rest, dim):
+            if not zero_in_hull(rest):
                 minimal.append(s)
     return sorted(minimal, key=lambda s: (len(s), sorted(s)))
 

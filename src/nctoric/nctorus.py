@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NctoricError, PoleAtInput, RationalInput
+from .linalg import mat_mul
 from .scalars import Scalar
 
 CLOSED_LEAVES = "ClosedLeaves"
@@ -101,13 +102,6 @@ def _convergent_matrix(digits, i):
     return ((p1, p2), (q1, q2))
 
 
-def _mat_mul2(A, B):
-    return ((A[0][0] * B[0][0] + A[0][1] * B[1][0],
-             A[0][0] * B[0][1] + A[0][1] * B[1][1]),
-            (A[1][0] * B[0][0] + A[1][1] * B[1][0],
-             A[1][0] * B[0][1] + A[1][1] * B[1][1]))
-
-
 def _mat_inv2(M):
     (a, b), (c, d) = M
     det = a * d - b * c  # +-1 here
@@ -156,8 +150,8 @@ def morita_equivalent(theta, theta_p) -> dict:
                 continue
             _, dig1x = _states_and_digits(t, i)
             _, dig2x = _states_and_digits(tp, j)
-            W = _mat_mul2(_convergent_matrix(dig2x, j),
-                          _mat_inv2(_convergent_matrix(dig1x, i)))
+            W = mat_mul(_convergent_matrix(dig2x, j),
+                        _mat_inv2(_convergent_matrix(dig1x, i)))
             det = W[0][0] * W[1][1] - W[0][1] * W[1][0]
             if det != 1 or mobius_apply(W, t) != tp:
                 raise NctoricError(f"Morita witness {W} fails its check")
@@ -167,4 +161,4 @@ def morita_equivalent(theta, theta_p) -> dict:
                 "gl2_only_certificate": True}
     W = min(candidates,
             key=lambda M: (max(abs(x) for row in M for x in row), M))
-    return {"equivalent": True, "witness": [list(W[0]), list(W[1])]}
+    return {"equivalent": True, "witness": W}

@@ -14,7 +14,8 @@ from math import gcd
 
 from .errors import (Empty, InputError, IrrationalNormals, NotSimple,
                      Unbounded)
-from .linalg import scalar_kernel_basis, solve_exact
+from .linalg import (has_nonneg_solution, int_det, scalar_kernel_basis,
+                     scalar_rank, solve_exact, transpose)
 from .scalars import Scalar, common_field, sorted_vectors
 
 IRRATIONAL = "Irrational"
@@ -142,21 +143,15 @@ class SimplePolytope:
     def _unbounded(self) -> bool:
         """Exact recession-cone test: {y : <y, n_i> >= 0 for all i} != {0}.
 
-        Candidate extreme rays lie on dim-1 of the constraint hyperplanes."""
-        n = self.dim
+        By Stiemke's alternative the cone is {0} iff the normals have rank
+        dim and sum lambda_i n_i = 0 for some lambda with every lambda_i
+        >= 1; with lambda = 1 + mu that asks for mu >= 0 solving
+        N^T mu = -N^T 1."""
         normals = [nrm for nrm, _ in self.facets]
-        if n == 1:
-            signs = {x[0].sign() for x in normals if not x[0].is_zero()}
-            return signs != {1, -1}
-        for J in combinations(range(self.N), n - 1):
-            rows = [normals[j] for j in J]
-            for y in scalar_kernel_basis(rows, n):
-                for cand in (y, [ -e for e in y ]):
-                    if any(not e.is_zero() for e in cand) and \
-                       all(sum((a * b for a, b in zip(nrm, cand)), Scalar(0)).sign() >= 0
-                           for nrm in normals):
-                        return True
-        return False
+        if scalar_rank(normals) < self.dim:
+            return True
+        cols = transpose(normals)
+        return not has_nonneg_solution(cols, [-sum(c, Scalar(0)) for c in cols])
 
     def _family(self):
         fam = {frozenset()}
@@ -195,7 +190,6 @@ class SimplePolytope:
                 if r is None:
                     return IRRATIONAL
                 ints.append(r)
-            from .linalg import int_det
             if abs(int_det(ints)) != 1:
                 integral = False
         return INTEGRAL_DELZANT if integral else RATIONAL_DELZANT

@@ -15,6 +15,8 @@ from itertools import combinations
 from .errors import CodimensionOne, RankDeficient
 from .linalg import int_rank, integer_kernel_basis, transpose
 from .polytope import SimplePolytope, normal_data
+from .scalars import Scalar
+
 
 def forbidden_strata(family, N: int):
     """Inclusion-minimal index sets outside the subset-closed family.
@@ -58,7 +60,6 @@ def moment_vector(P: SimplePolytope):
     """nu_P = B^T (-lambda_P) where B's columns span ker(rho^T)."""
     rho, lam = normal_data(P)
     basis = kernel_lattice(rho)
-    from .scalars import Scalar
     nu = [sum(((-lam[j]) * b[j] for j in range(len(lam))), Scalar(0))
           for b in basis]
     return nu, basis

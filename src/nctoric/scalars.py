@@ -15,11 +15,17 @@ from fractions import Fraction
 
 from .errors import DivisionByZero, FieldMismatch, InputError
 
+#: largest radicand accepted: squarefree_split factors by trial division
+RADICAND_LIMIT = 10**6
+
 
 def squarefree_split(n: int) -> tuple[int, int]:
-    """Write n = s^2 * d with d square-free; return (s, d)."""
+    """Write n = s^2 * d with d square-free; return (s, d).  Radicands above
+    RADICAND_LIMIT raise InputError."""
     if n < 0:
         raise ValueError("negative radicand")
+    if n > RADICAND_LIMIT:
+        raise InputError(f"radicand {n} exceeds the limit {RADICAND_LIMIT}")
     if n in (0, 1):
         return (1, n)
     s, d, p = 1, 1, 2

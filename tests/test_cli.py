@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -164,6 +165,16 @@ def test_gvec(capsys):
     assert code == 0 and not parse(out)["payload"]["pass"]
 
 
+def test_gvec_with_large_entries_finishes_quickly(capsys):
+    start = time.perf_counter()
+    code, out = invoke(capsys, ["gvec", "--f",
+                                "1,100000004,400000006,600000004,300000002",
+                                "--d", "4"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert parse(out)["payload"]["g"] == [1, 99999999, 0]
+
+
 def test_hh(capsys, tmp_path):
     path = tmp_path / "alg.json"
     path.write_text(json.dumps(ground_field().to_json()))
@@ -221,6 +232,19 @@ def test_zero_denominator_is_an_input_error(capsys, tmp_path):
     assert json.loads(out)["error"] == "InputError"
     path = tmp_path / "cone.json"
     path.write_text(json.dumps({"rays": [["0", "1"], ["2", "1/0"]]}))
+    code, out = invoke(capsys, ["hj", "resolve", "--cone", str(path)])
+    assert code == 3
+    assert json.loads(out)["error"] == "InputError"
+
+
+def test_radicand_above_the_limit_is_an_input_error(capsys, tmp_path):
+    code, out = invoke(capsys, ["hj", "expand", "--value",
+                                "sqrt(99999999999999999999999)"])
+    assert code == 3
+    assert json.loads(out)["error"] == "InputError"
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"rays": [
+        ["0", "1"], [{"a": "1", "b": "1", "d": 10**7 + 1}, "-1"]]}))
     code, out = invoke(capsys, ["hj", "resolve", "--cone", str(path)])
     assert code == 3
     assert json.loads(out)["error"] == "InputError"

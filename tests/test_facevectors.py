@@ -5,7 +5,8 @@ from math import comb
 import pytest
 
 from nctoric.errors import LengthMismatch
-from nctoric.facevectors import (check_dehn_sommerville, f_from_h, g_from_h,
+from nctoric.facevectors import (_binomial_decomposition,
+                                 check_dehn_sommerville, f_from_h, g_from_h,
                                  g_theorem_necessity, h_from_f, is_m_vector,
                                  shadow)
 
@@ -72,6 +73,26 @@ def shadow_oracle(l, i):
         if sub <= seg:
             count += 1
     return count
+
+
+def linear_decomposition(l, i):
+    """Oracle: the binomial expansion of l at level i, scanning n upward."""
+    parts = []
+    rest, k = l, i
+    while rest > 0 and k >= 1:
+        n = k
+        while comb(n + 1, k) <= rest:
+            n += 1
+        parts.append((n, k))
+        rest -= comb(n, k)
+        k -= 1
+    return parts
+
+
+def test_binomial_decomposition_against_linear_scan():
+    for i in range(1, 7):
+        for l in range(1, 2001):
+            assert _binomial_decomposition(l, i) == linear_decomposition(l, i)
 
 
 def test_shadow_against_monomial_oracle():

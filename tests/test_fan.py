@@ -50,6 +50,19 @@ def test_cone_with_a_line_is_rejected_exactly():
     assert len(Cone([[10**20, 1], [-10**20, 1], [0, 1]]).rays) == 3
 
 
+def test_cone_with_a_line_is_rejected_in_3d():
+    # r1 + r2 + r3 = 0 without an opposite pair among the rays
+    rays = [[1, 0, 0], [-1, 1, 0], [0, -1, 0]]
+    with pytest.raises(InputError):
+        Cone(rays)
+    with pytest.raises(InputError):
+        fan_from_json({"dim": 3, "cones": [
+            {"rays": [[str(x) for x in r] for r in rays]}]})
+    assert len(Cone(rays[:2] + [[0, -1, 1]]).rays) == 3
+    with pytest.raises(InputError):
+        Cone([[1, 0, 0, 0], [0, 1, 0, 0], [-1, -1, 1, 0], [0, 0, -1, 0]])
+
+
 def test_fan_rays_of_two_fields_are_rejected():
     r2, r3 = Scalar.sqrt_int(2), Scalar.sqrt_int(3)
     with pytest.raises(FieldMismatch):

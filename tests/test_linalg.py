@@ -1,20 +1,21 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
 
-from nctoric.errors import FieldMismatch
-from nctoric.linalg import (identity, int_det, int_rank, integer_kernel_basis,
-                            mat_mul, mat_vec, primitive,
+from nctoric.errors import DimensionMismatch, FieldMismatch
+from nctoric.linalg import (has_nonneg_solution, identity, int_det, int_rank,
+                            integer_kernel_basis, mat_mul, mat_vec, primitive,
                             rational_subspace_dim, scalar_kernel_basis,
-                            scalar_rank, smith_normal_form, solve_exact)
+                            scalar_rank, smith_normal_form, solve_exact,
+                            zero_in_hull)
 from nctoric.scalars import Scalar
 
 
 def minors_gcd(A, k):
     """gcd of all k x k minors; d_1...d_k of the SNF must equal it."""
-    from itertools import combinations
     m, n = len(A), len(A[0])
     g = 0
     for rows in combinations(range(m), k):
@@ -160,3 +161,126 @@ def test_rational_subspace_brute_force_cross_check():
 def test_mat_vec_and_identity():
     assert mat_vec([[1, 2], [3, 4]], [1, 1]) == [3, 7]
     assert identity(2) == [[1, 0], [0, 1]]
+
+
+# -- the phase-I simplex kernel -------------------------------------------------
+
+
+def caratheodory_zero_in_hull(points, dim) -> bool:
+    """Oracle: 0 in conv(points) in R^dim by Caratheodory, checking
+    barycentric feasibility over all subsets of size <= dim + 1."""
+    for k in range(1, min(len(points), dim + 1) + 1):
+        for sub in combinations(points, k):
+            rows = [[Scalar._coerce(p[j]) for p in sub] for j in range(dim)]
+            rows.append([Scalar(1)] * k)
+            res = solve_exact(rows, [Scalar(0)] * dim + [Scalar(1)])
+            if res[0] == "unique":
+                if all(t.sign() >= 0 for t in res[1]):
+                    return True
+            elif res[0] == "affine":
+                if nonneg_in_affine(res[1], res[2]):
+                    return True
+    return False
+
+
+def nonneg_in_affine(part, kernel) -> bool:
+    """Does part + span(kernel) meet the nonnegative orthant?  Tries every
+    basic solution that forces len(kernel) coordinates to zero."""
+    k = len(kernel)
+    nvar = len(part)
+    if k == 0:
+        return all(t.sign() >= 0 for t in part)
+    for zeros in combinations(range(nvar), k):
+        rows = [[kernel[j][i] for j in range(k)] for i in zeros]
+        res = solve_exact(rows, [-part[i] for i in zeros])
+        if res[0] == "infeasible":
+            continue
+        c = res[1]
+        t = [part[i] + sum((kernel[j][i] * c[j] for j in range(k)), Scalar(0))
+             for i in range(nvar)]
+        if all(x.sign() >= 0 for x in t):
+            return True
+    return False
+
+
+def random_point_set(rng, dim, field):
+    """Small seeded point sets over Q or Q(sqrt 2): plain random points,
+    points on one line, or points with a repeat and the origin mixed in."""
+    r2 = Scalar.sqrt_int(2)
+
+    def entry():
+        x = Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        return x + r2 * rng.randint(-2, 2) if field == 2 else x
+
+    kind = rng.choice(("random", "collinear", "repeat_zero"))
+    n = rng.randint(1, dim + 2)
+    if kind == "collinear":
+        v = [entry() for _ in range(dim)]
+        return [[x * entry() for x in v] for _ in range(n)]
+    pts = [[entry() for _ in range(dim)] for _ in range(n)]
+    if rng.random() < 0.5:
+        # shift into the open halfspace x_0 > 0 so both answers occur
+        pts = [[abs(p[0]) + Scalar(1)] + p[1:] for p in pts]
+    if kind == "repeat_zero":
+        pts.append(list(rng.choice(pts)))
+        if rng.random() < 0.5:
+            pts.insert(rng.randrange(len(pts) + 1), [Scalar(0)] * dim)
+    return pts
+
+
+def test_zero_in_hull_matches_caratheodory_oracle():
+    rng = random.Random(20260412)
+    seen = set()
+    for trial in range(160):
+        dim = 1 + trial % 4
+        field = 2 if trial % 8 >= 4 else 0
+        pts = random_point_set(rng, dim, field)
+        got = zero_in_hull(pts)
+        assert got == caratheodory_zero_in_hull(pts, dim), (dim, pts)
+        seen.add((dim, field, got))
+    assert len(seen) == 16  # both answers in every dimension and field
+
+
+def test_zero_in_hull_edge_cases():
+    assert not zero_in_hull([])
+    assert zero_in_hull([[0, 0]])
+    assert zero_in_hull([[1, 1], [1, 1], [-2, -2]])
+    assert not zero_in_hull([[1, 1], [2, 2]])
+    assert not zero_in_hull([[1, 0], [2, 1]])     # segment misses the origin
+
+
+def test_has_nonneg_solution():
+    # no rows: t = 0 solves; no columns: only b = 0 is reached
+    assert has_nonneg_solution([], [])
+    assert not has_nonneg_solution([[]], [1])
+    assert has_nonneg_solution([[1, -1]], [-3])
+    assert not has_nonneg_solution([[1, 1]], [-1])
+    assert has_nonneg_solution([[1, 2], [3, 4]], [3, 7])
+    assert not has_nonneg_solution([[1, 2], [3, 4]], [1, 1])    # t = (-1, 1)
+    assert has_nonneg_solution([[1, 1], [1, 1]], [2, 2])        # repeated row
+    assert not has_nonneg_solution([[1, 1], [1, 1]], [2, 3])
+    assert has_nonneg_solution([[0, 0], [1, 1]], [0, 1])        # zero row
+    r2 = Scalar.sqrt_int(2)
+    assert has_nonneg_solution([[r2, -1]], [0])
+    assert has_nonneg_solution([[r2, 1]], [r2 + 1])
+    assert not has_nonneg_solution([[r2, 1]], [-r2])
+    with pytest.raises(DimensionMismatch):
+        has_nonneg_solution([[1, 2]], [1, 2])
+
+
+def test_has_nonneg_solution_degenerate_pivots_terminate():
+    # the constraints of Beale's cycling example, with zero right-hand
+    # sides in two rows, so the first pivots are degenerate
+    A = [[Fraction(1, 4), -8, -1, 9, 1, 0, 0],
+         [Fraction(1, 2), -12, Fraction(-1, 2), 3, 0, 1, 0],
+         [0, 0, 1, 0, 0, 0, 1]]
+    assert has_nonneg_solution(A, [0, 0, 1])
+    assert not has_nonneg_solution(A, [0, 0, -1])
+
+
+def test_has_nonneg_solution_mixed_fields():
+    r2, r3 = Scalar.sqrt_int(2), Scalar.sqrt_int(3)
+    with pytest.raises(FieldMismatch):
+        has_nonneg_solution([[r2, 1], [1, r3]], [1, 1])
+    with pytest.raises(FieldMismatch):
+        zero_in_hull([[r2], [-r3]])

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,6 +11,7 @@ from nctoric.polytope import (INTEGRAL_DELZANT, IRRATIONAL, RATIONAL_DELZANT,
                               face_counts, from_json, normal_data,
                               rational_direction, simplex, to_json,
                               vertices_and_incidence)
+from nctoric.linalg import scalar_kernel_basis
 from nctoric.scalars import Scalar
 
 
@@ -79,6 +82,62 @@ def test_unbounded_and_empty():
         SimplePolytope([([1, 0], 0), ([-1, 0], -1)])
     with pytest.raises(Empty):
         SimplePolytope([([1], 1), ([-1], 0)])
+
+
+def kernel_scan_unbounded(normals, n) -> bool:
+    """Oracle: the recession cone {y : <y, n_i> >= 0} is nonzero.  An extreme
+    ray lies on n - 1 of the hyperplanes, so try the kernels of every
+    (n - 1)-subset of normals (needs at least n - 1 of them)."""
+    if n == 1:
+        signs = {x[0].sign() for x in normals if not x[0].is_zero()}
+        return signs != {1, -1}
+    for J in combinations(range(len(normals)), n - 1):
+        for y in scalar_kernel_basis([normals[j] for j in J], n):
+            for cand in (y, [-e for e in y]):
+                if all(sum((a * b for a, b in zip(nrm, cand)), Scalar(0)).sign() >= 0
+                       for nrm in normals):
+                    return True
+    return False
+
+
+def recession_only(normals):
+    """A SimplePolytope shell holding facets with these normals, not yet
+    derived, so _unbounded can be asked directly."""
+    P = object.__new__(SimplePolytope)
+    P.facets = [([Scalar._coerce(x) for x in nrm], Scalar(0)) for nrm in normals]
+    P.dim, P.N = len(normals[0]), len(normals)
+    return P
+
+
+def test_unbounded_matches_kernel_scan_oracle():
+    rng = random.Random(4242)
+    r2 = Scalar.sqrt_int(2)
+    seen = set()
+    for trial in range(300):
+        n = 1 + trial % 3
+        irrational = trial % 6 >= 3
+
+        def entry():
+            x = Scalar(rng.randint(-2, 2))
+            return x + r2 * rng.randint(-1, 1) if irrational else x
+
+        normals = [[entry() for _ in range(n)]
+                   for _ in range(rng.randint(max(1, n - 1), n + 3))]
+        if rng.random() < 0.3:
+            normals.append([Scalar(0)] * n)
+        if rng.random() < 0.3:
+            normals.append(list(rng.choice(normals)))
+        got = recession_only(normals)._unbounded()
+        assert got == kernel_scan_unbounded(normals, n), normals
+        seen.add((n, irrational, got))
+    assert len(seen) == 12  # both answers in every dimension and field
+
+
+def test_few_facets_are_unbounded_in_any_dimension():
+    # fewer than dim - 1 facets: there is no (dim - 1)-subset to scan, but
+    # the normals cannot have full rank
+    with pytest.raises(Unbounded):
+        SimplePolytope([([1, 0, 0], 0)])
 
 
 def test_not_simple():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nctoric.errors import DivisionByZero, FieldMismatch, InputError
-from nctoric.scalars import Scalar, common_field, parse_scalar, squarefree_split
+from nctoric.scalars import (RADICAND_LIMIT, Scalar, common_field, parse_scalar,
+                             squarefree_split)
 
 
 def test_squarefree_split():
@@ -13,6 +14,23 @@ def test_squarefree_split():
     assert squarefree_split(12) == (2, 3)
     assert squarefree_split(18) == (3, 2)
     assert squarefree_split(49) == (7, 1)
+
+
+def test_radicand_limit():
+    assert squarefree_split(RADICAND_LIMIT) == (1000, 1)
+    with pytest.raises(InputError):
+        squarefree_split(RADICAND_LIMIT + 1)
+
+
+def test_parse_scalar_rejects_a_radicand_above_the_limit():
+    assert parse_scalar(f"sqrt({RADICAND_LIMIT - 1})") == Scalar(0, 3, 111111)
+    with pytest.raises(InputError):
+        parse_scalar("sqrt(99999999999999999999999)")
+
+
+def test_from_json_rejects_a_radicand_above_the_limit():
+    with pytest.raises(InputError):
+        Scalar.from_json({"a": "0", "b": "1", "d": RADICAND_LIMIT + 1})
 
 
 def test_radicand_normalization():
