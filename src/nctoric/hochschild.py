@@ -3,15 +3,18 @@ algebras over Q, given by structure constants; includes convolution
 algebras of finite groupoids.
 
 Chains of degree k are linear combinations of basis tensors
-e_{i_0} x ... x e_{i_k}.  The reduced complex takes the factors in
-positions 1..k modulo the unit; ranks are computed by exact sparse
-rational elimination.
+e_{i_0} x ... x e_{i_k}.  The reduced (normalized) complex takes the
+factors in positions 1..k modulo the unit, A x (A/Q.1)^k; it has the same
+homology as the full bar complex (Loday, *Cyclic Homology*, 1.1.14), so
+Hochschild ranks are computed on it.  Ranks come from exact sparse
+elimination done fraction-free on integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 from .errors import (ComplexTooLarge, DegreeZero, InputError, InvalidAlgebra,
                      InvalidGroupoid)
@@ -38,20 +41,30 @@ class FinDimAlgebra:
             raise InvalidAlgebra("structure-constant shape mismatch")
         self._check()
         # pivot coordinate used to split off the unit direction
-        self.unit_pivot = next(i for i, x in enumerate(self.unit) if x != 0)
+        self.unit_pivot = next((i for i, x in enumerate(self.unit) if x != 0),
+                               None)
+        if self.unit_pivot is None:
+            raise InvalidAlgebra("the unit is zero")
 
     def _check(self):
         d = self.dim
-        c = self.c
+        # the nonzero constants of each e_i e_j, as (t, x) pairs
+        nz = [[[(t, x) for t, x in enumerate(col) if x] for col in row]
+              for row in self.c]
         for i in range(d):
             for j in range(d):
                 for k in range(d):
-                    for l in range(d):
-                        lhs = sum(c[i][j][t] * c[t][k][l] for t in range(d))
-                        rhs = sum(c[j][k][t] * c[i][t][l] for t in range(d))
-                        if lhs != rhs:
-                            raise InvalidAlgebra(
-                                f"associativity fails at ({i},{j},{k})")
+                    lhs = [0] * d
+                    for t, x in nz[i][j]:
+                        for l, y in nz[t][k]:
+                            lhs[l] += x * y
+                    rhs = [0] * d
+                    for t, x in nz[j][k]:
+                        for l, y in nz[i][t]:
+                            rhs[l] += x * y
+                    if lhs != rhs:
+                        raise InvalidAlgebra(
+                            f"associativity fails at ({i},{j},{k})")
         for i in range(d):
             left = self.mul_vec(self.unit, self._basis_vec(i))
             right = self.mul_vec(self._basis_vec(i), self.unit)
@@ -88,7 +101,8 @@ class FinDimAlgebra:
         try:
             return FinDimAlgebra(obj["dim"], obj["c"], obj["unit"],
                                  obj.get("labels"))
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError,
+                OverflowError) as e:
             raise InputError(f"bad algebra JSON: {e}") from e
 
 
@@ -317,27 +331,46 @@ def connes_B(x: ChainElement) -> ChainElement:
 
 
 def _sparse_rank(columns) -> int:
-    """Rank of a sparse rational matrix given as row->coeff dicts."""
+    """Rank of a sparse rational matrix given as row->coeff dicts.
+
+    Fraction-free elimination on integers (cf. Bareiss, Math. Comp. 22,
+    1968): each column is scaled by the lcm of its denominators, reduced
+    against the pivot of its lowest row as p*col - f*pivot with p, f
+    coprime, and kept primitive by dividing out the gcd of its entries."""
     pivots = {}
     for col in columns:
-        col = dict(col)
+        den = lcm(*(v.denominator for v in col.values()))
+        col = _primitive({r: v.numerator * (den // v.denominator)
+                          for r, v in col.items() if v})
         while col:
             r = min(col)
-            if r in pivots:
-                f = col.pop(r)
-                for rr, v in pivots[r].items():
-                    if rr == r:
-                        continue
-                    w = col.get(rr, Fraction(0)) - f * v
-                    if w:
-                        col[rr] = w
-                    elif rr in col:
-                        del col[rr]
-            else:
-                f = col[r]
-                pivots[r] = {rr: v / f for rr, v in col.items()}
+            pivot = pivots.get(r)
+            if pivot is None:
+                pivots[r] = col
                 break
+            p, f = pivot[r], col.pop(r)
+            g = gcd(p, f)
+            p, f = p // g, f // g
+            if p != 1:
+                col = {rr: p * v for rr, v in col.items()}
+            for rr, v in pivot.items():
+                if rr == r:
+                    continue
+                w = col.get(rr, 0) - f * v
+                if w:
+                    col[rr] = w
+                else:
+                    col.pop(rr, None)
+            col = _primitive(col)
     return len(pivots)
+
+
+def _primitive(col):
+    """col divided by the gcd of its entries."""
+    g = gcd(*col.values())
+    if g <= 1:
+        return col
+    return {r: v // g for r, v in col.items()}
 
 
 def _guard(dim_algebra: int, max_len: int):
@@ -347,34 +380,23 @@ def _guard(dim_algebra: int, max_len: int):
             f"{SIZE_LIMIT}")
 
 
-def _boundary_columns(A: FinDimAlgebra, k: int):
-    """Columns of d_k : C_k -> C_{k-1} on the full complex, indexed by the
-    lexicographic position of the target tensors."""
-    D = A.dim
-    cols = []
-    for key in product(range(D), repeat=k + 1):
-        x = ChainElement(A, k, {key: 1})
-        bx = hochschild_boundary(x)
-        col = {}
-        for t, v in bx.coeffs.items():
-            row = 0
-            for i in t:
-                row = row * D + i
-            col[row] = v
-        cols.append(col)
-    return cols
-
-
 def hh_ranks(A: FinDimAlgebra, up_to: int):
-    """Hochschild homology ranks HH_0..HH_up_to of the full complex."""
+    """Hochschild homology ranks HH_0..HH_up_to, from the boundaries of
+    the reduced complex, whose degree-k space has dimension D (D-1)^k."""
+    if up_to < 0:
+        raise InputError(f"up_to must be >= 0, got {up_to}")
     if up_to > 6:
         raise ComplexTooLarge("degrees beyond 6 are out of range")
     _guard(A.dim, up_to + 2)
     D = A.dim
     rank_d = [0]  # rank of d_k, k = 0 treated as the zero map
     for k in range(1, up_to + 2):
-        rank_d.append(_sparse_rank(_boundary_columns(A, k)))
-    return [D ** (k + 1) - rank_d[k] - rank_d[k + 1] for k in range(up_to + 1)]
+        columns = (hochschild_boundary(
+            ChainElement(A, k, {key: 1}, reduced=True)).coeffs
+            for key in _reduced_basis(A, k))
+        rank_d.append(_sparse_rank(columns))
+    return [D * (D - 1) ** k - rank_d[k] - rank_d[k + 1]
+            for k in range(up_to + 1)]
 
 
 def _reduced_basis(A: FinDimAlgebra, k: int):

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nctoric import lvm, polytope
 from nctoric.cli import run
-from nctoric.hochschild import ground_field, group_algebra_z2, matrix_algebra
+from nctoric.hochschild import (ground_field, group_algebra_z2, matrix_algebra,
+                                product_of_fields)
 
 
 def invoke(capsys, argv):
@@ -280,6 +286,74 @@ def test_hh_hp_truncation(capsys, tmp_path):
                                 "--upto", "3"])
     assert code == 3
     assert json.loads(out)["error"] == "InputError"
+
+
+def test_hh_rejects_zero_algebra_zero_denominator_and_negative_degree(
+        capsys, tmp_path):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"dim": 0, "c": [], "unit": []}))
+    code, out = invoke(capsys, ["hh", "ranks", "--algebra", str(path)])
+    assert code == 4
+    assert json.loads(out)["error"] == "InvalidAlgebra"
+    path.write_text(json.dumps({"dim": 1, "c": [[["1/0"]]], "unit": ["1"]}))
+    code, out = invoke(capsys, ["hh", "ranks", "--algebra", str(path)])
+    assert code == 3
+    assert json.loads(out)["error"] == "InputError"
+    path.write_text(json.dumps(ground_field().to_json()))
+    code, out = invoke(capsys, ["hh", "ranks", "--algebra", str(path),
+                                "--upto", "-1"])
+    assert code == 3
+    assert json.loads(out)["error"] == "InputError"
+
+
+# algebra documents for the hh fuzz test: valid tables of dim 1-3, in which
+# one constant may be replaced, and tables drawn from CONSTANTS alone
+VALID_ALGEBRAS = [A.to_json() for A in (ground_field(), product_of_fields(2),
+                                        group_algebra_z2(),
+                                        product_of_fields(3))]
+CONSTANTS = ["0", "1", "-1", "1/2", "1/0", "x", None, ["1"], [["0", "1"]]]
+#: wall-clock budget of one fuzzed call, in seconds
+HH_CALL_BUDGET_S = 5.0
+
+
+@st.composite
+def algebra_documents(draw):
+    constant = st.sampled_from(CONSTANTS)
+    if draw(st.booleans()):
+        doc = json.loads(json.dumps(draw(st.sampled_from(VALID_ALGEBRAS))))
+        dim = doc["dim"]
+        if draw(st.booleans()):
+            i, j, t = (draw(st.integers(0, dim - 1)) for _ in range(3))
+            doc["c"][i][j][t] = draw(constant)
+        if draw(st.booleans()):
+            doc["unit"][draw(st.integers(0, dim - 1))] = draw(constant)
+        return doc
+    dim = draw(st.integers(0, 3))
+    return {"dim": draw(st.sampled_from((dim, dim, dim - 1, dim + 1))),
+            "c": [[[draw(constant) for _ in range(dim)] for _ in range(dim)]
+                  for _ in range(dim)],
+            "unit": [draw(constant) for _ in range(dim)]}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(doc=algebra_documents(), action=st.sampled_from(["ranks", "hp"]),
+       upto=st.one_of(st.none(), st.integers(-3, 8)),
+       n=st.one_of(st.none(), st.integers(-2, 5)))
+def test_hh_fuzz_ends_in_a_known_exit_code(doc, action, upto, n):
+    argv = ["hh", action]
+    if upto is not None:
+        argv += ["--upto", str(upto)]
+    if n is not None:
+        argv += ["--N", str(n)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "alg.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = run(argv + ["--algebra", path])
+        assert time.perf_counter() - start < HH_CALL_BUDGET_S
+    assert code in (0, 2, 3, 4)
 
 
 def test_byte_determinism(square_file):

@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from nctoric.errors import (ComplexTooLarge, DegreeZero, InputError,
                             InvalidAlgebra, InvalidGroupoid)
 from nctoric.hochschild import (ChainElement, FinDimAlgebra, FiniteGroupoid,
-                                connes_B, convolution_algebra, ground_field,
-                                group_algebra_z2, hh_ranks, hochschild_boundary,
-                                hp_truncated, matrix_algebra, pair_groupoid,
+                                _sparse_rank, connes_B, convolution_algebra,
+                                ground_field, group_algebra_z2, hh_ranks,
+                                hochschild_boundary, hp_truncated,
+                                matrix_algebra, pair_groupoid,
                                 product_of_fields)
 
 
@@ -155,6 +157,7 @@ def test_complex_identities_random():
 
 
 def dense_rank(columns, nrows):
+    """Rank by Gaussian elimination on the dense matrix of Fractions."""
     M = [[Fraction(0)] * len(columns) for _ in range(nrows)]
     for c, col in enumerate(columns):
         for r, v in col.items():
@@ -165,18 +168,37 @@ def dense_rank(columns, nrows):
         if piv is None:
             continue
         M[rank], M[piv] = M[piv], M[rank]
-        f = M[rank][c]
-        M[rank] = [x / f for x in M[rank]]
-        for r in range(nrows):
-            if r != rank and M[r][c] != 0:
-                g = M[r][c]
-                M[r] = [x - g * y for x, y in zip(M[r], M[rank])]
+        top = M[rank]
+        tail = [(j, x / top[c]) for j, x in enumerate(top) if j > c and x]
+        for r in range(rank + 1, nrows):
+            g = M[r][c]
+            if g:
+                row = M[r]
+                for j, x in tail:
+                    row[j] -= g * x
         rank += 1
     return rank
 
 
+def _boundary_columns(A, k):
+    """Columns of d_k : C_k -> C_{k-1} on the full bar complex, indexed by
+    the lexicographic position of the target tensors."""
+    D = A.dim
+    cols = []
+    for key in product(range(D), repeat=k + 1):
+        bx = hochschild_boundary(ChainElement(A, k, {key: 1}))
+        col = {}
+        for t, v in bx.coeffs.items():
+            row = 0
+            for i in t:
+                row = row * D + i
+            col[row] = v
+        cols.append(col)
+    return cols
+
+
 def hh_ranks_dense(A, up_to):
-    from nctoric.hochschild import _boundary_columns
+    """HH ranks of the full bar complex by dense elimination."""
     D = A.dim
     rank_d = [0]
     for k in range(1, up_to + 2):
@@ -217,6 +239,88 @@ def test_hh_ranks_invariant_under_base_change():
     for base in (dual_numbers(), group_algebra_z2(), upper_triangular2()):
         A = change_of_basis(base, random_invertible(rng, base.dim))
         assert hh_ranks(A, 2) == hh_ranks(base, 2)
+
+
+# changes of basis after which the unit is no basis vector and its pivot
+# coordinate u_p is not 1: u = (1/3, 2/3, 1/3) and (1/2, -1/2, 0, 1)
+SHEAR_Q3 = [[2, 1, 0], [0, 1, 0], [1, 0, 3]]
+SHEAR_M2 = [[2, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+def test_hh_ranks_match_full_complex_off_unit_basis():
+    for base, P, up_to in ((product_of_fields(3), SHEAR_Q3, 4),
+                           (matrix_algebra(2), SHEAR_M2, 3)):
+        A = change_of_basis(base, P)
+        assert sum(1 for u in A.unit if u) > 1
+        assert A.unit[A.unit_pivot] != 1
+        assert hh_ranks(A, up_to) == hh_ranks_dense(A, up_to) \
+            == hh_ranks(base, up_to)
+
+
+def test_sparse_rank_matches_dense_rank():
+    rng = random.Random(29)
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(rng.randint(-10 ** 30, 10 ** 30),
+                            rng.randint(1, 10 ** 20))
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 9)
+        density = rng.choice((0.2, 0.5, 0.9))
+        cols = []
+        for _ in range(ncols):
+            roll = rng.random()
+            if roll < 0.1:
+                cols.append({})
+            elif roll < 0.3 and cols:
+                # a repeat, or a multiple, of an earlier column
+                f = rng.choice((1, -1, entry()))
+                cols.append({r: f * v for r, v in rng.choice(cols).items()
+                             if f * v})
+            else:
+                col = {r: entry() for r in range(nrows)
+                       if rng.random() < density}
+                cols.append({r: v for r, v in col.items() if v})
+        rng.shuffle(cols)
+        assert _sparse_rank(cols) == dense_rank(cols, nrows)
+
+
+def _first_associativity_failure(c, d):
+    """The message of the first (i, j, k) where (e_i e_j) e_k and
+    e_i (e_j e_k) differ, by the dense O(d^5) loop."""
+    for i, j, k, l in product(range(d), repeat=4):
+        lhs = sum(c[i][j][t] * c[t][k][l] for t in range(d))
+        rhs = sum(c[j][k][t] * c[i][t][l] for t in range(d))
+        if lhs != rhs:
+            return f"associativity fails at ({i},{j},{k})"
+    return None
+
+
+def test_check_rejects_one_perturbed_constant():
+    rng = random.Random(31)
+    for A in (matrix_algebra(2), convolution_algebra(pair_groupoid(3)),
+              change_of_basis(product_of_fields(3), SHEAR_Q3)):
+        d = A.dim
+        FinDimAlgebra(d, A.c, A.unit)
+        cells = list(product(range(d), repeat=3))
+        nonzero = [x for x in cells if A.c[x[0]][x[1]][x[2]] != 0]
+        zero = [x for x in cells if A.c[x[0]][x[1]][x[2]] == 0]
+        # the unit law never reads a product of two basis vectors off the
+        # unit's support, so only associativity can reject those changes
+        off_unit = [x for x in cells if A.unit[x[0]] == A.unit[x[1]] == 0]
+        picks = [rng.choice(nonzero), rng.choice(zero)]
+        picks += [rng.choice([x for x in pool if x in off_unit])
+                  for pool in (nonzero, zero) if set(pool) & set(off_unit)]
+        for i, j, t in picks:
+            c = [[list(col) for col in row] for row in A.c]
+            c[i][j][t] += rng.choice((1, -1, Fraction(1, 2)))
+            expected = _first_associativity_failure(c, d)
+            with pytest.raises(InvalidAlgebra) as err:
+                FinDimAlgebra(d, c, A.unit)
+            if expected is not None:
+                assert str(err.value) == expected
 
 
 def test_hp_truncated_known():
