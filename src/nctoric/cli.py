@@ -37,7 +37,9 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
+        # ValueError: malformed JSON, bytes that are not UTF-8, or an
+        # integer beyond the interpreter's digit limit
         raise InputError(f"cannot read JSON from {path}: {e}") from e
 
 

@@ -17,8 +17,12 @@ from .errors import (DivisionByZero, InputError, NotNormalizable,
 from .fan import Cone, Fan, hj_chain, hj_digits, hj_frame
 from .scalars import Scalar
 
-#: safety valve for period detection on quadratic irrationals
+#: safety valve for period detection on quadratic irrationals, shared by
+#: the regular continued fractions of `nctorus`
 PERIOD_SEARCH_LIMIT = 10_000
+#: largest `depth` accepted by `hj_expand` and `resolve_cone`; it must not
+#: exceed PERIOD_SEARCH_LIMIT
+DEPTH_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -47,9 +51,7 @@ def hj_expand(x, depth: int | None = None) -> HJExpansion:
     digits = []
     states = {x: 0}
     cur = x
-    preperiod_len = None
-    period = ()
-    for i in range(max(depth, PERIOD_SEARCH_LIMIT)):
+    for _ in range(PERIOD_SEARCH_LIMIT):
         a = cur.ceil()
         if Scalar(a) == cur:  # cannot happen for irrational cur
             raise PeriodNotFound("irrational state became integral")
@@ -60,10 +62,7 @@ def hj_expand(x, depth: int | None = None) -> HJExpansion:
             period = tuple(digits[preperiod_len:])
             break
         states[cur] = len(digits)
-        if len(digits) >= depth and len(digits) >= PERIOD_SEARCH_LIMIT:
-            raise PeriodNotFound(
-                f"no state repetition within {PERIOD_SEARCH_LIMIT} steps")
-    if preperiod_len is None:
+    else:
         raise PeriodNotFound(
             f"no state repetition within {PERIOD_SEARCH_LIMIT} steps")
     # extend or trim the digit list to the requested depth
@@ -128,5 +127,6 @@ def resolve_cone(sigma: Cone, depth: int | None = None):
 
 
 def _check_depth(depth):
-    if depth is not None and depth < 1:
-        raise InputError(f"depth must be >= 1, got {depth}")
+    if depth is not None and not 1 <= depth <= DEPTH_LIMIT:
+        raise InputError(
+            f"depth must be between 1 and {DEPTH_LIMIT}, got {depth}")

@@ -18,6 +18,7 @@ from math import gcd, lcm
 
 from .errors import (ComplexTooLarge, DegreeZero, InputError, InvalidAlgebra,
                      InvalidGroupoid)
+from .scalars import rational_literal
 
 #: cap on the chain-space dimension D^(k+1) handled by rank computations
 SIZE_LIMIT = 100_000
@@ -32,12 +33,15 @@ class FinDimAlgebra:
         self.dim = int(dim)
         self.c = [[[Fraction(x) for x in col] for col in row] for row in c]
         self.unit = [Fraction(x) for x in unit]
-        self.labels = list(labels) if labels is not None \
-            else [f"e{i}" for i in range(self.dim)]
+        # the shape is checked before the default labels are built, so a
+        # huge dim with a small table fails at once
         if len(self.c) != self.dim or len(self.unit) != self.dim \
-                or len(self.labels) != self.dim \
                 or any(len(row) != self.dim for row in self.c) \
                 or any(len(col) != self.dim for row in self.c for col in row):
+            raise InvalidAlgebra("structure-constant shape mismatch")
+        self.labels = list(labels) if labels is not None \
+            else [f"e{i}" for i in range(self.dim)]
+        if len(self.labels) != self.dim:
             raise InvalidAlgebra("structure-constant shape mismatch")
         self._check()
         # pivot coordinate used to split off the unit direction
@@ -99,10 +103,14 @@ class FinDimAlgebra:
     @staticmethod
     def from_json(obj):
         try:
-            return FinDimAlgebra(obj["dim"], obj["c"], obj["unit"],
-                                 obj.get("labels"))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError,
-                OverflowError) as e:
+            dim, c, unit = obj["dim"], obj["c"], obj["unit"]
+            if type(dim) is not int:
+                raise InputError(f"bad algebra JSON: non-integer dim {dim!r}")
+            return FinDimAlgebra(
+                dim, [[[rational_literal(x) for x in col] for col in row]
+                      for row in c],
+                [rational_literal(x) for x in unit], obj.get("labels"))
+        except (KeyError, TypeError) as e:
             raise InputError(f"bad algebra JSON: {e}") from e
 
 
@@ -459,10 +467,6 @@ def hp_truncated(A: FinDimAlgebra, N: int, up_to: int | None = None) -> tuple:
             cols.append({r: v for r, v in col.items() if v != 0})
         return cols
 
-    def homology_rank(t):
-        dim_t = len(space(t))
-        r_in = _sparse_rank(total_d_columns(t - 1))
-        r_out = _sparse_rank(total_d_columns(t))
-        return dim_t - r_in - r_out
-
-    return homology_rank(0), homology_rank(1)
+    # the ranks of d_{-1}, d_0 and d_1, each built and ranked once
+    rank = {t: _sparse_rank(total_d_columns(t)) for t in (-1, 0, 1)}
+    return tuple(len(space(t)) - rank[t - 1] - rank[t] for t in (0, 1))

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NctoricError, PoleAtInput, RationalInput
+from .errors import NctoricError, PeriodNotFound, PoleAtInput, RationalInput
+from .hj import PERIOD_SEARCH_LIMIT
 from .linalg import mat_mul
 from .scalars import Scalar
 
@@ -47,19 +48,23 @@ def _cf_step(x: Scalar):
 
 def cf_expand(theta) -> CFExpansion:
     """Regular continued fraction of a quadratic irrational, with the
-    minimal preperiod found by exact complete-quotient repetition."""
+    minimal preperiod found by exact complete-quotient repetition; raises
+    PeriodNotFound when no complete quotient repeats within
+    PERIOD_SEARCH_LIMIT steps."""
     x = Scalar._coerce(theta)
     if x.is_rational:
         raise RationalInput("continued fraction period needs an irrational")
     digits = []
     states = {x: 0}
-    while True:
+    for _ in range(PERIOD_SEARCH_LIMIT):
         a, x = _cf_step(x)
         digits.append(a)
         if x in states:
             k = states[x]
             return CFExpansion(tuple(digits[:k]), tuple(digits[k:]))
         states[x] = len(digits)
+    raise PeriodNotFound(
+        f"no state repetition within {PERIOD_SEARCH_LIMIT} steps")
 
 
 def mobius_apply(M, theta) -> Scalar:

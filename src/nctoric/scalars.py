@@ -180,18 +180,23 @@ class Scalar:
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 
     def floor(self) -> int:
-        if self.b == 0:
-            return self.a.numerator // self.a.denominator
-        # seed from float, then correct exactly
-        n = math.floor(float(self))
-        while Scalar(n + 1) <= self:
-            n += 1
-        while Scalar(n) > self:
-            n -= 1
-        return n
+        """Exact floor, from integer square roots (Cohen, GTM 138, 5.7)."""
+        a, b = self.a, self.b
+        if b == 0:
+            return a.numerator // a.denominator
+        # self = (A + B sqrt(d)) / C with C > 0.  B sqrt(d) is irrational,
+        # so its floor is isqrt(B^2 d) for B > 0 and -isqrt(B^2 d) - 1 for
+        # B < 0, and floor((A + y) / C) = (A + floor(y)) // C for integer A
+        C = a.denominator * b.denominator
+        A = a.numerator * b.denominator
+        B = b.numerator * a.denominator
+        r = math.isqrt(B * B * self.d)
+        return (A + (r if B > 0 else -r - 1)) // C
 
     def ceil(self) -> int:
-        return -((-self).floor())
+        n = self.floor()
+        # an irrational is never an integer
+        return n if self.b == 0 and n == self.a else n + 1
 
     def __repr__(self):
         return f"Scalar({self})"
@@ -214,15 +219,32 @@ class Scalar:
 
     @staticmethod
     def from_json(obj) -> "Scalar":
+        if not isinstance(obj, dict):
+            return Scalar(rational_literal(obj))
+        d = obj.get("d", 0)
+        if "a" not in obj or type(d) is not int or d < 0:
+            raise InputError(f"not a scalar: {obj!r}")
+        return Scalar(rational_literal(obj["a"]),
+                      rational_literal(obj.get("b", 0)), d)
+
+
+_RATIONAL = re.compile(r"-?\d+(/\d+)?")
+
+
+def rational_literal(x) -> Fraction:
+    """The exact rational of a JSON value: an int (not a bool) or a "p" or
+    "p/q" string.  Anything else, including floats and decimal or exponent
+    strings, which would bring in a rounded value, raises InputError, as
+    does a zero denominator."""
+    if type(x) is int:
+        return Fraction(x)
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
         try:
-            if isinstance(obj, dict):
-                return Scalar(Fraction(obj["a"]), Fraction(obj.get("b", 0)),
-                              obj.get("d", 0))
-            if isinstance(obj, (int, str)):
-                return Scalar(Fraction(obj))
+            return Fraction(x)
         except (ValueError, ZeroDivisionError) as e:
-            raise InputError(f"not a scalar: {obj!r}") from e
-        raise InputError(f"not a scalar: {obj!r}")
+            raise InputError(f"not an exact rational: {x!r}") from e
+    raise InputError(f"not an exact rational (an int or a \"p/q\" string): "
+                     f"{x!r}")
 
 
 ZERO = Scalar(0)

@@ -12,8 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from nctoric import lvm, polytope
 from nctoric.cli import run
+from nctoric.errors import NctoricError
+from nctoric.hj import DEPTH_LIMIT
 from nctoric.hochschild import (ground_field, group_algebra_z2, matrix_algebra,
                                 product_of_fields)
+from nctoric.scalars import RADICAND_LIMIT, parse_scalar
 
 
 def invoke(capsys, argv):
@@ -269,6 +272,67 @@ def test_depth_below_one_is_an_input_error(capsys, tmp_path):
     assert json.loads(out)["error"] == "InputError"
 
 
+def test_depth_above_the_limit_is_an_input_error(capsys, tmp_path):
+    for depth in (DEPTH_LIMIT + 1, 3000000):
+        code, out = invoke(capsys, ["hj", "expand", "--value", "1+sqrt(2)",
+                                    "--depth", str(depth)])
+        assert code == 3
+        assert json.loads(out)["error"] == "InputError"
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"rays": [
+        ["0", "1"], [{"a": "1", "b": "1", "d": 2}, "-1"]]}))
+    code, out = invoke(capsys, ["hj", "resolve", "--cone", str(path),
+                                "--depth", "3000"])
+    assert code == 3
+    assert json.loads(out)["error"] == "InputError"
+    code, out = invoke(capsys, ["hj", "resolve", "--cone", str(path),
+                                "--depth", str(DEPTH_LIMIT)])
+    assert code == 0
+    assert len(parse(out)["payload"]["inserted_rays"]) == DEPTH_LIMIT
+
+
+#: 10^25 sqrt(2): neither continued fraction repeats within
+#: PERIOD_SEARCH_LIMIT steps
+HUGE = "sqrt(2)*10000000000000000000000000"
+
+
+def test_period_search_on_a_huge_quadratic_ends_quickly(capsys):
+    for argv in (["hj", "expand", "--value", HUGE, "--depth", "2"],
+                 ["nctorus", "morita", f"--theta1={HUGE}",
+                  "--theta2=sqrt(2)"]):
+        start = time.perf_counter()
+        code, out = invoke(capsys, argv)
+        assert time.perf_counter() - start < 5.0
+        assert code == 4
+        assert json.loads(out)["error"] == "PeriodNotFound"
+
+
+def test_json_decimals_and_floats_are_input_errors(capsys, tmp_path):
+    path = tmp_path / "cone.json"
+    for x in ({"a": "0.1"}, {"a": 0.1}, "1e3", 2.0, True):
+        path.write_text(json.dumps({"rays": [["0", "1"], [x, "-1"]]}))
+        code, out = invoke(capsys, ["hj", "resolve", "--cone", str(path)])
+        assert code == 3
+        assert json.loads(out)["error"] == "InputError"
+    doc = ground_field().to_json()
+    for bad in ({"dim": 1.7}, {"unit": ["1.0"]}, {"c": [[[1e0]]]}):
+        path.write_text(json.dumps(dict(doc, **bad)))
+        code, out = invoke(capsys, ["hh", "ranks", "--algebra", str(path)])
+        assert code == 3
+        assert json.loads(out)["error"] == "InputError"
+
+
+def test_unreadable_json_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "cone.json"
+    # bytes that are not UTF-8, and an integer of 5000 digits
+    huge = b'{"rays": [[0, 1], [' + b"7" * 5000 + b', -1]]}'
+    for data in (b"\xff\xfe{", huge):
+        path.write_bytes(data)
+        code, out = invoke(capsys, ["hj", "resolve", "--cone", str(path)])
+        assert code == 3
+        assert json.loads(out)["error"] == "InputError"
+
+
 def test_search_bound_is_no_option(capsys):
     assert invoke(capsys, ["nctorus", "morita", "--theta1", "sqrt(2)",
                            "--theta2", "1+sqrt(2)",
@@ -353,6 +417,80 @@ def test_hh_fuzz_ends_in_a_known_exit_code(doc, action, upto, n):
         with contextlib.redirect_stdout(io.StringIO()):
             code = run(argv + ["--algebra", path])
         assert time.perf_counter() - start < HH_CALL_BUDGET_S
+    assert code in (0, 2, 3, 4)
+
+
+#: a 25-digit coefficient
+BIG = st.integers(10**24, 10**25 - 1)
+MALFORMED = ["1.5", "1e3", "sqrt(2)+", "(1", "x", "", "1/0", "sqrt(-2)"]
+#: wall-clock budget of one fuzzed continued-fraction call, in seconds: at
+#: most PERIOD_SEARCH_LIMIT steps on the largest literals drawn
+CF_CALL_BUDGET_S = 10.0
+
+
+@st.composite
+def scalar_literals(draw):
+    """Literals of the scalar grammar with 25-digit coefficients and
+    radicands around RADICAND_LIMIT, or a malformed string."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(MALFORMED))
+    coeff = st.one_of(st.integers(0, 9), BIG).map(str)
+    atom = st.one_of(
+        coeff, st.builds("{}/{}".format, coeff, st.integers(0, 9)),
+        st.builds("sqrt({})".format,
+                  st.one_of(st.integers(0, 12),
+                            st.integers(RADICAND_LIMIT - 3,
+                                        RADICAND_LIMIT + 1))))
+    terms = ["*".join(draw(st.lists(atom, min_size=1, max_size=2)))
+             for _ in range(draw(st.integers(1, 3)))]
+    text = terms[0]
+    for t in terms[1:]:
+        text += draw(st.sampled_from("+-")) + t
+    return f"-({text})" if draw(st.booleans()) else text
+
+
+def _json_scalar(text):
+    try:
+        return parse_scalar(text).to_json()
+    except NctoricError:  # malformed, or two fields mixed
+        return text
+
+
+@st.composite
+def cf_calls(draw):
+    """argv of hj expand/resolve and nctorus classify/morita, and the cone
+    document hj resolve reads."""
+    command = draw(st.sampled_from(["expand", "resolve", "classify",
+                                    "morita"]))
+    depth = draw(st.one_of(st.none(), st.integers(-2, DEPTH_LIMIT + 1)))
+    depth = [] if depth is None else ["--depth", str(depth)]
+    if command == "expand":
+        value = draw(scalar_literals())
+        return ["hj", "expand", f"--value={value}"] + depth, None
+    if command == "resolve":
+        rays = [["0", "1"], [_json_scalar(draw(scalar_literals())), "-1"]]
+        return ["hj", "resolve"] + depth, {"rays": draw(st.permutations(rays))}
+    if command == "classify":
+        return ["nctorus", "classify",
+                f"--theta={draw(scalar_literals())}"], None
+    return ["nctorus", "morita", f"--theta1={draw(scalar_literals())}",
+            f"--theta2={draw(scalar_literals())}"], None
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(call=cf_calls())
+def test_continued_fraction_fuzz_ends_in_a_known_exit_code(call):
+    argv, cone = call
+    with tempfile.TemporaryDirectory() as tmp:
+        if cone is not None:
+            path = os.path.join(tmp, "cone.json")
+            with open(path, "w") as fh:
+                json.dump(cone, fh)
+            argv = argv + ["--cone", path]
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = run(argv)
+        assert time.perf_counter() - start < CF_CALL_BUDGET_S
     assert code in (0, 2, 3, 4)
 
 

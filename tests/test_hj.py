@@ -3,9 +3,10 @@ from math import gcd
 
 import pytest
 
-from nctoric.errors import NotNormalizable, OutOfRange
+from nctoric.errors import InputError, NotNormalizable, OutOfRange
 from nctoric.fan import Cone, cone_classify, is_refinement, Fan
-from nctoric.hj import hj_evaluate, hj_expand, resolve_cone
+from nctoric.hj import (DEPTH_LIMIT, PERIOD_SEARCH_LIMIT, hj_evaluate,
+                       hj_expand, resolve_cone)
 from nctoric.scalars import Scalar
 
 
@@ -30,6 +31,21 @@ def test_expand_irrational():
     e = hj_expand(r2, depth=2)
     assert e.digits == (2, 2)
     assert e.period == (2, 4)
+
+
+def test_depth_is_capped():
+    # hj_expand runs one period search of PERIOD_SEARCH_LIMIT steps, which
+    # must cover every accepted depth
+    assert 1 <= DEPTH_LIMIT <= PERIOD_SEARCH_LIMIT
+    x = Scalar(1, 1, 2)
+    e = hj_expand(x, depth=DEPTH_LIMIT)
+    assert e.digits == (3,) + ((2, 4) * DEPTH_LIMIT)[:DEPTH_LIMIT - 1]
+    sigma = Cone([[0, 1], [x, -1]])
+    for depth in (0, DEPTH_LIMIT + 1):
+        with pytest.raises(InputError):
+            hj_expand(x, depth=depth)
+        with pytest.raises(InputError):
+            resolve_cone(sigma, depth=depth)
 
 
 def test_evaluate_inverts_expand():

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from nctoric import hochschild
 from nctoric.errors import (ComplexTooLarge, DegreeZero, InputError,
                             InvalidAlgebra, InvalidGroupoid)
 from nctoric.hochschild import (ChainElement, FinDimAlgebra, FiniteGroupoid,
@@ -107,6 +108,16 @@ def test_algebra_json_roundtrip():
     assert B.c == A.c and B.unit == A.unit and B.labels == A.labels
     with pytest.raises(InputError):
         FinDimAlgebra.from_json({"dim": 2})
+    # constants and dim are exact: ints and "p/q" strings only
+    doc = ground_field().to_json()
+    for key, bad in (("dim", 1.0), ("dim", True), ("dim", "1"),
+                     ("unit", [1.0]), ("unit", ["1.0"]), ("unit", [True]),
+                     ("c", [[["0.5e1"]]]), ("c", [[[0.1]]])):
+        with pytest.raises(InputError):
+            FinDimAlgebra.from_json(dict(doc, **{key: bad}))
+    # the shape is checked before any label is built
+    with pytest.raises(InvalidAlgebra):
+        FinDimAlgebra.from_json({"dim": 10**12, "c": [[["1"]]], "unit": [1]})
 
 
 def test_boundary_small_cases():
@@ -330,6 +341,19 @@ def test_hp_truncated_known():
         assert hp_truncated(product_of_fields(2), N) == (2, 0)
     with pytest.raises(InputError):
         hp_truncated(ground_field(), 0)
+
+
+def test_hp_truncated_ranks_each_differential_once(monkeypatch):
+    shapes = []
+
+    def counting_rank(columns):
+        shapes.append(len(columns))
+        return _sparse_rank(columns)
+
+    monkeypatch.setattr(hochschild, "_sparse_rank", counting_rank)
+    assert hp_truncated(matrix_algebra(2), 2, 4) == (1, 0)
+    # d_{-1}, d_0 and d_1 of the total complex, one rank each
+    assert sorted(shapes) == [12, 40, 120]
 
 
 def test_hp_truncated_needs_degrees_up_to_2n_minus_1():

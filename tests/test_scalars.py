@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from nctoric.errors import DivisionByZero, FieldMismatch, InputError
 from nctoric.scalars import (RADICAND_LIMIT, Scalar, common_field, parse_scalar,
-                             squarefree_split)
+                             rational_literal, squarefree_split)
 
 
 def test_squarefree_split():
@@ -71,6 +73,37 @@ def test_comparisons_and_floor():
     assert Scalar(3).floor() == 3 == Scalar(3).ceil()
 
 
+def test_floor_of_a_huge_irrational_is_exact():
+    assert Scalar(0, 10**21, 2).floor() == math.isqrt(2 * 10**42)
+    assert Scalar(0, -10**21, 2).floor() == -math.isqrt(2 * 10**42) - 1
+    assert Scalar(0, 10**21, 2).ceil() == math.isqrt(2 * 10**42) + 1
+
+
+def _squarefree_radicand(rng):
+    while True:
+        n = rng.choice((rng.randint(2, 100),
+                        rng.randint(RADICAND_LIMIT - 1000, RADICAND_LIMIT)))
+        d = squarefree_split(n)[1]
+        if d > 1:
+            return d
+
+
+def test_floor_and_ceil_bracket_large_values_exactly():
+    # oracle: the exact order of Scalar, decided by the sign of a^2 - b^2 d
+    rng = random.Random(20261018)
+    for _ in range(500):
+        a, b = (Fraction(rng.randint(-10**60, 10**60), rng.randint(1, 10**20))
+                for _ in range(2))
+        x = Scalar(a, b, _squarefree_radicand(rng))
+        n = x.floor()
+        assert Scalar(n) <= x < Scalar(n + 1)
+        assert x.ceil() == n + 1
+    for a in (Fraction(7), Fraction(-7), Fraction(-10**40 - 1, 10**20)):
+        x = Scalar(a)
+        assert Scalar(x.floor()) <= x < Scalar(x.floor() + 1)
+        assert Scalar(x.ceil() - 1) < x <= Scalar(x.ceil())
+
+
 def test_field_mismatch():
     with pytest.raises(FieldMismatch):
         Scalar.sqrt_int(2) + Scalar.sqrt_int(3)
@@ -103,6 +136,27 @@ def test_json_roundtrip():
         assert Scalar.from_json(v.to_json()) == v
     assert Scalar.from_json("5/3") == Scalar(Fraction(5, 3))
     assert Scalar.from_json(4) == Scalar(4)
+    assert Scalar.from_json({"a": "-2/6", "b": 1, "d": 8}) == \
+        Scalar(Fraction(-1, 3), 2, 2)
+
+
+@pytest.mark.parametrize("obj", [
+    "0.1", 0.1, "1e3", 1e3, True, None, "", "1/", "/2", " 1", "+1", "1_0",
+    "1/0", "sqrt(2)", [1], {"a": "0.1"}, {"a": 0.1}, {"a": "1", "b": "1e3"},
+    {"a": "1", "b": "1", "d": 2.0}, {"a": "1", "b": "1", "d": True},
+    {"a": "1", "b": "1", "d": -2}, {"b": "1", "d": 2}])
+def test_from_json_accepts_only_ints_and_fraction_strings(obj):
+    with pytest.raises(InputError):
+        Scalar.from_json(obj)
+
+
+def test_rational_literal():
+    assert rational_literal(-3) == Fraction(-3)
+    assert rational_literal("-10/4") == Fraction(-5, 2)
+    assert rational_literal("0") == 0
+    for bad in (False, 2.0, "2.0", "2e0", "1/0", "x", None):
+        with pytest.raises(InputError):
+            rational_literal(bad)
 
 
 small = st.fractions(min_value=-50, max_value=50, max_denominator=20)
