@@ -12,27 +12,12 @@ from itertools import combinations
 
 from .errors import (DimensionMismatch, InputError, NonRational,
                      NotSimplicial, WrongDimension)
-from .linalg import int_det, scalar_rank, zero_in_hull
-from .polytope import SimplePolytope, rational_direction
+from .linalg import canonical_ray, int_det, scalar_rank, zero_in_hull
+from .polytope import SimplePolytope
 from .scalars import Scalar, sorted_vectors
 
 SMOOTH = "Smooth"
 NON_RATIONAL = "NonRational"
-
-
-def canonical_ray(v):
-    """Canonical representative of the ray through v: the primitive integer
-    vector when the direction is rational, else v scaled so its first
-    nonzero entry has absolute value 1."""
-    v = [Scalar._coerce(x) for x in v]
-    nz = next((x for x in v if not x.is_zero()), None)
-    if nz is None:
-        raise InputError("the zero vector spans no ray")
-    r = rational_direction(v)
-    if r is not None:
-        return tuple(Scalar(x) for x in r)
-    scale = abs(nz).inverse()
-    return tuple(x * scale for x in v)
 
 
 class Cone:

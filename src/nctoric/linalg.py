@@ -9,9 +9,9 @@ is no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .errors import DimensionMismatch, FieldMismatch
+from .errors import DimensionMismatch, InputError
 from .scalars import Scalar, common_field
 
 IntMatrix = list  # list[list[int]]
@@ -174,15 +174,45 @@ def integer_kernel_basis(A: IntMatrix) -> list:
     return basis
 
 
-def primitive(v):
-    """Divide an integer vector by the gcd of its entries (canonical sign:
-    first nonzero entry positive is NOT enforced; direction is preserved)."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return list(v)
-    return [x // g for x in v]
+def _row_reduce(M):
+    """Reduced row echelon form of a Scalar matrix (FieldMismatch on mixed
+    fields): the nonzero reduced rows, each with a leading 1, and the
+    column of that leading 1 in each."""
+    M = [[Scalar._coerce(e) for e in row] for row in M]
+    common_field(e for row in M for e in row)
+    m = len(M)
+    n = len(M[0]) if m else 0
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if not M[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        inv = M[r][c].inverse()
+        M[r] = [e * inv for e in M[r]]
+        for i in range(m):
+            if i != r and not M[i][c].is_zero():
+                f = M[i][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+    return M[:len(pivots)], pivots
+
+
+def _free_kernel(rows, pivots, n: int) -> list:
+    """Kernel basis read off reduced rows: one vector per free column."""
+    kernel = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [Scalar(0)] * n
+        v[fc] = Scalar(1)
+        for row, c in zip(rows, pivots):
+            v[c] = -row[fc]
+        kernel.append(v)
+    return kernel
 
 
 def solve_exact(A: ScalarMatrix, b):
@@ -195,49 +225,17 @@ def solve_exact(A: ScalarMatrix, b):
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    common_field([e for row in A for e in row] + list(b))  # raises FieldMismatch
     if len(b) != m:
         raise DimensionMismatch("rhs length != row count")
-    M = [[Scalar._coerce(e) for e in row] + [Scalar._coerce(b[i])]
-         for i, row in enumerate(A)]
-    pivots = []  # (row, col)
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if not M[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        inv = M[r][c].inverse()
-        M[r] = [e * inv for e in M[r]]
-        for i in range(m):
-            if i != r and not M[i][c].is_zero():
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if not M[i][n].is_zero():
-            return ("infeasible",)
+    rows, pivots = _row_reduce([list(row) + [b[i]] for i, row in enumerate(A)])
+    if pivots and pivots[-1] == n:
+        return ("infeasible",)
     part = [Scalar(0)] * n
-    pivot_cols = {c for _, c in pivots}
-    for row, c in pivots:
-        part[c] = M[row][n]
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    if not free_cols:
+    for row, c in zip(rows, pivots):
+        part[c] = row[n]
+    kernel = _free_kernel(rows, pivots, n)
+    if not kernel:
         return ("unique", part)
-    kernel = []
-    for fc in free_cols:
-        v = [Scalar(0)] * n
-        v[fc] = Scalar(1)
-        for row, c in pivots:
-            v[c] = -M[row][fc]
-        kernel.append(v)
     return ("affine", part, kernel)
 
 
@@ -290,12 +288,8 @@ def zero_in_hull(points) -> bool:
 
 def scalar_kernel_basis(A: ScalarMatrix, n: int) -> list:
     """Kernel basis of an m x n ScalarMatrix (n passed for the m = 0 case)."""
-    if not A:
-        return [[Scalar(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    res = solve_exact(A, [Scalar(0)] * len(A))
-    if res[0] == "unique":
-        return []
-    return res[2]
+    rows, pivots = _row_reduce(A)
+    return _free_kernel(rows, pivots, n)
 
 
 def rational_subspace_dim(basis: list, n: int) -> tuple[int, list]:
@@ -332,27 +326,29 @@ def rational_subspace_dim(basis: list, n: int) -> tuple[int, list]:
         if any(not e.is_zero() for e in v):
             vecs.append(v)
     # the produced rational vectors may be dependent; row-reduce to a basis
-    return _independent(vecs, n)
-
-
-def _independent(vecs: list, n: int) -> tuple[int, list]:
-    """Row-reduce Scalar vectors, returning (rank, independent subset)."""
-    rows = []
-    kept = []
-    for v in vecs:
-        w = list(v)
-        for pivot_col, prow in rows:
-            if not w[pivot_col].is_zero():
-                f = w[pivot_col] / prow[pivot_col]
-                w = [x - f * y for x, y in zip(w, prow)]
-        pc = next((j for j in range(n) if not w[j].is_zero()), None)
-        if pc is not None:
-            rows.append((pc, w))
-            kept.append(list(v))
-    return len(rows), kept
+    rows, _ = _row_reduce(vecs)
+    return len(rows), rows
 
 
 def scalar_rank(A: ScalarMatrix) -> int:
-    if not A:
-        return 0
-    return _independent([[Scalar._coerce(e) for e in row] for row in A], len(A[0]))[0]
+    return len(_row_reduce(A)[1])
+
+
+def canonical_ray(v) -> tuple:
+    """Canonical representative of the ray through v, always a positive
+    multiple of v: the primitive integer vector when the direction is
+    rational, else v divided by the absolute value of its first nonzero
+    entry.  The zero vector spans no ray (InputError)."""
+    v = [Scalar._coerce(x) for x in v]
+    nz = next((x for x in v if not x.is_zero()), None)
+    if nz is None:
+        raise InputError("the zero vector spans no ray")
+    if common_field(v):  # irrational entries: make |first nonzero| = 1
+        scale = abs(nz).inverse()
+        v = [x * scale for x in v]
+        if not all(x.is_rational for x in v):
+            return tuple(v)
+    den = lcm(*(x.a.denominator for x in v))
+    nums = [x.a.numerator * (den // x.a.denominator) for x in v]
+    g = gcd(*nums)
+    return tuple(Scalar(k // g) for k in nums)

@@ -15,9 +15,10 @@ from itertools import combinations
 
 from .errors import (DegenerateFoliation, DegenerateSystem, InputError,
                      IrrationalWeights, WrongDimension)
-from .linalg import (_independent, primitive, rational_subspace_dim,
-                     scalar_kernel_basis, solve_exact, zero_in_hull)
-from .polytope import SimplePolytope, rational_direction
+from .linalg import (canonical_ray, rational_subspace_dim,
+                     scalar_kernel_basis, scalar_rank, solve_exact,
+                     zero_in_hull)
+from .polytope import SimplePolytope
 from .scalars import Scalar, common_field
 
 COMPACT_TORI = "CompactTori"
@@ -196,23 +197,20 @@ def generic_fiber(cfg: Configuration) -> FiberReport:
     for j in range(m):
         rows.append([cfg.lambdas[i][j][0] for i in range(n)])
         rows.append([cfg.lambdas[i][j][1] for i in range(n)])
-    diag = [Scalar(1)] * n
-    rank_with, _ = _independent(rows + [diag], n)
-    rank_diag = 1
-    dim_mod_diag = rank_with - rank_diag
+    span = rows + [[Scalar(1)] * n]  # the diagonal circle
+    dim_mod_diag = scalar_rank(span) - 1
     if dim_mod_diag < 2 * m:
         raise DegenerateFoliation(
             f"phase directions span only {dim_mod_diag} dims mod the diagonal")
-    _, span = _independent(rows + [diag], n)
+    # the 2m + 1 vectors of span are independent from here on
     dim_q, _ = rational_subspace_dim(span, n)
     rational = dim_q == len(span)
     slopes = []
     for i, j in combinations(range(n), 2):
         proj = [[r[i], r[j]] for r in rows]
-        rk, ind = _independent(proj, 2)
-        if rk != 1:
+        if scalar_rank(proj) != 1:
             continue
-        a, b = ind[0]
+        a, b = next(p for p in proj if not (p[0].is_zero() and p[1].is_zero()))
         if a.is_zero() or b.is_zero():
             continue
         slopes.append(b / a if abs(b / a) >= Scalar(1) else a / b)
@@ -273,10 +271,7 @@ def orbifold_weights_1d(cfg: Configuration):
     if len(basis) != 1:
         raise WrongDimension("endpoint weights need n - 2m - 1 = 1")
     _, rat = rational_subspace_dim(basis, cfg.n)
-    v = rational_direction(rat[0])
-    if v is None:
-        raise IrrationalWeights("solution vector not rationalizable")
-    v = primitive(v)
+    v = [int(x.a) for x in canonical_ray(rat[0])]
     _, active_sets = canonical_moment_interval(cfg)
     orders = []
     for act in active_sets:

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 
 from .errors import (Empty, InputError, IrrationalNormals, NotSimple,
                      Unbounded)
-from .linalg import (has_nonneg_solution, int_det, scalar_kernel_basis,
-                     scalar_rank, solve_exact, transpose)
+from .linalg import (canonical_ray, has_nonneg_solution, int_det,
+                     scalar_kernel_basis, scalar_rank, solve_exact, transpose)
 from .scalars import Scalar, common_field, sorted_vectors
 
 IRRATIONAL = "Irrational"
@@ -27,27 +26,11 @@ def _as_scalars(vec):
     return [Scalar._coerce(x) for x in vec]
 
 
-def rational_direction(v) -> list | None:
-    """Shortest integer vector along direction v, or None if v is not a
-    scalar multiple of a rational vector."""
-    nz = next((x for x in v if not x.is_zero()), None)
-    if nz is None:
-        return None
-    scaled = [x / nz for x in v]
-    if any(not x.is_rational for x in scaled):
-        return None
-    den = 1
-    for x in scaled:
-        den = den * x.a.denominator // gcd(den, x.a.denominator)
-    ints = [int(x.a * den) for x in scaled]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    # orient along the original direction
-    if nz.sign() < 0:
-        ints = [-x for x in ints]
-    return ints
+def _ray_and_scale(nrm):
+    """(ray, t) with ray = canonical_ray(nrm) and nrm = t * ray, t > 0."""
+    ray = canonical_ray(nrm)
+    j = next(i for i, x in enumerate(ray) if not x.is_zero())
+    return ray, nrm[j] / ray[j]
 
 
 class SimplePolytope:
@@ -136,9 +119,8 @@ class SimplePolytope:
 
     def _facet_key(self, i):
         nrm, c = self.facets[i]
-        nz = next(x for x in nrm if not x.is_zero())
-        scale = nz.inverse()
-        return (tuple(x * scale for x in nrm), c * scale)
+        ray, t = _ray_and_scale(nrm)
+        return ray, c / t
 
     def _unbounded(self) -> bool:
         """Exact recession-cone test: {y : <y, n_i> >= 0 for all i} != {0}.
@@ -186,10 +168,10 @@ class SimplePolytope:
         for dirs in self.edge_directions:
             ints = []
             for w in dirs:
-                r = rational_direction(w)
-                if r is None:
+                r = canonical_ray(w)
+                if not all(x.is_rational for x in r):
                     return IRRATIONAL
-                ints.append(r)
+                ints.append([int(x.a) for x in r])
             if abs(int_det(ints)) != 1:
                 integral = False
         return INTEGRAL_DELZANT if integral else RATIONAL_DELZANT
@@ -214,19 +196,16 @@ def normal_data(P: SimplePolytope):
     rho = []
     lam = []
     for nrm, c in P.facets:
-        r = rational_direction(nrm)
-        if r is None:
-            if all(x.is_zero() for x in nrm):
-                rho.append([0] * P.dim)
-                lam.append(c)
-                continue
+        if all(x.is_zero() for x in nrm):
+            rho.append([0] * P.dim)
+            lam.append(c)
+            continue
+        r, t = _ray_and_scale(nrm)
+        if not all(x.is_rational for x in r):
             raise IrrationalNormals("irrational facet normal")
-        # scale factor t with nrm = t * r; offsets scale identically
-        j = next(i for i, x in enumerate(r) if x != 0)
-        t = nrm[j] / Scalar(r[j])
         if not t.is_rational:
             raise IrrationalNormals("irrational facet normal scale")
-        rho.append(r)
+        rho.append([int(x.a) for x in r])
         lam.append(c / t)
     return rho, lam
 

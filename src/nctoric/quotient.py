@@ -10,7 +10,6 @@ dropped so all arithmetic stays in Q.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .errors import CodimensionOne, RankDeficient
 from .linalg import int_rank, integer_kernel_basis, transpose
@@ -22,17 +21,16 @@ def forbidden_strata(family, N: int):
     """Inclusion-minimal index sets outside the subset-closed family.
 
     These index the coordinate subspaces removed from C^N; their minimal
-    size must be >= 2, otherwise the halfspace data is degenerate."""
-    fam = {frozenset(I) for I in family}
+    size must be >= 2, otherwise the halfspace data is degenerate.  A
+    minimal non-face is F + {j} for a face F and j > max(F), whose
+    one-smaller subsets are all faces while it is not."""
+    fam = {frozenset(I) for I in family} | {frozenset()}
     minimal = []
-    for k in range(1, N + 1):
-        for I in combinations(range(N), k):
-            s = frozenset(I)
-            if s in fam:
-                continue
-            if any(m <= s for m in minimal):
-                continue
-            minimal.append(s)
+    for F in fam:
+        for j in range(max(F, default=-1) + 1, N):
+            S = F | {j}
+            if S not in fam and all(S - {i} in fam for i in F):
+                minimal.append(S)
     if any(len(m) == 1 for m in minimal):
         raise CodimensionOne("a single facet index is already forbidden")
     return sorted(minimal, key=lambda s: (len(s), sorted(s)))

@@ -16,7 +16,7 @@ from nctoric.errors import NctoricError
 from nctoric.hj import DEPTH_LIMIT
 from nctoric.hochschild import (ground_field, group_algebra_z2, matrix_algebra,
                                 product_of_fields)
-from nctoric.scalars import RADICAND_LIMIT, parse_scalar
+from nctoric.scalars import RADICAND_LIMIT, Scalar, parse_scalar
 
 
 def invoke(capsys, argv):
@@ -233,6 +233,19 @@ def test_domain_errors(capsys, tmp_path):
     code, out = invoke(capsys, ["polytope", "info", str(path)])
     assert code == 4
     assert json.loads(out)["error"] == "Empty"
+
+
+def test_flat_polytopes_are_domain_errors(capsys, tmp_path):
+    # a square squashed onto the y-axis, and the point x = -2
+    path = tmp_path / "flat.json"
+    for facets in ([(["1", "0"], "0"), (["-1", "0"], "0"),
+                    (["0", "1"], "0"), (["0", "-1"], "-1")],
+                   [(["-3/2"], "3"), (["1"], "-2")]):
+        path.write_text(json.dumps({"facets": [
+            {"normal": n, "offset": c} for n, c in facets]}))
+        code, out = invoke(capsys, ["polytope", "info", str(path)])
+        assert code == 4
+        assert json.loads(out)["error"] == "NotSimple"
 
 
 def test_zero_denominator_is_an_input_error(capsys, tmp_path):
@@ -492,6 +505,63 @@ def test_continued_fraction_fuzz_ends_in_a_known_exit_code(call):
             code = run(argv)
         assert time.perf_counter() - start < CF_CALL_BUDGET_S
     assert code in (0, 2, 3, 4)
+
+
+RATIONAL_ENTRIES = ["0", "1", "-1", "2", "-2", "1/2", "-3/2"]
+#: irrational entries: one field, the other, or both mixed
+IRRATIONAL_ENTRIES = [["sqrt(2)", "1-sqrt(2)"], ["sqrt(3)"],
+                      ["sqrt(2)", "1-sqrt(2)", "sqrt(3)"]]
+#: wall-clock budget of one fuzzed polytope, fan or quotient call, in seconds
+GEOMETRY_CALL_BUDGET_S = 5.0
+
+
+@st.composite
+def geometry_calls(draw):
+    """argv of polytope info, fan of-polytope, fan classify and quotient
+    data, and the polytope (up to 6 facets) or cone (up to 4 rays) document
+    they read, in dimension 1-3."""
+    argv = draw(st.sampled_from([["polytope", "info"], ["fan", "of-polytope"],
+                                 ["fan", "classify"],
+                                 ["quotient", "data", "--polytope"]]))
+    dim = draw(st.integers(1, 3))
+    entry = st.sampled_from([parse_scalar(x) for x in RATIONAL_ENTRIES + draw(
+        st.sampled_from(IRRATIONAL_ENTRIES))])
+    vector = st.lists(entry, min_size=dim, max_size=dim)
+    if argv[1] == "classify":
+        rays = draw(st.lists(vector, min_size=1, max_size=4))
+        return argv, {"rays": [[x.to_json() for x in r] for r in rays]}
+    facets = []
+    if draw(st.booleans()):  # start from a simplex, so the data is bounded
+        facets = [([Scalar(int(i == j)) for j in range(dim)], Scalar(0))
+                  for i in range(dim)] + [([Scalar(-1)] * dim, Scalar(-2))]
+    facets += draw(st.lists(st.tuples(vector, entry),
+                            min_size=0 if facets else 1,
+                            max_size=5 - len(facets)))
+    if draw(st.booleans()):  # the opposite halfspace of a facet: no interior
+        n, c = draw(st.sampled_from(facets))
+        facets.append(([-x for x in n], -c))
+    return argv, {"facets": [{"normal": [x.to_json() for x in n],
+                              "offset": c.to_json()} for n, c in facets]}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(call=geometry_calls())
+def test_geometry_fuzz_ends_in_a_known_exit_code(call):
+    argv, doc = call
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = run(argv + [path])
+        assert time.perf_counter() - start < GEOMETRY_CALL_BUDGET_S
+    assert code in (0, 2, 3, 4)
+    if code == 0 and argv[0] == "polytope":
+        # a full-dimensional polytope has at least dim + 1 vertices
+        p = json.loads(out.getvalue())["payload"]
+        assert len(p["vertices"]) >= p["dim"] + 1
 
 
 def test_byte_determinism(square_file):

@@ -6,11 +6,11 @@ from math import gcd
 import pytest
 
 from nctoric.errors import DimensionMismatch, FieldMismatch
-from nctoric.linalg import (has_nonneg_solution, identity, int_det, int_rank,
-                            integer_kernel_basis, mat_mul, mat_vec, primitive,
-                            rational_subspace_dim, scalar_kernel_basis,
-                            scalar_rank, smith_normal_form, solve_exact,
-                            zero_in_hull)
+from nctoric.linalg import (canonical_ray, has_nonneg_solution, identity,
+                            int_det, int_rank, integer_kernel_basis, mat_mul,
+                            mat_vec, rational_subspace_dim,
+                            scalar_kernel_basis, scalar_rank,
+                            smith_normal_form, solve_exact, zero_in_hull)
 from nctoric.scalars import Scalar
 
 
@@ -80,8 +80,7 @@ def test_integer_kernel_saturated():
     assert len(B) == 2
     for v in B:
         assert sum(v) == 0
-        assert primitive(v) == v or primitive(v) == [-x for x in v] or \
-            max(map(abs, v)) == max(map(abs, primitive(v)))
+        assert gcd(*v) == 1
     # saturation: (2 2) has kernel generated by (1, -1), not (2, -2)
     B = integer_kernel_basis([[2, 2]])
     assert B == [[1, -1]] or B == [[-1, 1]]
@@ -156,6 +155,86 @@ def test_rational_subspace_brute_force_cross_check():
                 if res[0] != "infeasible":
                     found.append(target)
     assert dim == scalar_rank(found)
+
+
+def random_entry(rng, field):
+    """A small entry of Q or Q(sqrt 2), zero about a quarter of the time."""
+    if rng.random() < 0.25:
+        return Scalar(0)
+    x = Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+    return x + Scalar.sqrt_int(2) * rng.randint(-1, 1) if field == 2 else x
+
+
+def random_matrix(rng, m, n, field):
+    """Seeded m x n matrix, sometimes with a zero row or a repeated row."""
+    A = [[random_entry(rng, field) for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.3:
+        A[rng.randrange(m)] = [Scalar(0)] * n
+    if m > 1 and rng.random() < 0.3:
+        A[rng.randrange(m)] = list(rng.choice(A))
+    return A
+
+
+def test_elimination_properties():
+    rng = random.Random(20261018)
+    seen = set()
+    for trial in range(400):
+        field = 2 if trial % 2 else 0
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        A = random_matrix(rng, m, n, field)
+        if rng.random() < 0.5:  # a right-hand side in the column space
+            b = mat_vec(A, [random_entry(rng, field) for _ in range(n)])
+        else:
+            b = [random_entry(rng, field) for _ in range(m)]
+        rank = scalar_rank(A)
+        kernel = scalar_kernel_basis(A, n)
+        assert rank + len(kernel) == n
+        assert all(x.is_zero() for v in kernel for x in mat_vec(A, v))
+        res = solve_exact(A, b)
+        grows = scalar_rank([row + [x] for row, x in zip(A, b)]) > rank
+        assert (res[0] == "infeasible") == grows
+        if not grows:
+            assert mat_vec(A, res[1]) == b
+            assert res[0] == ("unique" if rank == n else "affine")
+        if res[0] == "affine":
+            assert len(res[2]) == n - rank
+            assert all(x.is_zero() for v in res[2] for x in mat_vec(A, v))
+        seen.add((field, (m > n) - (m < n), res[0]))
+    # tall, square and wide matrices with every outcome in both fields
+    # (a wide matrix has a kernel, so its solutions are never unique)
+    assert len(seen) == 16, sorted(seen)
+
+
+def test_canonical_ray_properties():
+    rng = random.Random(20261019)
+    r2 = Scalar.sqrt_int(2)
+    for trial in range(200):
+        field = 2 if trial % 2 else 0
+        n = rng.randint(1, 4)
+        v = [random_entry(rng, field) for _ in range(n)]
+        if all(x.is_zero() for x in v):
+            v[rng.randrange(n)] = Scalar(-1)
+        ray = canonical_ray(v)
+        # a positive multiple of v, unchanged by positive scaling
+        j = next(i for i, x in enumerate(v) if not x.is_zero())
+        t = ray[j] / v[j]
+        assert t.sign() > 0 and list(ray) == [t * x for x in v]
+        c = Scalar(Fraction(rng.randint(1, 5), rng.randint(1, 5))) \
+            + r2 * rng.randint(0, 2)
+        assert canonical_ray([c * x for x in v]) == ray
+        if not all(x.is_rational for x in ray):
+            assert abs(ray[j]) == Scalar(1)
+        # a rational direction, scaled by any nonzero number, comes back
+        # primitive and integral
+        ints = [rng.randint(-6, 6) for _ in range(n)]
+        if not any(ints):
+            ints[0] = 4
+        c = random_entry(rng, field)
+        if c.is_zero():
+            c = Scalar(Fraction(-1, 3))
+        ray = canonical_ray([c * k for k in ints])
+        assert all(x.is_rational and x.a.denominator == 1 for x in ray)
+        assert gcd(*(int(x.a) for x in ray)) == 1
 
 
 def test_mat_vec_and_identity():

@@ -8,20 +8,10 @@ from nctoric.errors import (Empty, InputError, IrrationalNormals, NotSimple,
                             Unbounded)
 from nctoric.polytope import (INTEGRAL_DELZANT, IRRATIONAL, RATIONAL_DELZANT,
                               SimplePolytope, classify_delzant, cube,
-                              face_counts, from_json, normal_data,
-                              rational_direction, simplex, to_json,
-                              vertices_and_incidence)
+                              face_counts, from_json, normal_data, simplex,
+                              to_json, vertices_and_incidence)
 from nctoric.linalg import scalar_kernel_basis
 from nctoric.scalars import Scalar
-
-
-def test_rational_direction():
-    r2 = Scalar.sqrt_int(2)
-    assert rational_direction([Scalar(Fraction(2, 3)), Scalar(Fraction(4, 3))]) == [1, 2]
-    assert rational_direction([r2, Scalar(2)]) is None
-    assert rational_direction([r2, r2 * 3]) == [1, 3]
-    assert rational_direction([Scalar(0), Scalar(0)]) is None
-    assert rational_direction([Scalar(0), Scalar(-2)]) == [0, -1]
 
 
 def test_unit_square():
@@ -147,6 +137,16 @@ def test_not_simple():
             ([0, 0, 1], 0),
             ([1, 0, -1], -1), ([-1, 0, -1], -1),
             ([0, 1, -1], -1), ([0, -1, -1], -1)])
+
+
+def test_flat_polytopes_are_not_simple():
+    # opposite halfspaces through one hyperplane are two facets, not a
+    # facet and its duplicate, so a polytope with no interior has a vertex
+    # on too many facets
+    with pytest.raises(NotSimple):
+        SimplePolytope([([1, 0], 0), ([-1, 0], 0), ([0, 1], 0), ([0, -1], -1)])
+    with pytest.raises(NotSimple):
+        SimplePolytope([([Fraction(-3, 2)], 3), ([1], -2)])
 
 
 def test_redundant_facets():

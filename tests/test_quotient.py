@@ -1,6 +1,11 @@
+import random
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
-from nctoric.errors import CodimensionOne, RankDeficient
+from nctoric.errors import (CodimensionOne, Empty, NotSimple, RankDeficient,
+                            Unbounded)
 from nctoric.polytope import SimplePolytope, cube, simplex
 from nctoric.quotient import (forbidden_strata, kernel_lattice, moment_vector,
                               quotient_data)
@@ -24,6 +29,77 @@ def test_forbidden_strata_codimension_one():
     # a family missing a singleton is degenerate
     with pytest.raises(CodimensionOne):
         forbidden_strata({frozenset()}, 2)
+
+
+def scan_forbidden_strata(family, N):
+    """Oracle: scan all 2^N index sets by size, keeping each set outside the
+    family that contains no minimal set found so far."""
+    fam = {frozenset(I) for I in family}
+    minimal = []
+    for k in range(1, N + 1):
+        for I in combinations(range(N), k):
+            s = frozenset(I)
+            if s not in fam and not any(m <= s for m in minimal):
+                minimal.append(s)
+    if any(len(m) == 1 for m in minimal):
+        raise CodimensionOne("a single facet index is already forbidden")
+    return sorted(minimal, key=lambda s: (len(s), sorted(s)))
+
+
+def strata_or_error(strata, family, N):
+    try:
+        return strata(family, N)
+    except CodimensionOne:
+        return "CodimensionOne"
+
+
+def seeded_polytopes(rng, count):
+    """Scaled simplices in dimension 1-3 cut by up to three random
+    halfspaces, some of them redundant."""
+    found = []
+    while len(found) < count:
+        d = rng.randint(1, 3)
+        facets = [([int(i == j) for j in range(d)], 0) for i in range(d)]
+        facets.append(([-1] * d, -rng.randint(2, 4)))
+        for _ in range(rng.randint(0, 3)):
+            facets.append(([rng.randint(-2, 2) for _ in range(d)],
+                           Fraction(-rng.randint(0, 9), 2)))
+        try:
+            found.append(SimplePolytope(facets))
+        except (NotSimple, Empty, Unbounded):
+            continue
+    return found
+
+
+def test_forbidden_strata_match_scan_on_polytopes():
+    rng = random.Random(8)
+    outcomes = set()
+    for P in seeded_polytopes(rng, 60):
+        got = strata_or_error(forbidden_strata, P.incidence, P.N)
+        assert got == strata_or_error(scan_forbidden_strata, P.incidence, P.N)
+        outcomes.add(got == "CodimensionOne")
+    assert outcomes == {False, True}  # redundant facets are never used
+
+
+def test_forbidden_strata_match_scan_on_random_families():
+    rng = random.Random(9)
+    outcomes = set()
+    for _ in range(300):
+        N = rng.randint(1, 6)
+        # the subsets of a few random generators, and sometimes an index
+        # that no member uses
+        used = range(N - 1) if rng.random() < 0.2 else range(N)
+        fam = {frozenset()}
+        for _ in range(rng.randint(0, 4)):
+            gen = [i for i in used if rng.random() < 0.5]
+            fam.update(frozenset(c) for k in range(len(gen) + 1)
+                       for c in combinations(gen, k))
+        got = strata_or_error(forbidden_strata, fam, N)
+        assert got == strata_or_error(scan_forbidden_strata, fam, N), (fam, N)
+        if len(used) < N:
+            assert got == "CodimensionOne"
+        outcomes.add(got == "CodimensionOne")
+    assert outcomes == {False, True}
 
 
 def test_kernel_lattice():
