@@ -10,8 +10,21 @@ from nctoric.polytope import (INTEGRAL_DELZANT, IRRATIONAL, RATIONAL_DELZANT,
                               SimplePolytope, classify_delzant, cube,
                               face_counts, from_json, normal_data, simplex,
                               to_json, vertices_and_incidence)
-from nctoric.linalg import scalar_kernel_basis
+from nctoric.linalg import canonical_ray, scalar_kernel_basis
 from nctoric.scalars import Scalar
+
+
+def test_rational_direction():
+    # facet normals are keyed by canonical_ray: the primitive integer
+    # vector along a rational direction, oriented like the input
+    r2 = Scalar.sqrt_int(2)
+    assert canonical_ray([Scalar(Fraction(2, 3)), Scalar(Fraction(4, 3))]) == (
+        Scalar(1), Scalar(2))
+    assert not all(x.is_rational for x in canonical_ray([r2, Scalar(2)]))
+    assert canonical_ray([r2, r2 * 3]) == (Scalar(1), Scalar(3))
+    with pytest.raises(InputError):
+        canonical_ray([Scalar(0), Scalar(0)])
+    assert canonical_ray([Scalar(0), Scalar(-2)]) == (Scalar(0), Scalar(-1))
 
 
 def test_unit_square():
