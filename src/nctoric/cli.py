@@ -10,6 +10,7 @@ error (the error name is included in the JSON).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -37,9 +38,10 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         # ValueError: malformed JSON, bytes that are not UTF-8, or an
-        # integer beyond the interpreter's digit limit
+        # integer beyond the interpreter's digit limit; RecursionError:
+        # arrays or objects nested deeper than the decoder recurses
         raise InputError(f"cannot read JSON from {path}: {e}") from e
 
 
@@ -186,7 +188,10 @@ def _cmd_hh(args) -> str:
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later `run` in the process; parsing leaves it unchanged."""
     top = argparse.ArgumentParser(prog="nctoric")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -218,14 +223,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cone", default=None)
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--svg", action="store_true")
-    p.set_defaults(handler=_cmd_hj)
+    p.set_defaults(handler=_cmd_hj, parser=p)
 
     p = sub.add_parser("nctorus")
     p.add_argument("action", choices=["classify", "morita"])
     p.add_argument("--theta", default=None)
     p.add_argument("--theta1", default=None)
     p.add_argument("--theta2", default=None)
-    p.set_defaults(handler=_cmd_nctorus)
+    p.set_defaults(handler=_cmd_nctorus, parser=p)
 
     p = sub.add_parser("gvec")
     p.add_argument("--f", required=True)
@@ -244,20 +249,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_required(args):
+    """Flags an action needs but its subcommand's parser cannot require,
+    reported through that parser like any other usage error."""
     need = {
         ("hj", "expand"): ["value"],
         ("hj", "resolve"): ["cone"],
         ("nctorus", "classify"): ["theta"],
         ("nctorus", "morita"): ["theta1", "theta2"],
     }
-    for flag in need.get((args.command, getattr(args, "action", None)), []):
-        if getattr(args, flag) is None:
-            raise SystemExit(EXIT_USAGE)
+    missing = [f"--{flag}" for flag in
+               need.get((args.command, getattr(args, "action", None)), [])
+               if getattr(args, flag) is None]
+    if missing:
+        args.parser.error("the following arguments are required: "
+                          + ", ".join(missing))
 
 
 def run(argv=None) -> int:
-    """Dispatch one CLI invocation; returns the exit code and prints the
-    CommandResult (or SVG) to stdout."""
+    """Dispatch one CLI invocation; returns the exit code, prints the
+    CommandResult (or SVG) to stdout and usage errors to stderr.  Safe to
+    call repeatedly in one process."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -62,7 +62,10 @@ def configuration_from_json(obj) -> Configuration:
     try:
         lambdas = [[(Scalar.from_json(z["re"]), Scalar.from_json(z["im"]))
                     for z in v] for v in obj["lambdas"]]
-        return Configuration(lambdas, obj.get("m"))
+        m = obj.get("m")
+        if m is not None and type(m) is not int:
+            raise InputError(f"bad configuration JSON: non-integer m {m!r}")
+        return Configuration(lambdas, m)
     except (KeyError, TypeError) as e:
         raise InputError(f"bad configuration JSON: {e}") from e
 

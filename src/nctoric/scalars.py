@@ -251,6 +251,87 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 
 _TOKEN = re.compile(r"\s*(sqrt\(\d+\)|\d+/\d+|\d+|[+\-*()])")
+#: deepest parenthesis nesting in a scalar literal; each level costs the
+#: parser three stack frames
+NESTING_LIMIT = 100
+
+
+class _LiteralParser:
+    """Recursive descent over the tokens of one scalar literal, with the
+    cursor held in `pos` and the parenthesis nesting in `depth`."""
+
+    __slots__ = ("text", "tokens", "pos", "depth")
+
+    def __init__(self, text: str):
+        tokens = []
+        pos = 0
+        while pos < len(text):
+            m = _TOKEN.match(text, pos)
+            if not m:
+                if text[pos:].strip():
+                    raise InputError(f"bad scalar literal at {text[pos:]!r}")
+                break
+            tokens.append(m.group(1))
+            pos = m.end()
+        tokens.append("$")
+        self.text, self.tokens, self.pos, self.depth = text, tokens, 0, 0
+
+    def peek(self) -> str:
+        return self.tokens[self.pos]
+
+    def eat(self, tok=None) -> str:
+        t = self.tokens[self.pos]
+        if tok is not None and t != tok:
+            raise InputError(f"expected {tok!r}, found {t!r} in {self.text!r}")
+        self.pos += 1
+        return t
+
+    def atom(self) -> Scalar:
+        t = self.peek()
+        if t == "(":
+            if self.depth == NESTING_LIMIT:
+                raise InputError(f"parentheses nested deeper than "
+                                 f"{NESTING_LIMIT} in scalar literal")
+            self.eat()
+            self.depth += 1
+            v = self.expr()
+            self.depth -= 1
+            self.eat(")")
+            return v
+        if t.startswith("sqrt("):
+            self.eat()
+            return Scalar.sqrt_int(int(t[5:-1]))
+        if "/" in t:
+            self.eat()
+            if int(t.split("/")[1]) == 0:
+                raise InputError(
+                    f"zero denominator in scalar literal {self.text!r}")
+            return Scalar(Fraction(t))
+        if t.isdigit():
+            self.eat()
+            return Scalar(int(t))
+        raise InputError(f"bad token {t!r} in scalar literal {self.text!r}")
+
+    def term(self) -> Scalar:
+        v = self.atom()
+        while self.peek() == "*":
+            self.eat()
+            v = v * self.atom()
+        return v
+
+    def expr(self) -> Scalar:
+        neg = False
+        while self.peek() in ("+", "-"):
+            if self.eat() == "-":
+                neg = not neg
+        v = self.term()
+        if neg:
+            v = -v
+        while self.peek() in ("+", "-"):
+            op = self.eat()
+            w = self.term()
+            v = v - w if op == "-" else v + w
+        return v
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -259,72 +340,9 @@ def parse_scalar(text: str) -> Scalar:
     Decimal literals are rejected on purpose; parenthesized subexpressions
     are allowed.  Examples: "7/5", "sqrt(2)", "1+sqrt(2)", "3/2*sqrt(5)-1".
     """
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise InputError(f"bad scalar literal at {text[pos:]!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    tokens.append("$")
-    idx = [0]
-
-    def peek():
-        return tokens[idx[0]]
-
-    def eat(tok=None):
-        t = tokens[idx[0]]
-        if tok is not None and t != tok:
-            raise InputError(f"expected {tok!r}, found {t!r} in {text!r}")
-        idx[0] += 1
-        return t
-
-    def atom() -> Scalar:
-        t = peek()
-        if t == "(":
-            eat()
-            v = expr()
-            eat(")")
-            return v
-        if t.startswith("sqrt("):
-            eat()
-            return Scalar.sqrt_int(int(t[5:-1]))
-        if "/" in t:
-            eat()
-            if int(t.split("/")[1]) == 0:
-                raise InputError(f"zero denominator in scalar literal {text!r}")
-            return Scalar(Fraction(t))
-        if t.isdigit():
-            eat()
-            return Scalar(int(t))
-        raise InputError(f"bad token {t!r} in scalar literal {text!r}")
-
-    def term() -> Scalar:
-        v = atom()
-        while peek() == "*":
-            eat()
-            v = v * atom()
-        return v
-
-    def expr() -> Scalar:
-        neg = False
-        while peek() in ("+", "-"):
-            if eat() == "-":
-                neg = not neg
-        v = term()
-        if neg:
-            v = -v
-        while peek() in ("+", "-"):
-            op = eat()
-            w = term()
-            v = v - w if op == "-" else v + w
-        return v
-
-    v = expr()
-    if peek() != "$":
+    parser = _LiteralParser(text)
+    v = parser.expr()
+    if parser.peek() != "$":
         raise InputError(f"trailing tokens in scalar literal {text!r}")
     return v
 

@@ -8,16 +8,32 @@ from __future__ import annotations
 
 import json
 
-from .errors import WrongDimension
+from .errors import OutOfRange, WrongDimension
 from .fan import Fan, fan_to_json
 from .polytope import SimplePolytope, to_json as polytope_to_json
 
 VIEW = 400.0
 MARGIN = 40.0
+#: largest coordinate drawn, in absolute value: the spans and ray lengths
+#: computed from coordinates up to it stay within the float range
+DRAW_LIMIT = 1e300
 
 
 def _fmt(x: float) -> str:
     return f"{x:.4f}"
+
+
+def _floats(vectors) -> list:
+    """(x, y) floats of 2D vectors, for drawing only; OutOfRange when a
+    coordinate exceeds DRAW_LIMIT in absolute value."""
+    try:
+        pts = [(float(v[0]), float(v[1])) for v in vectors]
+        if all(abs(c) <= DRAW_LIMIT for p in pts for c in p):
+            return pts
+    except OverflowError:  # a rational beyond the float range
+        pass
+    raise OutOfRange(f"coordinates beyond {DRAW_LIMIT:g} in absolute value "
+                     "cannot be drawn")
 
 
 def _viewport(points):
@@ -48,7 +64,7 @@ def polytope_svg(P: SimplePolytope) -> str:
     """Filled outline of a 2D polytope with vertex dots."""
     if P.dim != 2:
         raise WrongDimension("SVG rendering is for 2D polytopes")
-    pts = [(float(v[0]), float(v[1])) for v in P.vertices]
+    pts = _floats(P.vertices)
     to_screen = _viewport(pts)
     # order the outline by angle about the centroid
     import math
@@ -70,7 +86,7 @@ def fan_svg(F: Fan) -> str:
     """Rays of a 2D fan drawn from the origin, sorted for determinism."""
     if F.ambient_dim != 2:
         raise WrongDimension("SVG rendering is for 2D fans")
-    rays = [(float(r[0]), float(r[1])) for r in F.rays]
+    rays = _floats(F.rays)
     import math
     pts = [(0.0, 0.0)]
     for x, y in rays:

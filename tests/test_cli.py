@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -23,6 +24,14 @@ def invoke(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def _captured_run(argv):
+    """Exit code, stdout and stderr of one call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def parse(out):
@@ -202,12 +211,27 @@ def test_usage_errors(capsys):
     assert invoke(capsys, ["hj", "expand"])[0] == 2
 
 
+def test_missing_required_flag_is_named_on_stderr(capsys):
+    for argv, missing in ((["hj", "expand"], "--value"),
+                          (["hj", "resolve"], "--cone"),
+                          (["nctorus", "classify"], "--theta"),
+                          (["nctorus", "morita", "--theta2=2"], "--theta1"),
+                          (["nctorus", "morita"], "--theta1, --theta2")):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: nctoric {argv[0]} ")
+        assert captured.err.endswith(
+            f"error: the following arguments are required: {missing}\n")
+
+
 def test_input_errors(capsys, tmp_path):
-    # decimal literals are rejected
-    code, out = invoke(capsys, ["hj", "expand", "--value", "1.4"])
-    assert code == 3
-    err = json.loads(out)
-    assert err["status"] == "error" and err["error"] == "InputError"
+    # decimal literals are rejected, and so is deep nesting
+    for value in ("1.4", "(" * 5000 + "2" + ")" * 5000):
+        code, out = invoke(capsys, ["hj", "expand", "--value", value])
+        assert code == 3
+        err = json.loads(out)
+        assert err["status"] == "error" and err["error"] == "InputError"
     # unreadable file
     code, out = invoke(capsys, ["polytope", "info",
                                 str(tmp_path / "missing.json")])
@@ -320,6 +344,34 @@ def test_period_search_on_a_huge_quadratic_ends_quickly(capsys):
         assert json.loads(out)["error"] == "PeriodNotFound"
 
 
+def test_lvm_dimension_that_is_no_integer_is_an_input_error(capsys,
+                                                             tmp_path):
+    path = tmp_path / "cfg.json"
+    for m in (1.0, True, "1"):
+        path.write_text(json.dumps({"m": m, "lambdas": [
+            [{"re": "1", "im": "0"}], [{"re": "0", "im": "1"}],
+            [{"re": "-1", "im": "-1"}]]}))
+        code, out = invoke(capsys, ["lvm", "check", "--config", str(path)])
+        assert code == 3
+        assert json.loads(out)["error"] == "InputError"
+
+
+def test_svg_beyond_the_float_range_is_a_domain_error(capsys, tmp_path):
+    huge = 10**400
+    path = tmp_path / "big.json"
+    for command, doc in (
+            ("polytope", {"facets": [
+                {"normal": ["1", "0"], "offset": str(-huge)},
+                {"normal": ["-1", "0"], "offset": "-1"},
+                {"normal": ["0", "1"], "offset": "0"},
+                {"normal": ["0", "-1"], "offset": "-1"}]}),
+            ("fan", {"dim": 2, "cones": [{"rays": [[huge, 1], [0, 1]]}]})):
+        path.write_text(json.dumps(doc))
+        code, out = invoke(capsys, [command, "svg", str(path)])
+        assert code == 4
+        assert json.loads(out)["error"] == "OutOfRange"
+
+
 def test_json_decimals_and_floats_are_input_errors(capsys, tmp_path):
     path = tmp_path / "cone.json"
     for x in ({"a": "0.1"}, {"a": 0.1}, "1e3", 2.0, True):
@@ -337,9 +389,10 @@ def test_json_decimals_and_floats_are_input_errors(capsys, tmp_path):
 
 def test_unreadable_json_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "cone.json"
-    # bytes that are not UTF-8, and an integer of 5000 digits
+    # bytes that are not UTF-8, an integer of 5000 digits, and arrays
+    # nested deeper than the decoder recurses
     huge = b'{"rays": [[0, 1], [' + b"7" * 5000 + b', -1]]}'
-    for data in (b"\xff\xfe{", huge):
+    for data in (b"\xff\xfe{", huge, b"[" * 100000 + b"]" * 100000):
         path.write_bytes(data)
         code, out = invoke(capsys, ["hj", "resolve", "--cone", str(path)])
         assert code == 3
@@ -507,7 +560,9 @@ def test_continued_fraction_fuzz_ends_in_a_known_exit_code(call):
     assert code in (0, 2, 3, 4)
 
 
-RATIONAL_ENTRIES = ["0", "1", "-1", "2", "-2", "1/2", "-3/2"]
+#: a rational far outside the float range
+HUGE_RATIONAL = "1" + "0" * 400
+RATIONAL_ENTRIES = ["0", "1", "-1", "2", "-2", "1/2", "-3/2", HUGE_RATIONAL]
 #: irrational entries: one field, the other, or both mixed
 IRRATIONAL_ENTRIES = [["sqrt(2)", "1-sqrt(2)"], ["sqrt(3)"],
                       ["sqrt(2)", "1-sqrt(2)", "sqrt(3)"]]
@@ -517,11 +572,12 @@ GEOMETRY_CALL_BUDGET_S = 5.0
 
 @st.composite
 def geometry_calls(draw):
-    """argv of polytope info, fan of-polytope, fan classify and quotient
-    data, and the polytope (up to 6 facets) or cone (up to 4 rays) document
-    they read, in dimension 1-3."""
-    argv = draw(st.sampled_from([["polytope", "info"], ["fan", "of-polytope"],
-                                 ["fan", "classify"],
+    """argv of polytope info/svg, fan of-polytope/classify/svg and quotient
+    data, and the polytope (up to 6 facets), cone (up to 4 rays) or fan (up
+    to 3 cones) document they read, in dimension 1-3."""
+    argv = draw(st.sampled_from([["polytope", "info"], ["polytope", "svg"],
+                                 ["fan", "of-polytope"], ["fan", "classify"],
+                                 ["fan", "svg"],
                                  ["quotient", "data", "--polytope"]]))
     dim = draw(st.integers(1, 3))
     entry = st.sampled_from([parse_scalar(x) for x in RATIONAL_ENTRIES + draw(
@@ -530,6 +586,11 @@ def geometry_calls(draw):
     if argv[1] == "classify":
         rays = draw(st.lists(vector, min_size=1, max_size=4))
         return argv, {"rays": [[x.to_json() for x in r] for r in rays]}
+    if argv[1] == "svg" and argv[0] == "fan":
+        cones = draw(st.lists(st.lists(vector, min_size=1, max_size=dim),
+                              max_size=3))
+        return argv, {"dim": dim, "cones": [
+            {"rays": [[x.to_json() for x in r] for r in c]} for c in cones]}
     facets = []
     if draw(st.booleans()):  # start from a simplex, so the data is bounded
         facets = [([Scalar(int(i == j)) for j in range(dim)], Scalar(0))
@@ -558,10 +619,147 @@ def test_geometry_fuzz_ends_in_a_known_exit_code(call):
             code = run(argv + [path])
         assert time.perf_counter() - start < GEOMETRY_CALL_BUDGET_S
     assert code in (0, 2, 3, 4)
-    if code == 0 and argv[0] == "polytope":
+    if code == 0 and argv[:2] == ["polytope", "info"]:
         # a full-dimensional polytope has at least dim + 1 vertices
         p = json.loads(out.getvalue())["payload"]
         assert len(p["vertices"]) >= p["dim"] + 1
+
+
+#: wall-clock budget of one fuzzed gvec or lvm call, in seconds
+LVM_CALL_BUDGET_S = 5.0
+#: an integer past the interpreter's 4300-digit limit for int()
+TOO_LONG_INTEGER = "7" * 5000
+
+
+@st.composite
+def gvec_calls(draw):
+    """argv of gvec: an f-vector (often of the length d + 1 asks for, with
+    f_(-1) = 1) of small, huge or malformed entries."""
+    d = draw(st.integers(-2, 8))
+    entry = st.one_of(st.integers(-3, 60).map(str),
+                      st.sampled_from([HUGE_RATIONAL, TOO_LONG_INTEGER,
+                                       "x", "", "1.5", "1/2"]))
+    if draw(st.booleans()):
+        f = ["1"] + draw(st.lists(entry, min_size=max(d, 0),
+                                  max_size=max(d, 0)))
+    else:
+        f = draw(st.lists(entry, max_size=9))
+    return ["gvec", "--f", ",".join(f), "--d", str(d)]
+
+
+@st.composite
+def lvm_calls(draw):
+    """argv of every lvm action and the configuration document it reads:
+    n vectors in C^m (m = 1, 2, mostly n > 2m; "m" sometimes not an int)
+    with entries from one field, and for lvm polytope an optional --eps
+    list of scalar literals."""
+    action = draw(st.sampled_from(["check", "gale", "dichotomy", "fiber",
+                                   "polytope"]))
+    m = draw(st.integers(1, 2))
+    n = draw(st.integers(2 * m, 2 * m + 3))
+    entry = st.sampled_from([parse_scalar(x).to_json() for x in
+                             RATIONAL_ENTRIES + draw(
+                                 st.sampled_from(IRRATIONAL_ENTRIES))])
+    config = {"m": draw(st.sampled_from([m, m, m, float(m), str(m), True])),
+              "lambdas": [[{"re": draw(entry), "im": draw(entry)}
+                           for _ in range(m)] for _ in range(n)]}
+    argv = ["lvm", action]
+    if action == "polytope" and draw(st.booleans()):
+        size = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
+        argv.append("--eps=" + ",".join(
+            draw(scalar_literals()) for _ in range(size)))
+    return argv, config
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(call=st.one_of(gvec_calls().map(lambda argv: (argv, None)),
+                      lvm_calls()))
+def test_gvec_and_lvm_fuzz_ends_in_a_known_exit_code(call):
+    argv, config = call
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            argv = argv + ["--config", path]
+        start = time.perf_counter()
+        code = _captured_run(argv)[0]
+        assert time.perf_counter() - start < LVM_CALL_BUDGET_S
+    assert code in (0, 2, 3, 4)
+
+
+def test_shared_parser_carries_no_state_between_calls(
+        tmp_path, square_file, five_vector_file):
+    cone = tmp_path / "cone.json"
+    cone.write_text(json.dumps({"rays": [["0", "1"], ["2", "-1"]]}))
+    fan_file = tmp_path / "fan.json"
+    fan_file.write_text(json.dumps({"dim": 2, "cones": [
+        {"rays": [[1, 0], [0, 1]]}, {"rays": [[0, 1], [-1, 0]]}]}))
+    algebra = tmp_path / "alg.json"
+    algebra.write_text(json.dumps(group_algebra_z2().to_json()))
+    malformed = tmp_path / "bad.json"
+    malformed.write_text('{"facets": [')
+    calls = [["polytope", "info", square_file],
+             ["polytope", "svg", square_file],
+             ["fan", "of-polytope", square_file],
+             ["fan", "classify", str(cone)], ["fan", "svg", str(fan_file)],
+             ["quotient", "data", "--polytope", square_file],
+             ["lvm", "check", "--config", five_vector_file],
+             ["lvm", "polytope", "--config", five_vector_file,
+              "--eps", "2,2,2,2,1"],
+             ["hj", "expand", "--value", "sqrt(2)", "--depth", "5"],
+             ["hj", "resolve", "--cone", str(cone), "--svg"],
+             ["nctorus", "classify", "--theta", "2/3"],
+             ["nctorus", "morita", "--theta1", "sqrt(2)",
+              "--theta2", "1+sqrt(2)"],
+             ["gvec", "--f", "1,6,12,8", "--d", "3"],
+             ["hh", "hp", "--algebra", str(algebra), "--N", "2"],
+             ["--help"], ["hj", "--help"], ["lvm", "polytope", "--help"],
+             [], ["bogus"], ["hj", "expand"], ["hj", "expand", "--depth"],
+             ["nctorus", "morita", "--theta1", "sqrt(2)"],
+             ["gvec", "--f", "1,4"], ["hh", "ranks", "--upto", "x"],
+             ["polytope", "explode", square_file],
+             ["polytope", "info", str(malformed)],
+             ["fan", "svg", str(malformed)],
+             ["hj", "expand", "--value", "1.5"]]
+    forward = [_captured_run(argv) for argv in calls]
+    backward = [_captured_run(argv) for argv in reversed(calls)][::-1]
+    assert forward == backward
+    assert {code for code, _, _ in forward} == {0, 2, 3}
+
+
+def test_valid_calls_leave_no_cyclic_garbage(tmp_path, square_file,
+                                             five_vector_file):
+    algebra = tmp_path / "alg.json"
+    algebra.write_text(json.dumps(product_of_fields(2).to_json()))
+    calls = []
+    for k in range(1, 5):
+        calls += [["hj", "expand", "--value", f"{k + 7}/{k + 2}"],
+                  ["hj", "expand", "--value", f"{k}+sqrt({k + 1})",
+                   "--depth", "4"],
+                  ["nctorus", "classify", f"--theta={k}/3+sqrt(5)"],
+                  ["nctorus", "morita", "--theta1=sqrt(2)",
+                   f"--theta2={k}+sqrt(2)"],
+                  ["lvm", "polytope", "--config", five_vector_file, "--eps",
+                   f"{k},2,2,2,1"],
+                  ["polytope", "info", square_file],
+                  ["gvec", "--f", "1,6,12,8", "--d", "3"],
+                  ["gvec", "--f", f"1,{k + 3},{k + 3}", "--d", "2"],
+                  ["hh", "ranks", "--algebra", str(algebra), "--upto", "2"],
+                  ["hh", "hp", "--algebra", str(algebra), "--N", "1"],
+                  ["hj", "expand", "--value", f"{k + 1}/1"],
+                  ["nctorus", "classify", f"--theta={k}/7"]]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert _captured_run(calls[0])[0] == 0  # builds the parser
+        gc.collect()
+        for argv in calls:
+            assert _captured_run(argv)[0] == 0, argv
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_byte_determinism(square_file):

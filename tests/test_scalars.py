@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nctoric.errors import DivisionByZero, FieldMismatch, InputError
-from nctoric.scalars import (RADICAND_LIMIT, Scalar, common_field, parse_scalar,
-                             rational_literal, squarefree_split)
+from nctoric.scalars import (NESTING_LIMIT, RADICAND_LIMIT, Scalar,
+                             common_field, parse_scalar, rational_literal,
+                             squarefree_split)
 
 
 def test_squarefree_split():
@@ -128,6 +129,31 @@ def test_parse_scalar():
         parse_scalar("1.5")
     with pytest.raises(InputError):
         parse_scalar("sqrt(2)+")
+
+
+def test_parse_scalar_grammar_and_messages():
+    assert parse_scalar(" - -(1+ sqrt(8))*2/3 - 1/2*sqrt(2) ") == \
+        Scalar(Fraction(2, 3), Fraction(5, 6), 2)
+    assert parse_scalar("-+-3") == Scalar(3)
+    assert parse_scalar("((2))*((sqrt(3)))") == Scalar(0, 2, 3)
+    for text, message in (
+            ("1.5", "bad scalar literal at '.5'"),
+            ("sqrt(2)+", "bad token '$' in scalar literal 'sqrt(2)+'"),
+            ("(1", "expected ')', found '$' in '(1'"),
+            ("1 2", "trailing tokens in scalar literal '1 2'"),
+            ("", "bad token '$' in scalar literal ''"),
+            ("3/0", "zero denominator in scalar literal '3/0'"),
+            ("*2", "bad token '*' in scalar literal '*2'")):
+        with pytest.raises(InputError) as e:
+            parse_scalar(text)
+        assert str(e.value) == message
+
+
+def test_parse_scalar_bounds_parenthesis_nesting():
+    assert parse_scalar("(" * NESTING_LIMIT + "2" + ")" * NESTING_LIMIT) == 2
+    for depth in (NESTING_LIMIT + 1, 5000):
+        with pytest.raises(InputError):
+            parse_scalar("(" * depth + "2" + ")" * depth)
 
 
 def test_json_roundtrip():
