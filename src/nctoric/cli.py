@@ -17,7 +17,7 @@ import sys
 from . import facevectors, fan, hj, hochschild, lvm, nctorus, polytope, svg
 from .errors import InputError, NctoricError, RationalInput
 from .quotient import quotient_data
-from .scalars import Scalar, parse_scalar
+from .scalars import parse_scalar
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -56,14 +56,6 @@ def _int_list(text: str):
         raise InputError(f"bad integer list {text!r}") from e
 
 
-def _cone_from_json(obj) -> fan.Cone:
-    try:
-        rays = [[Scalar.from_json(x) for x in r] for r in obj["rays"]]
-        return fan.Cone(rays, obj.get("dim"))
-    except (KeyError, TypeError) as e:
-        raise InputError(f"bad cone JSON: {e}") from e
-
-
 # -- subcommand handlers ------------------------------------------------------
 
 
@@ -88,7 +80,7 @@ def _cmd_fan(args) -> str:
         P = polytope.from_json(_load_json(args.file))
         return _emit(fan.fan_to_json(fan.normal_fan(P)))
     if args.action == "classify":
-        sigma = _cone_from_json(_load_json(args.file))
+        sigma = fan.cone_from_json(_load_json(args.file))
         result = fan.cone_classify(sigma)
         if isinstance(result, tuple):
             payload = {"class": result[0], "index": result[1]}
@@ -147,7 +139,7 @@ def _cmd_hj(args) -> str:
             payload["preperiod_len"] = e.preperiod_len
             payload["period"] = list(e.period)
         return _emit(payload)
-    sigma = _cone_from_json(_load_json(args.cone))
+    sigma = fan.cone_from_json(_load_json(args.cone))
     F, inserted, _ = hj.resolve_cone(sigma, depth=args.depth)
     if args.svg:
         return svg.fan_svg(F)

@@ -331,6 +331,28 @@ def fan_to_json(F: Fan) -> dict:
                       for f in sorted(F.faces, key=_face_key)]}
 
 
+def _check_json_dim(what, dim, rays):
+    """The "dim" of cone or fan JSON is an int (not a bool), at least 1,
+    and the length of every ray."""
+    if type(dim) is not int or dim < 1:
+        raise InputError(
+            f"bad {what} JSON: \"dim\" must be an integer >= 1, got {dim!r}")
+    if any(len(r) != dim for r in rays):
+        raise InputError(f"bad {what} JSON: a ray is not of dimension {dim}")
+
+
+def cone_from_json(obj) -> Cone:
+    """Cone of {"rays": [...]} with an optional "dim"."""
+    try:
+        rays = [[Scalar.from_json(x) for x in r] for r in obj["rays"]]
+        dim = obj.get("dim")
+        if "dim" in obj:
+            _check_json_dim("cone", dim, rays)
+        return Cone(rays, dim)
+    except (KeyError, TypeError) as e:
+        raise InputError(f"bad cone JSON: {e}") from e
+
+
 def fan_from_json(obj) -> Fan:
     try:
         dim = obj["dim"]
@@ -339,8 +361,7 @@ def fan_from_json(obj) -> Fan:
     except (KeyError, TypeError) as e:
         raise InputError(f"bad fan JSON: {e}") from e
     raw = {r for c in cones for r in c}
-    if any(len(r) != dim for r in raw):
-        raise InputError(f"bad fan JSON: a ray is not of dimension {dim!r}")
+    _check_json_dim("fan", dim, raw)
     F = Fan.from_faces(dim, {r: canonical_ray(r) for r in raw}, cones)
     # faces of a strictly convex cone are strictly convex, and every
     # maximal face is a listed cone, so checking those checks them all

@@ -4,16 +4,18 @@ singularities.
 The descending fraction a1 - 1/(a2 - 1/(...)) of m/k drives the minimal
 smooth subdivision of the cone ((0,1), (m,-k)); quadratic-irrational
 slopes give an eventually periodic digit stream that is truncated at a
-requested depth.
+requested depth.  That stream and the regular continued fraction of
+`nctorus` come from one integer recurrence, `quadratic_orbit`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 from .errors import (DivisionByZero, InputError, NotNormalizable,
-                     OutOfRange, PeriodNotFound)
+                     OutOfRange, PeriodNotFound, RationalInput)
 from .fan import Cone, Fan, hj_chain, hj_digits, hj_frame
 from .scalars import Scalar
 
@@ -48,28 +50,56 @@ def hj_expand(x, depth: int | None = None) -> HJExpansion:
                            x, True)
     if depth is None:
         depth = 12
-    digits = []
-    states = {x: 0}
-    cur = x
-    for _ in range(PERIOD_SEARCH_LIMIT):
-        a = cur.ceil()
-        if Scalar(a) == cur:  # cannot happen for irrational cur
-            raise PeriodNotFound("irrational state became integral")
-        digits.append(a)
-        cur = (Scalar(a) - cur).inverse()
-        if cur in states:
-            preperiod_len = states[cur]
-            period = tuple(digits[preperiod_len:])
-            break
-        states[cur] = len(digits)
-    else:
-        raise PeriodNotFound(
-            f"no state repetition within {PERIOD_SEARCH_LIMIT} steps")
+    digits, preperiod_len = quadratic_orbit(x, descending=True)
+    period = tuple(digits[preperiod_len:])
     # extend or trim the digit list to the requested depth
     out = list(digits[:preperiod_len])
     while len(out) < depth:
         out.append(period[(len(out) - preperiod_len) % len(period)])
     return HJExpansion(tuple(out[:depth]), x, False, preperiod_len, period)
+
+
+def quadratic_orbit(x: Scalar, descending: bool = False):
+    """(digits, preperiod_len) of the continued fraction of the quadratic
+    irrational x, up to the end of its first period: the regular one
+    (a = floor(x), x -> 1/(x - a)) or, with `descending`, the
+    Hirzebruch-Jung one (a = ceil(x), x -> 1/(a - x)).
+
+    The complete quotient is (P + sqrt(D))/Q with D fixed and Q | D - P^2,
+    so each digit costs a fixed number of integer operations (Cohen,
+    GTM 138, 5.7), and for fixed D the pair (P, Q) determines the value,
+    so the first repeated pair gives the minimal preperiod.  Raises
+    PeriodNotFound when no pair repeats within PERIOD_SEARCH_LIMIT steps."""
+    if x.is_rational:
+        raise RationalInput("continued fraction period needs an irrational")
+    a, b = x.a, x.b
+    Q = lcm(a.denominator, b.denominator)
+    P = a.numerator * (Q // a.denominator)
+    B = b.numerator * (Q // b.denominator)
+    # x = (P + B sqrt(d))/Q = (P + sqrt(D))/Q once the sign of B is moved
+    # to Q; scaling by k makes Q divide D - P^2
+    if B < 0:
+        P, Q = -P, -Q
+    D = B * B * x.d
+    k = abs(Q) // gcd(Q, D - P * P)
+    P, Q, D = P * k, Q * k, D * k * k
+    r = isqrt(D)
+    digits = []
+    seen = {(P, Q): 0}
+    for _ in range(PERIOD_SEARCH_LIMIT):
+        # sqrt(D) is irrational, so the floor is (P + r) // Q for Q > 0
+        # and (P + r + 1) // Q for Q < 0, and the ceiling is one more
+        n = (P + r) // Q if Q > 0 else (P + r + 1) // Q
+        if descending:
+            n += 1
+        digits.append(n)
+        P = n * Q - P
+        Q = (P * P - D) // Q if descending else (D - P * P) // Q
+        if (P, Q) in seen:
+            return digits, seen[P, Q]
+        seen[P, Q] = len(digits)
+    raise PeriodNotFound(
+        f"no state repetition within {PERIOD_SEARCH_LIMIT} steps")
 
 
 def hj_evaluate(digits) -> Scalar:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NctoricError, PeriodNotFound, PoleAtInput, RationalInput
-from .hj import PERIOD_SEARCH_LIMIT
+from .errors import NctoricError, PoleAtInput, RationalInput
+from .hj import quadratic_orbit
 from .linalg import mat_mul
 from .scalars import Scalar
 
@@ -51,20 +51,8 @@ def cf_expand(theta) -> CFExpansion:
     minimal preperiod found by exact complete-quotient repetition; raises
     PeriodNotFound when no complete quotient repeats within
     PERIOD_SEARCH_LIMIT steps."""
-    x = Scalar._coerce(theta)
-    if x.is_rational:
-        raise RationalInput("continued fraction period needs an irrational")
-    digits = []
-    states = {x: 0}
-    for _ in range(PERIOD_SEARCH_LIMIT):
-        a, x = _cf_step(x)
-        digits.append(a)
-        if x in states:
-            k = states[x]
-            return CFExpansion(tuple(digits[:k]), tuple(digits[k:]))
-        states[x] = len(digits)
-    raise PeriodNotFound(
-        f"no state repetition within {PERIOD_SEARCH_LIMIT} steps")
+    digits, k = quadratic_orbit(Scalar._coerce(theta))
+    return CFExpansion(tuple(digits[:k]), tuple(digits[k:]))
 
 
 def mobius_apply(M, theta) -> Scalar:

@@ -356,6 +356,29 @@ def test_lvm_dimension_that_is_no_integer_is_an_input_error(capsys,
         assert json.loads(out)["error"] == "InputError"
 
 
+def test_cone_and_fan_dimension_that_is_no_positive_integer_is_an_input_error(
+        capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    rays = [[1, 0], [0, 1]]
+    for dim in (2.0, True, "2", 1.5, -1, 0):
+        for argv, doc in (
+                (["fan", "svg"], {"dim": dim, "cones": [{"rays": rays}]}),
+                (["fan", "classify"], {"dim": dim, "rays": rays}),
+                (["hj", "resolve", "--cone"], {"dim": dim, "rays": rays})):
+            path.write_text(json.dumps(doc))
+            code, out = invoke(capsys, argv + [str(path)])
+            assert code == 3, (argv, dim)
+            assert json.loads(out)["error"] == "InputError"
+    # a "dim" that is a positive int but not the ray length is bad too
+    path.write_text(json.dumps({"dim": 3, "rays": rays}))
+    assert invoke(capsys, ["fan", "classify", str(path)])[0] == 3
+    for argv, doc in ((["fan", "svg"], {"dim": 2, "cones": [{"rays": rays}]}),
+                      (["fan", "classify"], {"dim": 2, "rays": rays}),
+                      (["hj", "resolve", "--cone"], {"dim": 2, "rays": rays})):
+        path.write_text(json.dumps(doc))
+        assert invoke(capsys, argv + [str(path)])[0] == 0
+
+
 def test_svg_beyond_the_float_range_is_a_domain_error(capsys, tmp_path):
     huge = 10**400
     path = tmp_path / "big.json"
