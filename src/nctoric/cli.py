@@ -112,8 +112,9 @@ def _cmd_lvm(args) -> str:
         return _emit({"vectors": [[x.to_json() for x in v] for v in g.vectors],
                       "epsilons": [e.to_json() for e in g.epsilons]})
     if args.action == "dichotomy":
-        return _emit({"condition_K": lvm.condition_K(cfg),
-                      "dichotomy": lvm.leaf_dichotomy(cfg)})
+        K = lvm.condition_K(cfg)
+        return _emit({"condition_K": K, "dichotomy":
+                      lvm.COMPACT_TORI if K else lvm.DENSE_LEAVES})
     if args.action == "fiber":
         rep = lvm.generic_fiber(cfg)
         return _emit({

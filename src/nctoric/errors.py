@@ -111,5 +111,9 @@ class LengthMismatch(NctoricError):
     name = "LengthMismatch"
 
 
+class TooManySubsets(NctoricError):
+    name = "TooManySubsets"
+
+
 class InputError(NctoricError):
     name = "InputError"

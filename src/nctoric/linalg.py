@@ -8,11 +8,10 @@ is no floating point anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, InputError
-from .scalars import Scalar, common_field
+from .scalars import Scalar, _pair_sign, common_field
 
 IntMatrix = list  # list[list[int]]
 ScalarMatrix = list  # list[list[Scalar]]
@@ -103,16 +102,13 @@ def smith_normal_form(A: IntMatrix):
         t = start
         while t < min(m, n):
             # nonzero entry of smallest magnitude in the trailing block
-            pivot = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    if S[i][j] != 0 and (pivot is None
-                                         or abs(S[i][j]) < abs(S[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
-            if pivot is None:
+            nonzero = [(abs(S[i][j]), i, j) for i in range(t, m)
+                       for j in range(t, n) if S[i][j] != 0]
+            if not nonzero:
                 break
-            swap_rows(t, pivot[0])
-            swap_cols(t, pivot[1])
+            _, i, j = min(nonzero)  # the first in row-major order on ties
+            swap_rows(t, i)
+            swap_cols(t, j)
             while True:
                 done = True
                 for i in range(t + 1, m):
@@ -167,11 +163,8 @@ def integer_kernel_basis(A: IntMatrix) -> list:
     if m == 0:
         return [row[:] for row in identity(n)]
     U, S, V = smith_normal_form(A)
-    basis = []
-    for j in range(n):
-        if j >= m or S[j][j] == 0:
-            basis.append([V[i][j] for i in range(n)])
-    return basis
+    return [[V[i][j] for i in range(n)] for j in range(n)
+            if j >= m or S[j][j] == 0]
 
 
 def _row_reduce(M):
@@ -216,13 +209,8 @@ def _free_kernel(rows, pivots, n: int) -> list:
 
 
 def solve_exact(A: ScalarMatrix, b):
-    """Exact Gaussian elimination over Q or Q(sqrt(d)).
-
-    Returns one of
-      ("unique", x)
-      ("affine", particular, kernel_basis)
-      ("infeasible",)
-    """
+    """Exact Gaussian elimination over Q or Q(sqrt(d)): ("unique", x),
+    ("affine", particular, kernel_basis) or ("infeasible",)."""
     m = len(A)
     n = len(A[0]) if m else 0
     if len(b) != m:
@@ -240,41 +228,62 @@ def solve_exact(A: ScalarMatrix, b):
 
 
 def has_nonneg_solution(A: ScalarMatrix, b) -> bool:
-    """Exact test for some t >= 0 with A t = b, by phase I of the simplex
-    method under Bland's rule, which cannot cycle (Bland, Math. Oper. Res.
-    2, 1977).
-
-    The tableau holds Fractions when every entry is rational and Scalars of
-    the shared field otherwise (FieldMismatch on mixed fields).  Each row
-    starts with its own artificial basic variable and the objective row as
-    the sum of the rows, so its right-hand side is the sum of the
-    artificials; t exists iff pivoting drives that to zero.  An artificial
-    that leaves the basis never re-enters, so its column is not kept."""
+    """Exact test for some t >= 0 with A t = b (ints, Fractions or Scalars
+    of one field d): phase I of the simplex method under Bland's rule (Math.
+    Oper. Res. 2, 1977) on integers x + y sqrt(d).  Row m, the sum of the
+    rows, is a positive multiple of the sum of one artificial per row; a
+    leaving artificial never re-enters.  Each row is D times its row in the
+    dividing tableau, D > 0 the basis determinant, so a pivot divides
+    exactly by the last D (Bareiss, Math. Comp. 22, 1968; Avis, lrs)."""
     m = len(A)
     n = len(A[0]) if m else 0
     if len(b) != m:
         raise DimensionMismatch("rhs length != row count")
-    T = [[Scalar._coerce(e) for e in row] + [Scalar._coerce(b[i])]
-         for i, row in enumerate(A)]
-    if common_field(e for row in T for e in row) == 0:
-        T = [[e.a for e in row] for row in T]
-    T = [[-e for e in row] if row[n] < 0 else row for row in T]
+    d = common_field(e for r in (*A, b) for e in r if isinstance(e, Scalar))
+    w = n + 1  # row i is T[i][:w] + T[i][w:] sqrt(d), right-hand side last
+    T = []
+    for row, rhs in zip(A, b):
+        v = [e.a if isinstance(e, Scalar) else e for e in (*row, rhs)]
+        v += [e.b if isinstance(e, Scalar) else 0 for e in (*row, rhs)]
+        den = lcm(*[e.denominator for e in v])
+        v = [e.numerator * (den // e.denominator) for e in v]
+        g = (gcd(*v) or 1) * (-1 if _pair_sign(v[n], v[-1], d) < 0 else 1)
+        T.append([e // g for e in v])
+    T.append([sum(c) for c in zip([0] * 2 * w, *T)])
     basis = [n + i for i in range(m)]  # indices >= n are artificial
-    obj = [sum(col) for col in zip(*T)] if T else [0]
-    while obj[n] != 0:
-        # Bland: the smallest column that lowers the artificial sum enters,
-        # and ratio ties leave by the smallest basic index
-        j = next((j for j in range(n) if obj[j] > 0), None)
+    dx, dy = 1, 0  # D = dx + dy sqrt(d)
+    while T[m][n] or T[m][-1]:
+        # Bland: least column enters; ratio ties leave by least basic index
+        j = next((j for j in range(n)
+                  if _pair_sign(T[m][j], T[m][w + j], d) > 0), None)
         if j is None:
             return False
-        r = min((i for i in range(m) if T[i][j] > 0),
-                key=lambda i: (T[i][n] / T[i][j], basis[i]))
-        inv = 1 / T[r][j]
-        T[r] = [e * inv for e in T[r]]
-        for row in T + [obj]:
-            f = row[j]
-            if row is not T[r] and f != 0:
-                row[:] = [x - f * y for x, y in zip(row, T[r])]
+        r = None
+        for i, R in enumerate(T[:m]):
+            ex, ey = R[j], R[w + j]
+            if _pair_sign(ex, ey, d) <= 0:
+                continue
+            if r is not None:  # the sign of rhs_i * e_r - rhs_r * e_i
+                (ax, ay), (bx, by), (px, py) = R[n::w], T[r][n::w], T[r][j::w]
+                s = _pair_sign(ax * px + ay * py * d - bx * ex - by * ey * d,
+                               ax * py + ay * px - bx * ey - by * ex, d)
+                if s > 0 or s == 0 and basis[i] > basis[r]:
+                    continue
+            r = i
+        # row i becomes (p R - f P) / D = (p D* R - f D* P) / N: p and f
+        # are the column-j entries of P and R, D* is D conjugate, N = D D*
+        P, N = T[r], dx * dx - dy * dy * d
+        px, py = P[j] * dx - P[w + j] * dy * d, P[w + j] * dx - P[j] * dy
+        for i, R in enumerate(T):
+            if i == r:
+                continue
+            fx, fy = R[j] * dx - R[w + j] * dy * d, R[w + j] * dx - R[j] * dy
+            cols = list(zip(R[:w], R[w:], P[:w], P[w:]))
+            T[i] = [(px * a + py * d * c - fx * e - fy * d * h) // N
+                    for a, c, e, h in cols] + \
+                [(px * c + py * a - fx * h - fy * e) // N
+                 for a, c, e, h in cols]
+        dx, dy = P[j], P[w + j]
         basis[r] = j
     return True
 
@@ -308,24 +317,15 @@ def rational_subspace_dim(basis: list, n: int) -> tuple[int, list]:
         return k, [list(w) for w in basis]
     # unknowns: x_1..x_k, y_1..y_k; conditions: for each coordinate j,
     # irrational part sum_i (x_i q_ij + y_i p_ij) == 0
-    rows = []
-    for j in range(n):
-        row = [Scalar(basis[i][j].b) for i in range(k)] + \
-              [Scalar(basis[i][j].a) for i in range(k)]
-        rows.append(row)
+    rows = [[Scalar(w[j].b) for w in basis] + [Scalar(w[j].a) for w in basis]
+            for j in range(n)]
     sols = scalar_kernel_basis(rows, 2 * k)  # rational system, rational solutions
-    vecs = []
-    for s in sols:
-        v = []
-        for j in range(n):
-            # (x + y sqrt d)(p + q sqrt d) has rational part x p + y q d
-            acc = Fraction(0)
-            for i in range(k):
-                acc += s[i].a * basis[i][j].a + s[k + i].a * basis[i][j].b * d
-            v.append(Scalar(acc))
-        if any(not e.is_zero() for e in v):
-            vecs.append(v)
-    # the produced rational vectors may be dependent; row-reduce to a basis
+    # (x + y sqrt d)(p + q sqrt d) has rational part x p + y q d
+    vecs = [[Scalar(sum(s[i].a * w[j].a + s[k + i].a * w[j].b * d
+                        for i, w in enumerate(basis))) for j in range(n)]
+            for s in sols]
+    # the produced rational vectors may be dependent or zero; row-reduce
+    # to a basis
     rows, _ = _row_reduce(vecs)
     return len(rows), rows
 
@@ -348,7 +348,7 @@ def canonical_ray(v) -> tuple:
         v = [x * scale for x in v]
         if not all(x.is_rational for x in v):
             return tuple(v)
-    den = lcm(*(x.a.denominator for x in v))
+    den = lcm(*[x.a.denominator for x in v])
     nums = [x.a.numerator * (den // x.a.denominator) for x in v]
     g = gcd(*nums)
     return tuple(Scalar(k // g) for k in nums)

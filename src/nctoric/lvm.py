@@ -18,7 +18,7 @@ from .errors import (DegenerateFoliation, DegenerateSystem, InputError,
 from .linalg import (canonical_ray, rational_subspace_dim,
                      scalar_kernel_basis, scalar_rank, solve_exact,
                      zero_in_hull)
-from .polytope import SimplePolytope
+from .polytope import SimplePolytope, _subsets
 from .scalars import Scalar, common_field
 
 COMPACT_TORI = "CompactTori"
@@ -72,11 +72,11 @@ def configuration_from_json(obj) -> Configuration:
 
 def check_admissible(cfg: Configuration) -> dict:
     """Siegel: 0 in conv(Lambda); weak hyperbolicity: no 2m-subset's hull
-    contains 0."""
+    contains 0 (TooManySubsets past polytope.SUBSET_LIMIT subsets)."""
     pts = cfg.real_points()
-    siegel = zero_in_hull(pts)
-    weak = all(not zero_in_hull(sub) for sub in combinations(pts, 2 * cfg.m))
-    return {"siegel": siegel, "weak_hyperbolic": weak}
+    subs = _subsets(pts, 2 * cfg.m, "the weak hyperbolicity check")
+    return {"siegel": zero_in_hull(pts),
+            "weak_hyperbolic": all(not zero_in_hull(s) for s in subs)}
 
 
 def _system_rows(cfg: Configuration):

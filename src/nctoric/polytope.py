@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .errors import (Empty, InputError, IrrationalNormals, NotSimple,
-                     Unbounded)
+                     TooManySubsets, Unbounded)
 from .linalg import (canonical_ray, has_nonneg_solution, int_det,
                      scalar_kernel_basis, scalar_rank, solve_exact, transpose)
 from .scalars import Scalar, common_field, sorted_vectors
@@ -20,6 +21,22 @@ from .scalars import Scalar, common_field, sorted_vectors
 IRRATIONAL = "Irrational"
 RATIONAL_DELZANT = "RationalDelzant"
 INTEGRAL_DELZANT = "IntegralDelzant"
+
+#: most index subsets one search may try: the C(N, n) facet subsets of
+#: vertex enumeration and the C(n, 2m) sub-configurations of the LVM weak
+#: hyperbolicity check, each costing one exact solve or hull test
+SUBSET_LIMIT = 500
+
+
+def _subsets(items, k: int, search: str):
+    """combinations(items, k), after checking that there are at most
+    SUBSET_LIMIT of them (TooManySubsets otherwise)."""
+    count = comb(len(items), k)
+    if count > SUBSET_LIMIT:
+        raise TooManySubsets(
+            f"{search} would try C({len(items)}, {k}) = {count} index "
+            f"subsets, more than SUBSET_LIMIT = {SUBSET_LIMIT}")
+    return combinations(items, k)
 
 
 def _as_scalars(vec):
@@ -52,10 +69,11 @@ class SimplePolytope:
 
     def _compute(self):
         n = self.dim
+        candidates = _subsets(range(self.N), n, "vertex enumeration")
         if self._unbounded():
             raise Unbounded("recession cone is nontrivial")
         verts = {}
-        for I in combinations(range(self.N), n):
+        for I in candidates:
             rows = [self.facets[i][0] for i in I]
             rhs = [self.facets[i][1] for i in I]
             res = solve_exact(rows, rhs)

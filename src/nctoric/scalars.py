@@ -41,6 +41,17 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return (s, d * n)
 
 
+def _pair_sign(x, y, d: int) -> int:
+    """Exact sign of x + y sqrt(d) for rationals x, y and d = 0 or
+    square-free: with x and y of opposite signs, |x| and |y| sqrt(d) are
+    compared through x^2 and y^2 d, which are never equal for y != 0."""
+    sx = (x > 0) - (x < 0)
+    if y == 0:
+        return sx
+    sy = 1 if y > 0 else -1
+    return sy if sx != -sy or y * y * d > x * x else sx
+
+
 class Scalar:
     __slots__ = ("a", "b", "d")
 
@@ -137,19 +148,7 @@ class Scalar:
 
     def sign(self) -> int:
         """Exact sign of the real number a + b sqrt(d)."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        sa = 1 if self.a > 0 else -1
-        sb = 1 if self.b > 0 else -1
-        if sa == sb:
-            return sa
-        # opposite signs: sign decided by |a| vs |b|sqrt(d), i.e. a^2 - b^2 d
-        n = self.a * self.a - self.b * self.b * self.d
-        if n == 0:
-            return 0
-        return sa if n > 0 else sb
+        return _pair_sign(self.a, self.b, self.d)
 
     def __eq__(self, other):
         try:
@@ -159,7 +158,8 @@ class Scalar:
         return self.a == o.a and self.b == o.b and self.d == o.d
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        # a rational Scalar equals its Fraction, so it hashes like one
+        return hash((self.a, self.b, self.d)) if self.d else hash(self.a)
 
     def __lt__(self, other):
         return (self - other).sign() < 0

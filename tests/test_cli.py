@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -344,6 +345,28 @@ def test_period_search_on_a_huge_quadratic_ends_quickly(capsys):
         assert json.loads(out)["error"] == "PeriodNotFound"
 
 
+def test_subset_searches_above_the_limit_exit_4_at_once(tmp_path):
+    # 20 generic vectors in C^6: the weak hyperbolicity check would test
+    # C(20, 12) hulls and the 7-dimensional Gale polytope would solve
+    # C(20, 7) facet subsets; neither finished in 20 s without the cap
+    rng = random.Random(6)
+    lambdas = [[(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(6)]
+               for _ in range(20)]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(lvm.configuration_to_json(
+        lvm.Configuration(lambdas))))
+    for action, count in (("check", "C(20, 12) = 125970"),
+                          ("polytope", "C(20, 7) = 77520")):
+        start = time.perf_counter()
+        code, out, _ = _captured_run(["lvm", action, "--config", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        err = json.loads(out)
+        assert err["error"] == "TooManySubsets"
+        assert count in err["message"]
+        assert f"SUBSET_LIMIT = {polytope.SUBSET_LIMIT}" in err["message"]
+
+
 def test_lvm_dimension_that_is_no_integer_is_an_input_error(capsys,
                                                              tmp_path):
     path = tmp_path / "cfg.json"
@@ -673,13 +696,13 @@ def gvec_calls(draw):
 @st.composite
 def lvm_calls(draw):
     """argv of every lvm action and the configuration document it reads:
-    n vectors in C^m (m = 1, 2, mostly n > 2m; "m" sometimes not an int)
+    n vectors in C^m (m <= 6, 2m <= n <= 20; "m" sometimes not an int)
     with entries from one field, and for lvm polytope an optional --eps
     list of scalar literals."""
     action = draw(st.sampled_from(["check", "gale", "dichotomy", "fiber",
                                    "polytope"]))
-    m = draw(st.integers(1, 2))
-    n = draw(st.integers(2 * m, 2 * m + 3))
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(2 * m, 20))
     entry = st.sampled_from([parse_scalar(x).to_json() for x in
                              RATIONAL_ENTRIES + draw(
                                  st.sampled_from(IRRATIONAL_ENTRIES))])

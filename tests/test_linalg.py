@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -11,7 +12,7 @@ from nctoric.linalg import (canonical_ray, has_nonneg_solution, identity,
                             mat_vec, rational_subspace_dim,
                             scalar_kernel_basis, scalar_rank,
                             smith_normal_form, solve_exact, zero_in_hull)
-from nctoric.scalars import Scalar
+from nctoric.scalars import Scalar, common_field
 
 
 def minors_gcd(A, k):
@@ -347,14 +348,132 @@ def test_has_nonneg_solution():
         has_nonneg_solution([[1, 2]], [1, 2])
 
 
-def test_has_nonneg_solution_degenerate_pivots_terminate():
-    # the constraints of Beale's cycling example, with zero right-hand
-    # sides in two rows, so the first pivots are degenerate
-    A = [[Fraction(1, 4), -8, -1, 9, 1, 0, 0],
+#: the constraint matrix of Beale's cycling example (Beale, Naval Res.
+#: Logist. Q. 2, 1955), with a third row that bounds x_3
+BEALE = [[Fraction(1, 4), -8, -1, 9, 1, 0, 0],
          [Fraction(1, 2), -12, Fraction(-1, 2), 3, 0, 1, 0],
          [0, 0, 1, 0, 0, 0, 1]]
-    assert has_nonneg_solution(A, [0, 0, 1])
-    assert not has_nonneg_solution(A, [0, 0, -1])
+
+
+def test_has_nonneg_solution_degenerate_pivots_terminate():
+    # Beale's system with zero right-hand sides in two rows, so the first
+    # pivots are degenerate
+    assert has_nonneg_solution(BEALE, [0, 0, 1])
+    assert not has_nonneg_solution(BEALE, [0, 0, -1])
+
+
+def tableau_oracle(A, b) -> bool:
+    """Reference for has_nonneg_solution: the same phase-I simplex under
+    Bland's rule on a tableau that divides, over Fractions when every entry
+    is rational and over Scalars otherwise."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    T = [[Scalar._coerce(e) for e in row] + [Scalar._coerce(b[i])]
+         for i, row in enumerate(A)]
+    if common_field(e for row in T for e in row) == 0:
+        T = [[e.a for e in row] for row in T]
+    T = [[-e for e in row] if row[n] < 0 else row for row in T]
+    basis = [n + i for i in range(m)]
+    obj = [sum(col) for col in zip(*T)] if T else [0]
+    while obj[n] != 0:
+        j = next((j for j in range(n) if obj[j] > 0), None)
+        if j is None:
+            return False
+        r = min((i for i in range(m) if T[i][j] > 0),
+                key=lambda i: (T[i][n] / T[i][j], basis[i]))
+        inv = 1 / T[r][j]
+        T[r] = [e * inv for e in T[r]]
+        for row in T + [obj]:
+            f = row[j]
+            if row is not T[r] and f != 0:
+                row[:] = [x - f * y for x, y in zip(row, T[r])]
+        basis[r] = j
+    return True
+
+
+def lp_entry(rng, field):
+    """An entry of Q, Q(sqrt 2) or Q(sqrt 5): (x + y sqrt(d)) / 2 with
+    small x, y, such as the golden ratio (1 + sqrt 5) / 2, zero about a
+    quarter of the time and scaled up to 10^30 about a tenth of it."""
+    if rng.random() < 0.25:
+        return Scalar(0)
+    y = rng.randint(-2, 2) if field else 0
+    e = Scalar(Fraction(rng.randint(-3, 3), 2), Fraction(y, 2), field)
+    return e * rng.randint(1, 10**30) if rng.random() < 0.1 else e
+
+
+def test_has_nonneg_solution_matches_the_dividing_tableau():
+    rng = random.Random(20261020)
+    seen = set()
+    for trial in range(600):
+        field = (0, 2, 5)[trial % 3]
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        A = [[lp_entry(rng, field) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3:
+            A[rng.randrange(m)] = [Scalar(0)] * n
+        if m > 1 and rng.random() < 0.3:
+            A[rng.randrange(m)] = list(rng.choice(A))
+        if rng.random() < 0.5:  # b = A t for some t >= 0
+            t = [abs(lp_entry(rng, field)) for _ in range(n)]
+            b = mat_vec(A, t)
+        else:
+            b = [lp_entry(rng, field) for _ in range(m)]
+        if field == 0 and rng.random() < 0.5:  # plain Fractions and ints
+            A = [[e.a for e in row] for row in A]
+            b = [int(e.a) if e.a.denominator == 1 else e.a for e in b]
+        got = has_nonneg_solution(A, b)
+        assert got == tableau_oracle(A, b), (A, b)
+        seen.add((field, got))
+    for field in (0, 2, 5):  # Beale's system scaled by a positive number
+        c = Scalar(1, 1, field) / 2 if field else Scalar(Fraction(3, 7))
+        A = [[c * e for e in row] for row in BEALE]
+        for b in ([0, 0, 1], [0, 0, -1], [0, 1, 1], [1, 0, 0],
+                  [c, -c, c * c]):
+            got = has_nonneg_solution(A, b)
+            assert got == tableau_oracle(A, b), b
+            seen.add((field, got))
+    assert seen == {(f, a) for f in (0, 2, 5) for a in (False, True)}
+
+
+def test_has_nonneg_solution_entries_stay_small():
+    # the integer gcd of a row misses common factors of Z[sqrt 5] such as
+    # 1 + sqrt 5, so dividing rows by it let entries grow with every pivot
+    # (minutes for one of these hulls); dividing by the basis determinant
+    # keeps every entry a minor of the input
+    rng = random.Random(20261021)
+    r5 = Scalar.sqrt_int(5)
+    for trial in range(6):
+        pts = [[Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+                + r5 * rng.randint(-2, 2) for _ in range(12)]
+               for _ in range(13)]
+        if trial % 2:  # put 0 inside the hull
+            pts.append([-sum(col, Scalar(0)) for col in zip(*pts)])
+        start = time.perf_counter()
+        got = zero_in_hull(pts)
+        assert time.perf_counter() - start < 1.0
+        rows = [list(col) for col in zip(*pts)] + [[1] * len(pts)]
+        assert got == tableau_oracle(rows, [0] * 12 + [1])
+        assert got == bool(trial % 2)
+
+
+def test_has_nonneg_solution_builds_no_scalar(monkeypatch):
+    phi = Scalar(1, 1, 5) / 2
+    A = [[phi, Scalar(-1), Scalar(0)], [Scalar(1), phi, Scalar(-2)],
+         [Scalar(0), Scalar(1), phi * phi]]
+    pts = [[phi, Scalar(-1)], [Scalar(-2), phi], [-phi, -phi]]
+    feasible, infeasible = [Scalar(1), phi, Scalar(2)], [-phi, -phi, phi]
+    built = []
+    init = Scalar.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    assert has_nonneg_solution(A, feasible)
+    assert not has_nonneg_solution(A, infeasible)
+    assert zero_in_hull(pts)
+    assert built == []
 
 
 def test_has_nonneg_solution_mixed_fields():

@@ -63,6 +63,19 @@ def test_sign_is_exact():
     assert Scalar(-2, 2, 2).sign() == 1
 
 
+def test_hash_agrees_with_equality():
+    # a rational Scalar equals its int or Fraction, so it must hash alike
+    for x in (0, 1, -7, 10**30, Fraction(1, 2), Fraction(-22, 7)):
+        assert Scalar(x) == x and hash(Scalar(x)) == hash(x)
+    assert {1: "x"}.get(Scalar(1)) == "x"
+    assert {Fraction(1, 2): "h"}.get(Scalar(Fraction(1, 2))) == "h"
+    assert {Scalar(3): "s"}.get(3) == "s"
+    r2 = Scalar.sqrt_int(2)
+    assert len({Scalar(2), 2, Fraction(2), Scalar(4) / 2, r2 * r2}) == 1
+    assert len({r2, Scalar(0, 1, 2), Scalar.sqrt_int(8) / 2, 1 + r2 - 1}) == 1
+    assert len({Scalar(1), r2, Scalar(1, 1, 2), Scalar(1, -1, 2)}) == 4
+
+
 def test_comparisons_and_floor():
     r2 = Scalar.sqrt_int(2)
     assert Scalar(1) < r2 < Scalar(2)
