@@ -347,7 +347,7 @@ def _sparse_rank(columns) -> int:
     coprime, and kept primitive by dividing out the gcd of its entries."""
     pivots = {}
     for col in columns:
-        den = lcm(*(v.denominator for v in col.values()))
+        den = lcm(*[v.denominator for v in col.values()])
         col = _primitive({r: v.numerator * (den // v.denominator)
                           for r, v in col.items() if v})
         while col:

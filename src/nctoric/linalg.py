@@ -189,7 +189,8 @@ def _row_reduce(M):
         for i in range(m):
             if i != r and not M[i][c].is_zero():
                 f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+                M[i] = [x if y.is_zero() else x - f * y
+                        for x, y in zip(M[i], M[r])]
         pivots.append(c)
     return M[:len(pivots)], pivots
 
@@ -299,35 +300,6 @@ def scalar_kernel_basis(A: ScalarMatrix, n: int) -> list:
     """Kernel basis of an m x n ScalarMatrix (n passed for the m = 0 case)."""
     rows, pivots = _row_reduce(A)
     return _free_kernel(rows, pivots, n)
-
-
-def rational_subspace_dim(basis: list, n: int) -> tuple[int, list]:
-    """Dimension and basis of the rational vectors inside span(basis).
-
-    The span lives in Q(sqrt(d))^n; a vector sum c_i w_i (c_i in the field)
-    is rational iff its sqrt(d)-part vanishes.  Writing c_i = x_i + y_i
-    sqrt(d) and w_i = p_i + q_i sqrt(d) turns that into a rational linear
-    system in (x, y); the rational vectors are the resulting p-part images.
-    """
-    k = len(basis)
-    if k == 0:
-        return 0, []
-    d = common_field([e for w in basis for e in w])
-    if d == 0:
-        return k, [list(w) for w in basis]
-    # unknowns: x_1..x_k, y_1..y_k; conditions: for each coordinate j,
-    # irrational part sum_i (x_i q_ij + y_i p_ij) == 0
-    rows = [[Scalar(w[j].b) for w in basis] + [Scalar(w[j].a) for w in basis]
-            for j in range(n)]
-    sols = scalar_kernel_basis(rows, 2 * k)  # rational system, rational solutions
-    # (x + y sqrt d)(p + q sqrt d) has rational part x p + y q d
-    vecs = [[Scalar(sum(s[i].a * w[j].a + s[k + i].a * w[j].b * d
-                        for i, w in enumerate(basis))) for j in range(n)]
-            for s in sols]
-    # the produced rational vectors may be dependent or zero; row-reduce
-    # to a basis
-    rows, _ = _row_reduce(vecs)
-    return len(rows), rows
 
 
 def scalar_rank(A: ScalarMatrix) -> int:

@@ -15,9 +15,8 @@ from itertools import combinations
 
 from .errors import (DegenerateFoliation, DegenerateSystem, InputError,
                      IrrationalWeights, WrongDimension)
-from .linalg import (canonical_ray, rational_subspace_dim,
-                     scalar_kernel_basis, scalar_rank, solve_exact,
-                     zero_in_hull)
+from .linalg import (canonical_ray, scalar_kernel_basis, scalar_rank,
+                     solve_exact, zero_in_hull)
 from .polytope import SimplePolytope, _subsets
 from .scalars import Scalar, common_field
 
@@ -102,14 +101,13 @@ def solution_basis(cfg: Configuration):
 
 def condition_K(cfg: Configuration) -> bool:
     """True iff the solution space is defined over Q (equivalently admits
-    an integer basis).  Over Q(sqrt d) this is decided by computing the
-    rational subspace and comparing dimensions; a Galois-stable subspace
-    is exactly one with full rational part."""
-    basis = solution_basis(cfg)
-    if not basis:
-        return True
-    dim_q, _ = rational_subspace_dim(basis, cfg.n)
-    return dim_q == len(basis)
+    an integer basis).  A subspace W of Q(sqrt d)^n has one reduced row
+    echelon form, and Galois conjugation maps it to that of the conjugate
+    space, so W is defined over Q iff that form has rational entries.  The
+    solution basis is read off the reduced form of the system (one vector
+    per free column, holding minus that column), so (K) holds iff every
+    entry of the basis is rational."""
+    return all(x.is_rational for v in solution_basis(cfg) for x in v)
 
 
 def leaf_dichotomy(cfg: Configuration) -> str:
@@ -183,7 +181,6 @@ class FiberReport:
     foliation_subspace: list     # basis vectors in R^n (mod the diagonal)
     rational: bool
     slope: Scalar | None = None
-    slopes: list = None          # all coordinate-pair reduced slopes found
 
 
 def generic_fiber(cfg: Configuration) -> FiberReport:
@@ -196,18 +193,15 @@ def generic_fiber(cfg: Configuration) -> FiberReport:
     the axes carry a Kronecker slope.  The irrational slope is reported
     when one exists, else the rational one."""
     n, m = cfg.n, cfg.m
-    rows = []
-    for j in range(m):
-        rows.append([cfg.lambdas[i][j][0] for i in range(n)])
-        rows.append([cfg.lambdas[i][j][1] for i in range(n)])
-    span = rows + [[Scalar(1)] * n]  # the diagonal circle
-    dim_mod_diag = scalar_rank(span) - 1
+    span = _system_rows(cfg)  # phase rows, then the diagonal circle
+    rows = span[:-1]
+    basis = scalar_kernel_basis(span, n)
+    dim_mod_diag = n - len(basis) - 1
     if dim_mod_diag < 2 * m:
         raise DegenerateFoliation(
             f"phase directions span only {dim_mod_diag} dims mod the diagonal")
-    # the 2m + 1 vectors of span are independent from here on
-    dim_q, _ = rational_subspace_dim(span, n)
-    rational = dim_q == len(span)
+    # the span is defined over Q iff its kernel is (see condition_K)
+    rational = all(x.is_rational for v in basis for x in v)
     slopes = []
     for i, j in combinations(range(n), 2):
         proj = [[r[i], r[j]] for r in rows]
@@ -224,7 +218,7 @@ def generic_fiber(cfg: Configuration) -> FiberReport:
     elif slopes:
         slope = slopes[0]
     return FiberReport(torus_rank=n - 1, foliation_subspace=rows,
-                       rational=rational, slope=slope, slopes=slopes)
+                       rational=rational, slope=slope)
 
 
 def canonical_moment_interval(cfg: Configuration):
@@ -268,13 +262,12 @@ def orbifold_weights_1d(cfg: Configuration):
     """Orbifold orders at the two endpoints of the 1D moment polytope: the
     absolute integer solution-vector weights active at each endpoint of the
     canonical moment segment."""
-    if not condition_K(cfg):
-        raise IrrationalWeights("rationality condition fails; no integer weights")
     basis = solution_basis(cfg)
+    if not all(x.is_rational for v in basis for x in v):  # condition (K)
+        raise IrrationalWeights("rationality condition fails; no integer weights")
     if len(basis) != 1:
         raise WrongDimension("endpoint weights need n - 2m - 1 = 1")
-    _, rat = rational_subspace_dim(basis, cfg.n)
-    v = [int(x.a) for x in canonical_ray(rat[0])]
+    v = [int(x.a) for x in canonical_ray(basis[0])]
     _, active_sets = canonical_moment_interval(cfg)
     orders = []
     for act in active_sets:

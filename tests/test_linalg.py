@@ -7,10 +7,9 @@ from math import gcd
 import pytest
 
 from nctoric.errors import DimensionMismatch, FieldMismatch
-from nctoric.linalg import (canonical_ray, has_nonneg_solution, identity,
-                            int_det, int_rank, integer_kernel_basis, mat_mul,
-                            mat_vec, rational_subspace_dim,
-                            scalar_kernel_basis, scalar_rank,
+from nctoric.linalg import (_row_reduce, canonical_ray, has_nonneg_solution,
+                            identity, int_det, int_rank, integer_kernel_basis,
+                            mat_mul, mat_vec, scalar_kernel_basis, scalar_rank,
                             smith_normal_form, solve_exact, zero_in_hull)
 from nctoric.scalars import Scalar, common_field
 
@@ -118,6 +117,37 @@ def test_scalar_kernel_basis():
         [Scalar(0), Scalar(0), Scalar(1)]]
 
 
+# Oracle for condition (K) and fiber rationality (tests/test_lvm.py): the
+# rational part of a span by a second, rational elimination.
+def rational_subspace_dim(basis: list, n: int) -> tuple[int, list]:
+    """Dimension and basis of the rational vectors inside span(basis).
+
+    The span lives in Q(sqrt(d))^n; a vector sum c_i w_i (c_i in the field)
+    is rational iff its sqrt(d)-part vanishes.  Writing c_i = x_i + y_i
+    sqrt(d) and w_i = p_i + q_i sqrt(d) turns that into a rational linear
+    system in (x, y); the rational vectors are the resulting p-part images.
+    """
+    k = len(basis)
+    if k == 0:
+        return 0, []
+    d = common_field([e for w in basis for e in w])
+    if d == 0:
+        return k, [list(w) for w in basis]
+    # unknowns: x_1..x_k, y_1..y_k; conditions: for each coordinate j,
+    # irrational part sum_i (x_i q_ij + y_i p_ij) == 0
+    rows = [[Scalar(w[j].b) for w in basis] + [Scalar(w[j].a) for w in basis]
+            for j in range(n)]
+    sols = scalar_kernel_basis(rows, 2 * k)  # rational system, rational solutions
+    # (x + y sqrt d)(p + q sqrt d) has rational part x p + y q d
+    vecs = [[Scalar(sum(s[i].a * w[j].a + s[k + i].a * w[j].b * d
+                        for i, w in enumerate(basis))) for j in range(n)]
+            for s in sols]
+    # the produced rational vectors may be dependent or zero; row-reduce
+    # to a basis
+    rows, _ = _row_reduce(vecs)
+    return len(rows), rows
+
+
 def test_rational_subspace_dim():
     r2 = Scalar.sqrt_int(2)
     one, zero = Scalar(1), Scalar(0)
@@ -178,7 +208,7 @@ def random_matrix(rng, m, n, field):
 
 def test_elimination_properties():
     rng = random.Random(20261018)
-    seen = set()
+    seen, kernels = set(), set()
     for trial in range(400):
         field = 2 if trial % 2 else 0
         m, n = rng.randint(1, 5), rng.randint(1, 5)
@@ -191,6 +221,12 @@ def test_elimination_properties():
         kernel = scalar_kernel_basis(A, n)
         assert rank + len(kernel) == n
         assert all(x.is_zero() for v in kernel for x in mat_vec(A, v))
+        # the kernel is defined over Q iff A and its conjugate share a row
+        # space, and then the basis read off the reduced form is rational
+        conj = [[x.conjugate() for x in row] for row in A]
+        rational = all(x.is_rational for v in kernel for x in v)
+        assert rational == (scalar_rank(A + conj) == rank)
+        kernels.add((field, rational))
         res = solve_exact(A, b)
         grows = scalar_rank([row + [x] for row, x in zip(A, b)]) > rank
         assert (res[0] == "infeasible") == grows
@@ -204,6 +240,7 @@ def test_elimination_properties():
     # tall, square and wide matrices with every outcome in both fields
     # (a wide matrix has a kernel, so its solutions are never unique)
     assert len(seen) == 16, sorted(seen)
+    assert kernels == {(0, True), (2, False), (2, True)}
 
 
 def test_canonical_ray_properties():

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from nctoric import lvm
-from nctoric.errors import (DegenerateSystem, InputError, IrrationalWeights,
-                            WrongDimension)
-from nctoric.linalg import solve_exact, scalar_rank
-from nctoric.scalars import Scalar
+from nctoric.errors import (DegenerateFoliation, DegenerateSystem, InputError,
+                            IrrationalWeights, WrongDimension)
+from nctoric.linalg import canonical_ray, scalar_rank
+from nctoric.scalars import Scalar, common_field
+from test_linalg import rational_subspace_dim
 
 R2 = Scalar.sqrt_int(2)
 
@@ -162,19 +163,25 @@ def test_orbifold_weights():
         lvm.orbifold_weights_1d(five_vector())
 
 
-def random_admissible(rng, irrational=False):
-    """Random admissible m=1 configurations, teardrop-shaped with noise."""
+def random_admissible(rng, irrational=False, m=1, n=4, d=2):
+    """Random admissible configurations of n vectors in C^m with small
+    rational entries, teardrop-shaped with noise by default; when
+    irrational, about 40% of the entries gain sqrt(d) in their real part."""
+    root = Scalar.sqrt_int(d)
     while True:
-        vals = []
-        for _ in range(4):
-            re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            im = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            if irrational and rng.random() < 0.4:
-                vals.append((Scalar(re) + R2, Scalar(im)))
-            else:
-                vals.append((Scalar(re), Scalar(im)))
+        lambdas = []
+        for _ in range(n):
+            vec = []
+            for _ in range(m):
+                re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                im = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                if irrational and rng.random() < 0.4:
+                    vec.append((Scalar(re) + root, Scalar(im)))
+                else:
+                    vec.append((Scalar(re), Scalar(im)))
+            lambdas.append(vec)
         try:
-            cfg = lvm.Configuration([[z] for z in vals])
+            cfg = lvm.Configuration(lambdas, m)
             flags = lvm.check_admissible(cfg)
             if flags["siegel"] and flags["weak_hyperbolic"]:
                 lvm.solution_basis(cfg)
@@ -183,13 +190,92 @@ def random_admissible(rng, irrational=False):
             continue
 
 
+def linear_image(rng, cfg, d):
+    """cfg under an invertible real-linear map of R^2m with entries in
+    Q(sqrt d): admissibility and the solution space are unchanged."""
+    k = 2 * cfg.m
+    while True:
+        A = [[Scalar(rng.randint(-2, 2)) + Scalar.sqrt_int(d) * rng.randint(-1, 1)
+              for _ in range(k)] for _ in range(k)]
+        if scalar_rank(A) == k:
+            break
+    lambdas = []
+    for p in cfg.real_points():
+        q = [sum((a * x for a, x in zip(row, p)), Scalar(0)) for row in A]
+        lambdas.append(list(zip(q[::2], q[1::2])))
+    return lvm.Configuration(lambdas, cfg.m)
+
+
+def K_oracle(cfg):
+    """Condition (K) as the rational part of the solution space."""
+    basis = lvm.solution_basis(cfg)
+    return rational_subspace_dim(basis, cfg.n)[0] == len(basis)
+
+
+def fiber_rational_oracle(cfg):
+    """generic_fiber's rational flag: the phase span, diagonal included,
+    has full rational part."""
+    span = lvm._system_rows(cfg)
+    dim_mod_diag = scalar_rank(span) - 1
+    if dim_mod_diag < 2 * cfg.m:
+        raise DegenerateFoliation(f"{dim_mod_diag} dims mod the diagonal")
+    return rational_subspace_dim(span, cfg.n)[0] == len(span)
+
+
+def weights_oracle(cfg):
+    """orbifold_weights_1d with its integer vector from the rational part
+    of the solution line."""
+    if not K_oracle(cfg):
+        raise IrrationalWeights("no integer weights")
+    basis = lvm.solution_basis(cfg)
+    if len(basis) != 1:
+        raise WrongDimension("need n - 2m - 1 = 1")
+    _, rat = rational_subspace_dim(basis, cfg.n)
+    v = [int(x.a) for x in canonical_ray(rat[0])]
+    _, active_sets = lvm.canonical_moment_interval(cfg)
+    return [sorted(abs(v[i]) for i in act) for act in active_sets]
+
+
+def outcome(f, cfg):
+    try:
+        return f(cfg)
+    except (DegenerateSystem, DegenerateFoliation, IrrationalWeights,
+            WrongDimension) as e:
+        return type(e)
+
+
 def test_dichotomy_consistency_random():
     rng = random.Random(11)
-    for i in range(60):
-        cfg = random_admissible(rng, irrational=i % 2 == 1)
+    ks, errors, weights = set(), set(), 0
+    for i in range(96):
+        d, m = (2, 3, 5)[i % 3], 1 + i // 3 % 2
+        kind = i // 6 % 4  # rational, perturbed, linear image, perturbed
+        n = rng.randint(2 * m + 1, 2 * m + 5) if i % 12 < 6 else 2 * m + 2
+        cfg = random_admissible(rng, kind in (1, 3), m, n, d)
+        if kind == 2:
+            cfg = linear_image(rng, cfg, d)
+        field = common_field(x for v in cfg.real_points() for x in v)
+        # the first imaginary row vanishes: a degenerate system
+        flat = lvm.Configuration(
+            [[(v[0][0], Scalar(0))] + v[1:] for v in cfg.lambdas], m)
         k = lvm.condition_K(cfg)
         assert (lvm.leaf_dichotomy(cfg) == lvm.COMPACT_TORI) == k
         assert conjugate_stability_oracle(cfg) == k
+        ks.add((field, k))
+        for c in (cfg, flat):
+            k = outcome(lvm.condition_K, c)
+            assert k == outcome(K_oracle, c)
+            r = outcome(lambda c: lvm.generic_fiber(c).rational, c)
+            assert r == outcome(fiber_rational_oracle, c)
+            w = outcome(lvm.orbifold_weights_1d, c)
+            assert w == outcome(weights_oracle, c)
+            errors.update(x for x in (k, r, w) if isinstance(x, type))
+            weights += isinstance(w, list)
+    assert ks == {(f, k) for f in (0, 2, 3, 5) for k in (True, False)} - \
+        {(0, False)}, sorted(ks)
+    assert errors == {DegenerateSystem, DegenerateFoliation,
+                      IrrationalWeights, WrongDimension}
+    assert weights > 0
 
 
 def test_configuration_json_roundtrip():
