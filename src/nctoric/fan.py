@@ -8,11 +8,13 @@ of SimplePolytope.incidence."""
 
 from __future__ import annotations
 
+from functools import cmp_to_key
 from itertools import combinations
 
 from .errors import (DimensionMismatch, InputError, NonRational,
                      NotSimplicial, WrongDimension)
-from .linalg import canonical_ray, int_det, scalar_rank, zero_in_hull
+from .linalg import (canonical_ray, has_nonneg_solution, int_det, scalar_rank,
+                     transpose, zero_in_hull)
 from .polytope import SimplePolytope
 from .scalars import Scalar, sorted_vectors
 
@@ -67,33 +69,11 @@ class Cone:
         return all(all(x.is_rational for x in r) for r in self.rays)
 
     def contains(self, v) -> bool:
-        """Exact membership for 1D/2D cones (all this library needs)."""
-        v = [Scalar._coerce(x) for x in v]
-        if all(x.is_zero() for x in v):
-            return True
-        if self.ambient_dim == 1:
-            return any(r[0].sign() == v[0].sign() for r in self.rays)
-        if self.ambient_dim == 2:
-            if not self.rays:
-                return False
-            if len(self.rays) == 1:
-                r = self.rays[0]
-                return _cross(r, v).is_zero() and _dot(r, v).sign() > 0
-            for u, w in combinations(self.rays, 2):
-                # v in cone(u, w) iff cross products have matching signs
-                cuw = _cross(u, w)
-                if cuw.is_zero():
-                    continue
-                s = cuw.sign()
-                if (_cross(u, v) * Scalar(s)).sign() >= 0 and \
-                   (_cross(v, w) * Scalar(s)).sign() >= 0:
-                    return True
-            return False
-        raise WrongDimension("membership implemented for ambient dim <= 2")
-
-
-def _dot(u, w):
-    return sum((a * b for a, b in zip(u, w)), Scalar(0))
+        """Exact membership in every dimension: is v a nonnegative
+        combination of the rays?  A cone with no rays holds only 0."""
+        if not self.rays:
+            return all(x == 0 for x in v)
+        return has_nonneg_solution(transpose(self.rays), v)
 
 
 def _cross(u, w):
@@ -265,63 +245,36 @@ def dual_cone_2d(sigma: Cone):
 
 def is_refinement(fine: Fan, coarse: Fan) -> bool:
     """True iff every cone of `coarse` is the union of the cones of `fine`
-    contained in it.  Exact in ambient dimension 1 and 2."""
+    contained in it, read off the fine fan's ray table.  Exact in ambient
+    dimension 1 and 2."""
     if fine.ambient_dim != coarse.ambient_dim:
         raise DimensionMismatch("fans live in different dimensions")
-    n = fine.ambient_dim
-    if n > 2:
+    if fine.ambient_dim > 2:
         raise WrongDimension("refinement test implemented for dim <= 2")
-    fine_cones = fine.cones
-    for sigma in coarse.cones:
-        if len(sigma.rays) <= 1:
-            # points and rays must appear among cones of the fine fan
-            if not any(_cone_inside(sigma, tau) and _cone_inside(tau, sigma)
-                       for tau in fine_cones):
+    index = {r: i for i, r in enumerate(fine.rays)}
+    ccw = cmp_to_key(lambda i, j: _cross(fine.rays[j], fine.rays[i]).sign())
+    for face in coarse.faces:
+        rays = {coarse.rays[i] for i in face}
+        if len(rays) <= 1:
+            # the origin and the rays must be faces of the fine fan
+            if frozenset(index.get(r) for r in rays) not in fine.faces:
                 return False
-            continue
-        if n == 1:
-            if not any(set(tau.rays) == set(sigma.rays) for tau in fine_cones):
+        elif len(rays) == 2:
+            # a 2D sector: the fine rays inside it, counterclockwise, run
+            # from one of its edges to the other, and the fine 2-cones
+            # inside it are exactly the consecutive pairs.  A face on more
+            # rays is the sector of its two outermost ones, also a face.
+            sector = coarse._cone(face)
+            inside = sorted((i for i, r in enumerate(fine.rays)
+                             if sector.contains(r)), key=ccw)
+            if not inside or \
+                    {fine.rays[inside[0]], fine.rays[inside[-1]]} != rays:
                 return False
-            continue
-        # 2D sector: the full-dimensional fine cones inside sigma must tile it
-        inside = [tau for tau in fine_cones
-                  if len(tau.rays) == 2 and _cone_inside(tau, sigma)]
-        if not _tiles_sector(inside, sigma):
-            return False
+            pairs = {frozenset(p) for p in zip(inside, inside[1:])}
+            if pairs != {f for f in fine.faces
+                         if len(f) == 2 and f <= set(inside)}:
+                return False
     return True
-
-
-def _cone_inside(tau: Cone, sigma: Cone) -> bool:
-    return all(sigma.contains(list(r)) for r in tau.rays) if tau.rays else True
-
-
-def _tiles_sector(parts, sigma: Cone) -> bool:
-    if not parts:
-        return False
-    (a, b) = sigma.rays
-    if (_cross(a, b)).sign() < 0:
-        a, b = b, a
-    # orient each part counterclockwise and chain from a to b
-    edges = []
-    for tau in parts:
-        (u, w) = tau.rays
-        if _cross(u, w).sign() < 0:
-            u, w = w, u
-        edges.append((u, w))
-    cur = a
-    used = set()
-    while True:
-        if cur == b and used:
-            return len(used) == len(edges)
-        nxt = None
-        for k, (u, w) in enumerate(edges):
-            if k not in used and u == cur:
-                nxt = (k, w)
-                break
-        if nxt is None:
-            return False
-        used.add(nxt[0])
-        cur = nxt[1]
 
 
 def fan_to_json(F: Fan) -> dict:

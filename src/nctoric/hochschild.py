@@ -280,12 +280,6 @@ class ChainElement:
             out._add_tensor(key, val)
         return out
 
-    def scale(self, f):
-        f = Fraction(f)
-        return ChainElement(self.algebra, self.degree,
-                            {k: v * f for k, v in self.coeffs.items()},
-                            self.reduced)
-
     def __eq__(self, other):
         return isinstance(other, ChainElement) and self.algebra is other.algebra \
             and self.degree == other.degree and self.reduced == other.reduced \

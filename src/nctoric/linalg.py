@@ -31,10 +31,6 @@ def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
             for i in range(len(A))]
 
 
-def mat_vec(A, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in A]
-
-
 def transpose(A):
     return [list(col) for col in zip(*A)] if A else []
 
@@ -142,11 +138,6 @@ def smith_normal_form(A: IntMatrix):
         add_col(bad, bad + 1, 1)
         diagonalize(bad)
     return U, S, V
-
-
-def int_rank(A: IntMatrix) -> int:
-    _, S, _ = smith_normal_form(A)
-    return sum(1 for i in range(min(len(S), len(S[0]) if S else 0)) if S[i][i] != 0)
 
 
 def integer_kernel_basis(A: IntMatrix) -> list:

@@ -144,19 +144,6 @@ def polytope_from_gale(g: GaleData) -> SimplePolytope:
     return SimplePolytope(facets)
 
 
-def siegel_index_family(cfg: Configuration):
-    """All index sets whose sub-configuration avoids 0 in its hull, plus
-    the minimal forbidden zero-sets (complements), mirroring the removed
-    coordinate subspaces."""
-    pts = cfg.real_points()
-    avoid = []
-    for k in range(1, cfg.n + 1):
-        for I in combinations(range(cfg.n), k):
-            if not zero_in_hull([pts[i] for i in I]):
-                avoid.append(frozenset(I))
-    return avoid
-
-
 def minimal_forbidden_zero_sets(cfg: Configuration):
     """Inclusion-minimal zero-sets J such that every point vanishing on J
     lies outside the union of admissible leaves (0 not in the hull of the

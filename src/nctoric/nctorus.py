@@ -78,12 +78,6 @@ def _states_and_digits(theta, count):
     return states, digits
 
 
-def _cycle(theta):
-    """(preperiod_len, period_len) of the complete-quotient orbit."""
-    e = cf_expand(theta)
-    return len(e.preperiod), len(e.period)
-
-
 def _convergent_matrix(digits, i):
     """M_i with theta = M_i . x_i: columns (p_{i-1}, q_{i-1}), (p_{i-2},
     q_{i-2}); det M_i = (-1)^i."""
@@ -115,8 +109,9 @@ def morita_equivalent(theta, theta_p) -> dict:
         raise RationalInput("Morita test is for irrational parameters")
     if t.d != tp.d:
         return {"equivalent": False, "witness": None}
-    pre1, per1 = _cycle(t)
-    pre2, per2 = _cycle(tp)
+    e1, e2 = cf_expand(t), cf_expand(tp)
+    pre1, per1 = len(e1.preperiod), len(e1.period)
+    pre2, per2 = len(e2.preperiod), len(e2.period)
     n1 = pre1 + 2 * per1
     n2 = pre2 + 2 * per2
     st1, dig1 = _states_and_digits(t, n1)

@@ -195,11 +195,6 @@ class SimplePolytope:
         return INTEGRAL_DELZANT if integral else RATIONAL_DELZANT
 
 
-def vertices_and_incidence(P: SimplePolytope):
-    """Vertices and the subset-closed facet-incidence family F."""
-    return P.vertices, P.incidence
-
-
 def classify_delzant(P: SimplePolytope) -> str:
     return P.delzant_class
 

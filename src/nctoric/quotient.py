@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import CodimensionOne, RankDeficient
-from .linalg import int_rank, integer_kernel_basis, transpose
+from .linalg import integer_kernel_basis, transpose
 from .polytope import SimplePolytope, normal_data
 from .scalars import Scalar
 
@@ -37,12 +37,14 @@ def forbidden_strata(family, N: int):
 
 
 def kernel_lattice(rho):
-    """Saturated Z-basis of ker(rho^T : Z^N -> Z^n) for full-rank rho."""
+    """Saturated Z-basis of ker(rho^T : Z^N -> Z^n) for full-rank rho: the
+    kernel has rank N - n exactly when rho has rank n."""
     n = len(rho[0]) if rho else 0
-    A = transpose(rho)  # n x N, columns are the facet normals
-    if int_rank(A) != n:
+    # columns: the facet normals; for n = 0 one zero row keeps the N columns
+    basis = integer_kernel_basis(transpose(rho) or [[0] * len(rho)])
+    if len(basis) != len(rho) - n:
         raise RankDeficient("normal matrix does not have full rank")
-    return integer_kernel_basis(A)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -54,18 +56,21 @@ class QuotientData:
     lambda_P: list = field(default=None)
 
 
-def moment_vector(P: SimplePolytope):
-    """nu_P = B^T (-lambda_P) where B's columns span ker(rho^T)."""
+def _moment(P: SimplePolytope):
     rho, lam = normal_data(P)
     basis = kernel_lattice(rho)
     nu = [sum(((-lam[j]) * b[j] for j in range(len(lam))), Scalar(0))
           for b in basis]
-    return nu, basis
+    return nu, basis, lam
+
+
+def moment_vector(P: SimplePolytope):
+    """nu_P = B^T (-lambda_P) where B's columns span ker(rho^T)."""
+    return _moment(P)[:2]
 
 
 def quotient_data(P: SimplePolytope) -> QuotientData:
     strata = forbidden_strata(P.incidence, P.N)
-    nu, basis = moment_vector(P)
-    rho, lam = normal_data(P)
+    nu, basis, lam = _moment(P)
     return QuotientData(N=P.N, forbidden_strata=strata, kernel_basis=basis,
                         nu_P=nu, lambda_P=lam)

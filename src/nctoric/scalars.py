@@ -247,9 +247,6 @@ def rational_literal(x) -> Fraction:
                      f"{x!r}")
 
 
-ZERO = Scalar(0)
-ONE = Scalar(1)
-
 _TOKEN = re.compile(r"\s*(sqrt\(\d+\)|\d+/\d+|\d+|[+\-*()])")
 #: deepest parenthesis nesting in a scalar literal; each level costs the
 #: parser three stack frames

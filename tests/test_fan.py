@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
-from nctoric.errors import FieldMismatch, InputError, NonRational, NotSimplicial
+from nctoric.errors import (DimensionMismatch, FieldMismatch, InputError,
+                            NonRational, NotSimplicial, WrongDimension)
 from nctoric.fan import (Cone, Fan, canonical_ray, cone_classify, dual_cone_2d,
                          fan_from_json, fan_to_json, is_refinement,
                          normal_fan)
+from nctoric.hj import resolve_cone
+from nctoric.linalg import solve_exact
 from nctoric.polytope import SimplePolytope, cube
 from nctoric.scalars import Scalar
 
@@ -224,3 +228,215 @@ def test_fan_json_roundtrip():
         fan_from_json({"dim": 2, "cones": [{"rays": [["1", "0", "0"]]}]})
     with pytest.raises(InputError):
         Cone([[0, 0], [1, 0]])
+
+
+# -- oracles: membership by cross products and refinement by an edge walk ------
+
+
+def _cross(u, w):
+    return u[0] * w[1] - u[1] * w[0]
+
+
+def _dot(u, w):
+    return sum((a * b for a, b in zip(u, w)), Scalar(0))
+
+
+def contains_oracle(cone, v):
+    """Exact membership for 1D/2D cones by signs of cross products."""
+    v = [Scalar._coerce(x) for x in v]
+    if all(x.is_zero() for x in v):
+        return True
+    if cone.ambient_dim == 1:
+        return any(r[0].sign() == v[0].sign() for r in cone.rays)
+    if cone.ambient_dim == 2:
+        if not cone.rays:
+            return False
+        if len(cone.rays) == 1:
+            r = cone.rays[0]
+            return _cross(r, v).is_zero() and _dot(r, v).sign() > 0
+        for u, w in combinations(cone.rays, 2):
+            # v in cone(u, w) iff cross products have matching signs
+            cuw = _cross(u, w)
+            if cuw.is_zero():
+                continue
+            s = cuw.sign()
+            if (_cross(u, v) * Scalar(s)).sign() >= 0 and \
+               (_cross(v, w) * Scalar(s)).sign() >= 0:
+                return True
+        return False
+    raise WrongDimension("membership implemented for ambient dim <= 2")
+
+
+def is_refinement_oracle(fine, coarse):
+    """Every cone of `coarse` is the union of the cones of `fine` inside
+    it: points and rays must be fine cones, and the fine 2-cones inside a
+    sector must chain counterclockwise from one edge to the other."""
+    if fine.ambient_dim != coarse.ambient_dim:
+        raise DimensionMismatch("fans live in different dimensions")
+    n = fine.ambient_dim
+    if n > 2:
+        raise WrongDimension("refinement test implemented for dim <= 2")
+    fine_cones = fine.cones
+    for sigma in coarse.cones:
+        if len(sigma.rays) <= 1:
+            if not any(_cone_inside(sigma, tau) and _cone_inside(tau, sigma)
+                       for tau in fine_cones):
+                return False
+            continue
+        if n == 1:
+            if not any(set(tau.rays) == set(sigma.rays) for tau in fine_cones):
+                return False
+            continue
+        inside = [tau for tau in fine_cones
+                  if len(tau.rays) == 2 and _cone_inside(tau, sigma)]
+        if not _tiles_sector(inside, sigma):
+            return False
+    return True
+
+
+def _cone_inside(tau, sigma):
+    return all(contains_oracle(sigma, list(r)) for r in tau.rays)
+
+
+def _tiles_sector(parts, sigma):
+    if not parts:
+        return False
+    (a, b) = sigma.rays
+    if (_cross(a, b)).sign() < 0:
+        a, b = b, a
+    # orient each part counterclockwise and chain from a to b
+    edges = []
+    for tau in parts:
+        (u, w) = tau.rays
+        if _cross(u, w).sign() < 0:
+            u, w = w, u
+        edges.append((u, w))
+    cur = a
+    used = set()
+    while True:
+        if cur == b and used:
+            return len(used) == len(edges)
+        nxt = None
+        for k, (u, w) in enumerate(edges):
+            if k not in used and u == cur:
+                nxt = (k, w)
+                break
+        if nxt is None:
+            return False
+        used.add(nxt[0])
+        cur = nxt[1]
+
+
+def random_gl2(rng):
+    """A random integer matrix of determinant +-1 with small entries."""
+    M = [[1, 0], [0, rng.choice((1, -1))]]
+    for _ in range(3):
+        t = rng.randint(-2, 2)
+        M = [[M[0][0] + t * M[1][0], M[0][1] + t * M[1][1]], M[1]]
+        M = [M[1], M[0]]
+    return M
+
+
+def seeded_sectors(rng):
+    """Rational cones with a resolution of m <= 60, in random unimodular
+    frames, and cones of Q(sqrt 2) slope with a truncated resolution."""
+    r2 = Scalar.sqrt_int(2)
+    for _ in range(30):
+        m = rng.randint(2, 60)
+        k = rng.choice([k for k in range(1, m) if gcd(m, k) == 1])
+        M = random_gl2(rng)
+        rays = [[M[i][0] * x + M[i][1] * y for i in range(2)]
+                for x, y in ((0, 1), (m, -k))]
+        yield Cone(rays), None
+    for _ in range(15):
+        x = Scalar(rng.randint(0, 3)) + Scalar(rng.randint(1, 3)) * r2
+        yield Cone([[0, 1], [x, Scalar(-1)]]), rng.randint(1, 6)
+
+
+def test_contains_and_is_refinement_match_the_oracles():
+    rng = random.Random(20261019)
+    answers = set()
+
+    def check(fine, coarse):
+        got = is_refinement(fine, coarse)
+        assert got == is_refinement_oracle(fine, coarse), (fine.rays,
+                                                           coarse.rays)
+        answers.add(got)
+
+    def check_contains(cone, v):
+        got = cone.contains(v)
+        assert got == contains_oracle(cone, v), (cone, v)
+        answers.add(("contains", got))
+
+    for sigma, depth in seeded_sectors(rng):
+        F, _, _ = resolve_cone(sigma, depth)
+        coarse = Fan([sigma])
+        maxima = F.maximal_cones()
+        dropped = maxima[:]
+        del dropped[rng.randrange(len(dropped))]
+        partial = Fan(dropped, ambient_dim=2)
+        for fine, crs in ((F, coarse), (partial, coarse), (coarse, F),
+                          (F, F), (coarse, coarse)):
+            check(fine, crs)
+        rays = rng.sample(F.rays, min(3, len(F.rays)))
+        for tau in [Cone([], 2), Cone([rays[0]])] + maxima[:3] + [sigma]:
+            for r in rays:
+                check_contains(tau, list(r))
+                check_contains(tau, [-x for x in r])
+            for _ in range(4):
+                check_contains(tau, [rng.randint(-9, 9), rng.randint(-9, 9)])
+            check_contains(tau, [sum(c) for c in zip(*tau.rays)]
+                           if tau.rays else [0, 0])
+    # overlapping 2-cones cover the quadrant but are no fan refining it
+    quadrant = Fan([Cone([[1, 0], [0, 1]])])
+    overlap = Fan([Cone([[1, 0], [0, 1]]), Cone([[1, 0], [1, 1]])])
+    assert not is_refinement_oracle(overlap, quadrant)
+    check(overlap, quadrant)
+    # 1D: the two half-lines, the origin and the line through both
+    pos, neg = Cone([[1]]), Cone([[-1]])
+    line = Fan([pos, neg])
+    for fine, crs in ((line, line), (Fan([pos]), line), (line, Fan([neg])),
+                      (Fan([], 1), Fan([], 1)), (Fan([], 1), Fan([pos]))):
+        check(fine, crs)
+    for tau in (pos, neg, Cone([], 1)):
+        for v in ([3], [-2], [0], [Fraction(1, 2)]):
+            check_contains(tau, v)
+    assert answers == {True, False, ("contains", True), ("contains", False)}
+
+
+def test_contains_in_three_and_four_dimensions():
+    octant = Cone([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert octant.contains([1, 2, 3])
+    assert octant.contains([0, 0, 5])
+    assert not octant.contains([1, -1, 0])
+    r2 = Scalar.sqrt_int(2)
+    assert octant.contains([r2, 0, Fraction(1, 3)])
+    # a non-simplicial cone over a square: (1, 1, 2) is the sum of two
+    # opposite rays, (2, 1, 1) leaves the square
+    square = Cone([[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]])
+    assert square.contains([0, 0, 2])
+    assert square.contains([1, 0, 1])
+    assert not square.contains([2, 1, 1])
+    assert Cone([], 4).contains([0, 0, 0, 0])
+    assert not Cone([], 4).contains([0, 0, 1, 0])
+    for cone, v in ((octant, [1, 2, 3]), (Cone([], 4), [0, 0, 0, 1])):
+        with pytest.raises(WrongDimension):
+            contains_oracle(cone, v)
+    with pytest.raises(DimensionMismatch):
+        octant.contains([1, 2])
+    # simplicial cones: v is inside iff its coordinates in the rays are >= 0
+    rng = random.Random(34)
+    answers = set()
+    for _ in range(60):
+        n = rng.choice((3, 4))
+        rays = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        columns = [list(c) for c in zip(*rays)]
+        if solve_exact(columns, [0] * n)[0] != "unique":
+            continue
+        cone = Cone(rays)
+        v = [rng.randint(-6, 6) for _ in range(n)]
+        t = solve_exact(columns, v)[1]
+        got = cone.contains(v)
+        assert got == all(x.sign() >= 0 for x in t), (rays, v)
+        answers.add(got)
+    assert answers == {True, False}

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from nctoric import lvm
 from nctoric.errors import (DegenerateFoliation, DegenerateSystem, InputError,
                             IrrationalWeights, WrongDimension)
-from nctoric.linalg import canonical_ray, scalar_rank
+from nctoric.linalg import canonical_ray, scalar_rank, zero_in_hull
 from nctoric.scalars import Scalar, common_field
 from test_linalg import rational_subspace_dim
 
@@ -119,16 +120,47 @@ def test_teardrop_gale_vector():
                              Scalar(1), Scalar(ell)]
 
 
+def siegel_index_family(cfg):
+    """Oracle: all nonempty index sets whose sub-configuration avoids 0 in
+    its hull, by one hull LP per subset; their complements are the
+    forbidden zero-sets."""
+    pts = cfg.real_points()
+    avoid = []
+    for k in range(1, cfg.n + 1):
+        for I in combinations(range(cfg.n), k):
+            if not zero_in_hull([pts[i] for i in I]):
+                avoid.append(frozenset(I))
+    return avoid
+
+
 def test_siegel_index_family():
-    fam = lvm.siegel_index_family(five_vector())
+    fam = siegel_index_family(five_vector())
     assert frozenset({0}) in fam          # singletons always avoid 0
     assert frozenset(range(5)) not in fam  # the full hull contains 0
     mins = lvm.minimal_forbidden_zero_sets(five_vector())
     assert mins == [frozenset({4}), frozenset({0, 3}), frozenset({1, 2})]
     # small 3-vector example: every proper nonempty subset avoids 0
     cfg = lvm.Configuration([[(1, 0)], [(0, 1)], [(-1, -1)]])
-    fam = lvm.siegel_index_family(cfg)
+    fam = siegel_index_family(cfg)
     assert len(fam) == 6
+
+
+def test_minimal_forbidden_zero_sets_match_the_siegel_family():
+    rng = random.Random(20261019)
+    sizes = set()
+    for trial in range(40):
+        m = 1 + trial % 2
+        cfg = random_admissible(rng, irrational=trial % 3 == 0, m=m,
+                                n=rng.randint(2 * m + 1, 2 * m + 3),
+                                d=(2, 3, 5)[trial % 3])
+        everything = frozenset(range(cfg.n))
+        forbidden = {everything - I for I in siegel_index_family(cfg)}
+        minimal = sorted((J for J in forbidden
+                          if not any(K < J for K in forbidden)),
+                         key=lambda s: (len(s), sorted(s)))
+        assert lvm.minimal_forbidden_zero_sets(cfg) == minimal, cfg.lambdas
+        sizes.update(len(J) for J in minimal)
+    assert {1, 2} <= sizes
 
 
 def test_minimal_zero_sets_match_forbidden_strata():

@@ -9,7 +9,7 @@ from nctoric.errors import (Empty, InputError, IrrationalNormals, NotSimple,
 from nctoric.polytope import (INTEGRAL_DELZANT, IRRATIONAL, RATIONAL_DELZANT,
                               SimplePolytope, classify_delzant, cube,
                               face_counts, from_json, normal_data, simplex,
-                              to_json, vertices_and_incidence)
+                              to_json)
 from nctoric.linalg import canonical_ray, scalar_kernel_basis
 from nctoric.scalars import Scalar
 
@@ -29,7 +29,7 @@ def test_rational_direction():
 
 def test_unit_square():
     P = cube(2)
-    verts, fam = vertices_and_incidence(P)
+    verts, fam = P.vertices, P.incidence
     assert sorted(tuple(x.a for x in v) for v in verts) == [
         (0, 0), (0, 1), (1, 0), (1, 1)]
     # F: empty set, 4 facets, 4 corner pairs

@@ -112,6 +112,9 @@ def test_kernel_lattice():
             == [0, 0]
     with pytest.raises(RankDeficient):
         kernel_lattice([[1, 0], [2, 0], [3, 0]])
+    # N normals in R^0: the kernel is all of Z^N
+    assert kernel_lattice([[], []]) == [[1, 0], [0, 1]]
+    assert kernel_lattice([]) == []
 
 
 def test_moment_vector_square():
