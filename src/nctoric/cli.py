@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import facevectors, fan, hj, hochschild, lvm, nctorus, polytope, svg
-from .errors import InputError, NctoricError, RationalInput
+from .errors import InputError, NctoricError
 from .quotient import quotient_data
 from .scalars import parse_scalar
 

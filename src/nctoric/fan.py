@@ -37,6 +37,11 @@ class Cone:
         self.rays = tuple(sorted_vectors(set(rays)))
         if self._contains_line():
             raise InputError("cone contains a line (not strictly convex)")
+        if len(self.rays) > 2:
+            # two distinct rays of a strictly convex cone are both extreme;
+            # past that, drop each ray in the cone of the others
+            self.rays = tuple(r for r in self.rays if not has_nonneg_solution(
+                transpose([s for s in self.rays if s != r]), r))
 
     @classmethod
     def _view(cls, rays, ambient_dim):

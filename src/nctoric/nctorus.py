@@ -32,13 +32,6 @@ class CFExpansion:
     preperiod: tuple
     period: tuple
 
-    @property
-    def digits(self):
-        """Generator of the full digit stream."""
-        yield from self.preperiod
-        while True:
-            yield from self.period
-
 
 def _cf_step(x: Scalar):
     a = x.floor()

@@ -1,9 +1,9 @@
 """Simple convex polytopes from facet halfspaces.
 
 The halfspace convention is <x, normal> >= offset (inward-pointing
-normals).  Vertices, the facet-incidence family F, edge directions and
-the Delzant classification are derived eagerly at construction; the
-object is immutable afterwards.
+normals).  Vertices, the facet-incidence family F and the Delzant
+classification, read off the facet normals at each vertex, are derived
+eagerly at construction; the object is immutable afterwards.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from math import comb
 from .errors import (Empty, InputError, IrrationalNormals, NotSimple,
                      TooManySubsets, Unbounded)
 from .linalg import (canonical_ray, has_nonneg_solution, int_det,
-                     scalar_kernel_basis, scalar_rank, solve_exact, transpose)
+                     scalar_rank, solve_exact, transpose)
 from .scalars import Scalar, common_field, sorted_vectors
 
 IRRATIONAL = "Irrational"
@@ -72,7 +72,7 @@ class SimplePolytope:
         candidates = _subsets(range(self.N), n, "vertex enumeration")
         if self._unbounded():
             raise Unbounded("recession cone is nontrivial")
-        verts = {}
+        verts = set()
         for I in candidates:
             rows = [self.facets[i][0] for i in I]
             rhs = [self.facets[i][1] for i in I]
@@ -81,7 +81,7 @@ class SimplePolytope:
                 continue
             x = res[1]
             if self._feasible(x):
-                verts.setdefault(tuple(x), set()).update(I)
+                verts.add(tuple(x))
         if not verts:
             raise Empty("no vertices: empty or unbounded halfspace data")
         # tighten active sets to all facets through the vertex
@@ -93,13 +93,16 @@ class SimplePolytope:
                                if (self._eval(i, x) - self.facets[i][1]).is_zero())
             self.vertices.append(x)
             self.vertex_facets.append(active)
+        # (canonical ray, scale) of each nonzero normal, None for a zero row
+        self._normal_rays = [
+            None if all(x.is_zero() for x in nrm) else _ray_and_scale(nrm)
+            for nrm, _ in self.facets]
         self.redundant = self._redundancy_flags()
         for active in self.vertex_facets:
             essential = [i for i in active if not self.redundant[i]]
             if len(essential) != n:
                 raise NotSimple(f"vertex on {len(essential)} facets in dimension {n}")
         self.incidence = self._family()
-        self.edge_directions = [self._edges_at(k) for k in range(len(self.vertices))]
         self.delzant_class = self._classify()
 
     def _eval(self, i, x):
@@ -116,29 +119,18 @@ class SimplePolytope:
     def _redundancy_flags(self):
         """A facet is flagged redundant when it is tight at no vertex, is a
         zero row, or duplicates an earlier facet's halfspace."""
-        flags = [False] * self.N
-        seen = {}
-        tight_counts = [0] * self.N
-        for active in self.vertex_facets:
-            for i in active:
-                tight_counts[i] += 1
-        for i, (nrm, c) in enumerate(self.facets):
-            if all(x.is_zero() for x in nrm):
-                flags[i] = True
+        flags = [True] * self.N
+        seen = set()
+        tight = set().union(*self.vertex_facets)
+        for i, ((_, c), ray_and_scale) in enumerate(
+                zip(self.facets, self._normal_rays)):
+            if ray_and_scale is None:
                 continue
-            key = self._facet_key(i)
-            if key in seen:
-                flags[i] = True
-                continue
-            seen[key] = i
-            if tight_counts[i] == 0:
-                flags[i] = True
+            ray, t = ray_and_scale
+            key = (ray, c / t)
+            flags[i] = key in seen or i not in tight
+            seen.add(key)
         return flags
-
-    def _facet_key(self, i):
-        nrm, c = self.facets[i]
-        ray, t = _ray_and_scale(nrm)
-        return ray, c / t
 
     def _unbounded(self) -> bool:
         """Exact recession-cone test: {y : <y, n_i> >= 0 for all i} != {0}.
@@ -162,35 +154,20 @@ class SimplePolytope:
                     fam.add(frozenset(sub))
         return fam
 
-    def _edges_at(self, k):
-        """Edge directions at vertex k: drop one active facet, walk along
-        the intersection of the rest, oriented into the polytope."""
-        n = self.dim
-        active = sorted(i for i in self.vertex_facets[k] if not self.redundant[i])
-        dirs = []
-        for drop in active:
-            rows = [self.facets[i][0] for i in active if i != drop]
-            kern = scalar_kernel_basis(rows, n)
-            if len(kern) != 1:
-                raise NotSimple("degenerate edge at vertex")
-            w = kern[0]
-            # orient so the dropped inequality increases
-            s = sum((a * b for a, b in zip(self.facets[drop][0], w)), Scalar(0))
-            if s.sign() < 0:
-                w = [-e for e in w]
-            dirs.append(w)
-        return dirs
-
     def _classify(self):
+        """Delzant class from the canonical rays of the n essential facets
+        at each vertex.  Those normals are independent (the vertex is a
+        point) and the edges there are the columns of the inverse of their
+        matrix, so the edges are rational iff the normals are, and the
+        primitive edges form a lattice basis iff the primitive normals do:
+        a simplicial cone is smooth iff its dual is."""
         integral = True
-        for dirs in self.edge_directions:
-            ints = []
-            for w in dirs:
-                r = canonical_ray(w)
-                if not all(x.is_rational for x in r):
-                    return IRRATIONAL
-                ints.append([int(x.a) for x in r])
-            if abs(int_det(ints)) != 1:
+        for active in self.vertex_facets:
+            rays = [self._normal_rays[i][0] for i in active
+                    if not self.redundant[i]]
+            if not all(x.is_rational for r in rays for x in r):
+                return IRRATIONAL
+            if abs(int_det([[int(x.a) for x in r] for r in rays])) != 1:
                 integral = False
         return INTEGRAL_DELZANT if integral else RATIONAL_DELZANT
 
@@ -208,12 +185,12 @@ def normal_data(P: SimplePolytope):
         raise IrrationalNormals("polytope has irrational facet normals")
     rho = []
     lam = []
-    for nrm, c in P.facets:
-        if all(x.is_zero() for x in nrm):
+    for (_, c), ray_and_scale in zip(P.facets, P._normal_rays):
+        if ray_and_scale is None:
             rho.append([0] * P.dim)
             lam.append(c)
             continue
-        r, t = _ray_and_scale(nrm)
+        r, t = ray_and_scale
         if not all(x.is_rational for x in r):
             raise IrrationalNormals("irrational facet normal")
         if not t.is_rational:

@@ -56,21 +56,13 @@ class QuotientData:
     lambda_P: list = field(default=None)
 
 
-def _moment(P: SimplePolytope):
+def quotient_data(P: SimplePolytope) -> QuotientData:
+    """Forbidden strata, kernel lattice B and the moment vector
+    nu_P = B^T (-lambda_P), where B's columns span ker(rho^T)."""
+    strata = forbidden_strata(P.incidence, P.N)
     rho, lam = normal_data(P)
     basis = kernel_lattice(rho)
     nu = [sum(((-lam[j]) * b[j] for j in range(len(lam))), Scalar(0))
           for b in basis]
-    return nu, basis, lam
-
-
-def moment_vector(P: SimplePolytope):
-    """nu_P = B^T (-lambda_P) where B's columns span ker(rho^T)."""
-    return _moment(P)[:2]
-
-
-def quotient_data(P: SimplePolytope) -> QuotientData:
-    strata = forbidden_strata(P.incidence, P.N)
-    nu, basis, lam = _moment(P)
     return QuotientData(N=P.N, forbidden_strata=strata, kernel_basis=basis,
                         nu_P=nu, lambda_P=lam)

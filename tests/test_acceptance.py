@@ -12,7 +12,6 @@ from nctoric import fan, hj, hochschild, lvm, nctorus, polytope
 from nctoric.cli import run as cli_run
 from nctoric.facevectors import (check_dehn_sommerville, g_theorem_necessity,
                                  h_from_f, is_m_vector)
-from nctoric.linalg import scalar_rank
 from nctoric.quotient import quotient_data
 from nctoric.scalars import Scalar
 

@@ -99,6 +99,15 @@ def test_fan_classify(capsys, tmp_path):
     assert parse(out)["payload"] == {"class": "Orbifold", "index": 2}
 
 
+def test_fan_classify_drops_a_ray_that_is_not_extreme(capsys, tmp_path):
+    # (1, 1) lies inside the positive quadrant, which is smooth
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"rays": [[1, 0], [1, 1], [0, 1]]}))
+    code, out = invoke(capsys, ["fan", "classify", str(path)])
+    assert code == 0
+    assert parse(out)["payload"] == {"class": "Smooth"}
+
+
 def test_quotient_data(capsys, square_file):
     code, out = invoke(capsys, ["quotient", "data", "--polytope",
                                 square_file])

@@ -52,7 +52,42 @@ def test_cone_with_a_line_is_rejected_exactly():
         Cone([[10**20, 1], [-10**20, 1], [0, -1]])
     with pytest.raises(InputError):
         Cone([[1, 0], [-1, 1], [0, -1]])
-    assert len(Cone([[10**20, 1], [-10**20, 1], [0, 1]]).rays) == 3
+    # (0, 1) is half the sum of the other two rays, so it is not extreme
+    assert len(Cone([[10**20, 1], [-10**20, 1], [0, 1]]).rays) == 2
+
+
+def test_rays_that_are_not_extreme_leave_the_cone_unchanged():
+    # seeded pointed cones in 2D and 3D over Q and Q(sqrt 2): adding
+    # nonnegative combinations of the rays gives back the same Cone
+    rng = random.Random(1313)
+    r2 = Scalar.sqrt_int(2)
+    seen = set()
+    for trial in range(80):
+        dim = 2 + trial % 2
+        irrational = trial % 4 >= 2
+
+        def entry():
+            x = Scalar(rng.randint(-4, 4))
+            return x + r2 * rng.randint(-1, 1) if irrational else x
+
+        # a last coordinate >= 1 keeps the cone pointed
+        rays = [[entry() for _ in range(dim - 1)] + [Scalar(rng.randint(1, 3))]
+                for _ in range(rng.randint(dim, dim + 3))]
+        sigma = Cone(rays)
+        given = {canonical_ray(r) for r in rays}
+        assert set(sigma.rays) <= given
+        assert all(sigma.contains(r) for r in rays)
+        extra = []
+        for _ in range(rng.randint(1, 4)):
+            w = [Scalar(rng.randint(0, 3)) for _ in rays]
+            w[rng.randrange(len(w))] += 1
+            extra.append([sum((c * r[i] for c, r in zip(w, rays)), Scalar(0))
+                          for i in range(dim)])
+        mixed = rays + extra
+        rng.shuffle(mixed)
+        assert Cone(mixed) == sigma
+        seen.add((dim, irrational, len(sigma.rays) < len(given)))
+    assert len(seen) == 8  # each dimension and field, with and without pruning
 
 
 def test_cone_with_a_line_is_rejected_in_3d():

@@ -10,7 +10,7 @@ from nctoric.polytope import (INTEGRAL_DELZANT, IRRATIONAL, RATIONAL_DELZANT,
                               SimplePolytope, classify_delzant, cube,
                               face_counts, from_json, normal_data, simplex,
                               to_json)
-from nctoric.linalg import canonical_ray, scalar_kernel_basis
+from nctoric.linalg import canonical_ray, int_det, scalar_kernel_basis
 from nctoric.scalars import Scalar
 
 
@@ -67,14 +67,16 @@ def test_rational_not_integral():
     assert classify_delzant(P) == RATIONAL_DELZANT
 
 
-def test_irrational_golden_cut():
-    # unit square with a golden-ratio-slope corner cut
+def golden_cut():
+    """The unit square with a golden-ratio-slope corner cut."""
     phi = (Scalar(1) + Scalar.sqrt_int(5)) / Scalar(2)
-    P = SimplePolytope([
+    return SimplePolytope([
         ([1, 0], 0), ([0, 1], 0), ([-1, 0], -1), ([0, -1], -1),
-        ([-phi, Scalar(-1)], -phi - Scalar(Fraction(1, 2))),
-    ])
-    assert classify_delzant(P) == IRRATIONAL
+        ([-phi, Scalar(-1)], -phi - Scalar(Fraction(1, 2)))])
+
+
+def test_irrational_golden_cut():
+    assert classify_delzant(golden_cut()) == IRRATIONAL
 
 
 def test_unbounded_and_empty():
@@ -193,10 +195,127 @@ def test_json_roundtrip():
         from_json({"facets": [{"bad": 1}]})
 
 
+def oracle_edges(P, k):
+    """Edge directions at vertex k: drop one essential facet, walk along
+    the intersection of the rest (one kernel solve), oriented so that the
+    dropped inequality increases."""
+    active = sorted(i for i in P.vertex_facets[k] if not P.redundant[i])
+    edges = []
+    for drop in active:
+        (w,) = scalar_kernel_basis(
+            [P.facets[i][0] for i in active if i != drop], P.dim)
+        if sum((a * b for a, b in zip(P.facets[drop][0], w)), Scalar(0)) < 0:
+            w = [-e for e in w]
+        edges.append(w)
+    return edges
+
+
+def edge_class_oracle(P):
+    """The Delzant class read off the edges: Irrational if some edge has an
+    irrational direction, else IntegralDelzant iff the primitive edges at
+    every vertex form a lattice basis."""
+    integral = True
+    for k in range(len(P.vertices)):
+        rays = [canonical_ray(w) for w in oracle_edges(P, k)]
+        if not all(x.is_rational for r in rays for x in r):
+            return IRRATIONAL
+        if abs(int_det([[int(x.a) for x in r] for r in rays])) != 1:
+            integral = False
+    return INTEGRAL_DELZANT if integral else RATIONAL_DELZANT
+
+
 def test_edge_directions_point_inward():
-    P = cube(2)
-    for v, dirs in zip(P.vertices, P.edge_directions):
-        for w in dirs:
-            # moving from the vertex along an edge stays feasible
-            probe = [a + b * Scalar(Fraction(1, 100)) for a, b in zip(v, w)]
-            assert P._feasible(probe)
+    for P in (cube(2), simplex(3), golden_cut()):
+        for k, v in enumerate(P.vertices):
+            for w in oracle_edges(P, k):
+                # moving from the vertex along an edge stays feasible
+                probe = [a + b * Scalar(Fraction(1, 100)) for a, b in zip(v, w)]
+                assert P._feasible(probe)
+
+
+def lattice_polygon(rng):
+    """Inward facets of the hull of random lattice points near a circle."""
+    R = rng.randint(5, 12)
+    pts = sorted((x, y) for x in range(-R, R + 1) for y in range(-R, R + 1)
+                 if (R - 3) ** 2 < x * x + y * y <= R * R and rng.random() < 0.3)
+
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    hull = []
+    for seq in (pts, pts[::-1]):     # Andrew's monotone chain
+        half = []
+        for p in seq:
+            while len(half) >= 2 and turn(half[-2], half[-1], p) <= 0:
+                half.pop()
+            half.append(p)
+        hull += half[:-1]
+    facets = []
+    for p, q in zip(hull, hull[1:] + hull[:1]):
+        normal = [p[1] - q[1], q[0] - p[0]]    # left of p -> q, inward
+        facets.append((normal, normal[0] * p[0] + normal[1] * p[1]))
+    return facets
+
+
+def small_polygon(rng):
+    """Random rational halfspaces <x, n> >= -c with c > 0 around 0."""
+    return [([rng.randint(-3, 3), rng.randint(-3, 3)],
+             -Fraction(rng.randint(1, 6), rng.randint(1, 2)))
+            for _ in range(rng.randint(3, 7))]
+
+
+def sqrt2_polygon(rng, P):
+    """P with one essential facet tilted by sqrt 2 / 50 about the midpoint
+    of its edge, or with its halfspace rescaled by sqrt 2."""
+    r2 = Scalar.sqrt_int(2)
+    j = rng.choice([i for i in range(P.N) if not P.redundant[i]])
+    nrm, c = P.facets[j]
+    if rng.random() < 0.5:
+        changed = ([r2 * x for x in nrm], r2 * c)
+    else:
+        ends = [v for v, act in zip(P.vertices, P.vertex_facets) if j in act]
+        mid = [(a + b) / 2 for a, b in zip(*ends)]
+        tilted = list(nrm)
+        tilted[rng.randrange(2)] += r2 / 50 * rng.choice((-1, 1))
+        changed = (tilted, sum((a * b for a, b in zip(tilted, mid)), Scalar(0)))
+    return [changed if i == j else f for i, f in enumerate(P.facets)]
+
+
+def truncated_corner(rng, d):
+    """cube(d) with its corner at 0 (or at 1) cut by a positive integer
+    normal a, meeting each edge from that corner at most halfway."""
+    a = [rng.randint(1, 3) for _ in range(d)]
+    facets = [(nrm, c) for nrm, c in cube(d).facets]
+    if rng.random() < 0.5:
+        facets.append((a, Fraction(min(a), 2)))
+    else:
+        facets.append(([-x for x in a], Fraction(min(a), 2) - sum(a)))
+    return facets
+
+
+def test_delzant_class_matches_the_edge_oracle():
+    rng = random.Random(1313)
+    cases = [cube(d) for d in range(2, 6)] + [simplex(d) for d in range(2, 6)]
+    lattice = []
+    while len(lattice) < 12:
+        facets = lattice_polygon(rng)
+        if 6 <= len(facets) <= 16:
+            lattice.append(facets)
+    polygons = []
+    for facets in lattice + [small_polygon(rng) for _ in range(30)]:
+        try:
+            polygons.append(SimplePolytope(facets))
+        except (Unbounded, NotSimple):
+            pass
+    cases += polygons
+    for P in polygons:
+        try:
+            cases.append(SimplePolytope(sqrt2_polygon(rng, P)))
+        except (Unbounded, NotSimple):
+            pass
+    cases += [SimplePolytope(truncated_corner(rng, d))
+              for d in (3, 3, 3, 4, 4)]
+    for P in cases:
+        assert P.delzant_class == edge_class_oracle(P), to_json(P)
+    assert {P.delzant_class for P in cases} == {
+        INTEGRAL_DELZANT, RATIONAL_DELZANT, IRRATIONAL}

@@ -7,8 +7,7 @@ import pytest
 from nctoric.errors import (CodimensionOne, Empty, NotSimple, RankDeficient,
                             Unbounded)
 from nctoric.polytope import SimplePolytope, cube, simplex
-from nctoric.quotient import (forbidden_strata, kernel_lattice, moment_vector,
-                              quotient_data)
+from nctoric.quotient import forbidden_strata, kernel_lattice, quotient_data
 from nctoric.scalars import Scalar
 
 
@@ -118,27 +117,26 @@ def test_kernel_lattice():
 
 
 def test_moment_vector_square():
-    nu, basis = moment_vector(cube(2))
-    assert sorted(tuple(b) for b in basis) == [(0, 0, 1, 1), (1, 1, 0, 0)]
-    assert nu == [Scalar(1), Scalar(1)]
+    q = quotient_data(cube(2))
+    assert sorted(tuple(b) for b in q.kernel_basis) == [(0, 0, 1, 1),
+                                                        (1, 1, 0, 0)]
+    assert q.nu_P == [Scalar(1), Scalar(1)]
 
 
 def test_moment_vector_interval_and_simplex():
-    interval = SimplePolytope([([1], 0), ([-1], -1)])
-    nu, basis = moment_vector(interval)
-    assert basis == [[1, 1]]
-    assert nu == [Scalar(1)]
-    nu, basis = moment_vector(simplex(2))
-    assert basis == [[1, 1, 1]]
-    assert nu == [Scalar(1)]
+    interval = quotient_data(SimplePolytope([([1], 0), ([-1], -1)]))
+    assert interval.kernel_basis == [[1, 1]]
+    assert interval.nu_P == [Scalar(1)]
+    q = quotient_data(simplex(2))
+    assert q.kernel_basis == [[1, 1, 1]]
+    assert q.nu_P == [Scalar(1)]
 
 
 def test_moment_vector_translation_invariant():
     # shifting the square leaves nu unchanged (it lives on ker(rho^T))
     shifted = SimplePolytope([([1, 0], 5), ([-1, 0], -6),
                               ([0, 1], -2), ([0, -1], 1)])
-    nu, _ = moment_vector(shifted)
-    assert nu == [Scalar(1), Scalar(1)]
+    assert quotient_data(shifted).nu_P == [Scalar(1), Scalar(1)]
 
 
 def test_quotient_data_fields():
