@@ -11,12 +11,12 @@ n - 2m - 1 in the nondegenerate case) drives everything else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import (DegenerateFoliation, DegenerateSystem, InputError,
                      IrrationalWeights, WrongDimension)
-from .linalg import (canonical_ray, scalar_kernel_basis, scalar_rank,
-                     solve_exact, zero_in_hull)
+from .linalg import _free_kernel, _row_reduce, canonical_ray, zero_in_hull
 from .polytope import SimplePolytope, _subsets
 from .scalars import Scalar, common_field
 
@@ -25,7 +25,11 @@ DENSE_LEAVES = "DenseLeaves"
 
 
 class Configuration:
-    """n exact complex vectors in C^m with n > 2m."""
+    """n exact complex vectors in C^m with n > 2m.
+
+    Immutable after construction: the solution space of the attached
+    system is computed on first use, by one reduced echelon form that
+    every later query reads."""
 
     def __init__(self, lambdas, m: int | None = None):
         self.lambdas = []
@@ -38,6 +42,8 @@ class Configuration:
                     re, im = z, 0
                 vec.append((Scalar._coerce(re), Scalar._coerce(im)))
             self.lambdas.append(vec)
+        if m is not None and (type(m) is not int or m < 0):
+            raise InputError(f"m must be a non-negative integer, got m={m!r}")
         self.n = len(self.lambdas)
         self.m = m if m is not None else (len(self.lambdas[0]) if self.lambdas else 0)
         if any(len(v) != self.m for v in self.lambdas):
@@ -50,6 +56,25 @@ class Configuration:
         """Lambda_i as points of R^{2m} (re_1, im_1, ..., re_m, im_m)."""
         return [[x for z in v for x in z] for v in self.lambdas]
 
+    @cached_property
+    def _echelon(self):
+        """Reduced echelon form of [A | e] for A = _system_rows(self) and e
+        the last unit vector, as (rows, pivots) tuples.  Its first n
+        columns are the reduced form of A; a pivot in column n means that
+        A x = e has no solution."""
+        *phase, ones = _system_rows(self)
+        rows, pivots = _row_reduce([row + [Scalar(0)] for row in phase] +
+                                   [ones + [Scalar(1)]])
+        return tuple(map(tuple, rows)), tuple(pivots)
+
+    @cached_property
+    def _kernel(self):
+        """Basis of the solution space, one tuple per free column of A."""
+        rows, pivots = self._echelon
+        if pivots and pivots[-1] == self.n:
+            pivots = pivots[:-1]
+        return tuple(map(tuple, _free_kernel(rows, pivots, self.n)))
+
 
 def configuration_to_json(cfg: Configuration) -> dict:
     return {"m": cfg.m,
@@ -61,10 +86,7 @@ def configuration_from_json(obj) -> Configuration:
     try:
         lambdas = [[(Scalar.from_json(z["re"]), Scalar.from_json(z["im"]))
                     for z in v] for v in obj["lambdas"]]
-        m = obj.get("m")
-        if m is not None and type(m) is not int:
-            raise InputError(f"bad configuration JSON: non-integer m {m!r}")
-        return Configuration(lambdas, m)
+        return Configuration(lambdas, obj.get("m"))
     except (KeyError, TypeError) as e:
         raise InputError(f"bad configuration JSON: {e}") from e
 
@@ -91,12 +113,11 @@ def _system_rows(cfg: Configuration):
 
 def solution_basis(cfg: Configuration):
     """Basis of the solution space; must have dimension n - 2m - 1."""
-    basis = scalar_kernel_basis(_system_rows(cfg), cfg.n)
     expected = cfg.n - 2 * cfg.m - 1
-    if len(basis) != expected:
-        raise DegenerateSystem(
-            f"solution space has dimension {len(basis)}, expected {expected}")
-    return basis
+    if len(cfg._kernel) != expected:
+        raise DegenerateSystem(f"solution space has dimension "
+                               f"{len(cfg._kernel)}, expected {expected}")
+    return [list(v) for v in cfg._kernel]
 
 
 def condition_K(cfg: Configuration) -> bool:
@@ -177,33 +198,31 @@ def generic_fiber(cfg: Configuration) -> FiberReport:
 
     Slope extraction follows the exhibited reductions: project the phase
     plane onto coordinate pairs; pairs where the projection is a line off
-    the axes carry a Kronecker slope.  The irrational slope is reported
-    when one exists, else the rational one."""
+    the axes carry a Kronecker slope: these are the pairs of nonzero
+    parallel phase columns.  The slope of the first irrational such pair
+    (i, j) is reported when one exists, else that of the first pair."""
     n, m = cfg.n, cfg.m
-    span = _system_rows(cfg)  # phase rows, then the diagonal circle
-    rows = span[:-1]
-    basis = scalar_kernel_basis(span, n)
-    dim_mod_diag = n - len(basis) - 1
+    rows = _system_rows(cfg)[:-1]  # the phase rows
+    dim_mod_diag = n - len(cfg._kernel) - 1
     if dim_mod_diag < 2 * m:
         raise DegenerateFoliation(
             f"phase directions span only {dim_mod_diag} dims mod the diagonal")
     # the span is defined over Q iff its kernel is (see condition_K)
-    rational = all(x.is_rational for v in basis for x in v)
-    slopes = []
-    for i, j in combinations(range(n), 2):
-        proj = [[r[i], r[j]] for r in rows]
-        if scalar_rank(proj) != 1:
-            continue
-        a, b = next(p for p in proj if not (p[0].is_zero() and p[1].is_zero()))
-        if a.is_zero() or b.is_zero():
-            continue
-        slopes.append(b / a if abs(b / a) >= Scalar(1) else a / b)
-    slope = None
-    irr = [s for s in slopes if not s.is_rational]
-    if irr:
-        slope = irr[0]
-    elif slopes:
-        slope = slopes[0]
+    rational = all(x.is_rational for v in cfg._kernel for x in v)
+    # group the nonzero columns by their line, keeping each column's first
+    # nonzero entry; a ratio of two columns is irrational only if one of
+    # their ratios to the line's first column is, so the first pair (i, j)
+    # and the first irrational pair both start at the first column
+    lines = {}
+    for col in zip(*rows):
+        a = next((x for x in col if not x.is_zero()), None)
+        if a is not None:
+            line = canonical_ray(col if a.sign() > 0 else [-x for x in col])
+            lines.setdefault(line, []).append(a)
+    slopes = [b / a if abs(b / a) >= Scalar(1) else a / b
+              for a, *rest in lines.values() for b in rest]
+    slope = next((s for s in slopes if not s.is_rational),
+                 slopes[0] if slopes else None)
     return FiberReport(torus_rank=n - 1, foliation_subspace=rows,
                        rational=rational, slope=slope)
 
@@ -216,12 +235,13 @@ def canonical_moment_interval(cfg: Configuration):
     facet indices active (x_i = 0) at each."""
     if cfg.n - 2 * cfg.m - 1 != 1:
         raise WrongDimension("canonical interval needs n - 2m - 1 = 1")
-    rows = _system_rows(cfg)
-    rhs = [Scalar(0)] * (2 * cfg.m) + [Scalar(1)]
-    res = solve_exact(rows, rhs)
-    if res[0] != "affine" or len(res[2]) != 1:
+    rows, pivots = cfg._echelon
+    if (pivots and pivots[-1] == cfg.n) or len(cfg._kernel) != 1:
         raise DegenerateSystem("canonical moment fiber is not a segment")
-    part, (direction,) = res[1], res[2]
+    part = [Scalar(0)] * cfg.n  # the particular solution, from column n
+    for row, c in zip(rows, pivots):
+        part[c] = row[cfg.n]
+    (direction,) = cfg._kernel
     # move along the line until coordinates hit zero: t range intersection
     lo, hi = None, None
     for p, d in zip(part, direction):

@@ -379,13 +379,15 @@ def test_subset_searches_above_the_limit_exit_4_at_once(tmp_path):
 def test_lvm_dimension_that_is_no_integer_is_an_input_error(capsys,
                                                              tmp_path):
     path = tmp_path / "cfg.json"
-    for m in (1.0, True, "1"):
+    for m in (1.0, True, "1", -1):
         path.write_text(json.dumps({"m": m, "lambdas": [
             [{"re": "1", "im": "0"}], [{"re": "0", "im": "1"}],
             [{"re": "-1", "im": "-1"}]]}))
         code, out = invoke(capsys, ["lvm", "check", "--config", str(path)])
         assert code == 3
-        assert json.loads(out)["error"] == "InputError"
+        err = json.loads(out)
+        assert err["error"] == "InputError"
+        assert "m must be a non-negative integer" in err["message"]
 
 
 def test_cone_and_fan_dimension_that_is_no_positive_integer_is_an_input_error(
@@ -705,7 +707,8 @@ def gvec_calls(draw):
 @st.composite
 def lvm_calls(draw):
     """argv of every lvm action and the configuration document it reads:
-    n vectors in C^m (m <= 6, 2m <= n <= 20; "m" sometimes not an int)
+    n vectors in C^m (m <= 6, 2m <= n <= 20; "m" sometimes negative or
+    not an int)
     with entries from one field, and for lvm polytope an optional --eps
     list of scalar literals."""
     action = draw(st.sampled_from(["check", "gale", "dichotomy", "fiber",
@@ -715,7 +718,8 @@ def lvm_calls(draw):
     entry = st.sampled_from([parse_scalar(x).to_json() for x in
                              RATIONAL_ENTRIES + draw(
                                  st.sampled_from(IRRATIONAL_ENTRIES))])
-    config = {"m": draw(st.sampled_from([m, m, m, float(m), str(m), True])),
+    config = {"m": draw(st.sampled_from([m, m, m, -m, float(m), str(m),
+                                         True])),
               "lambdas": [[{"re": draw(entry), "im": draw(entry)}
                            for _ in range(m)] for _ in range(n)]}
     argv = ["lvm", action]

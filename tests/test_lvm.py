@@ -4,10 +4,11 @@ from itertools import combinations
 
 import pytest
 
-from nctoric import lvm
+from nctoric import linalg, lvm
 from nctoric.errors import (DegenerateFoliation, DegenerateSystem, InputError,
                             IrrationalWeights, WrongDimension)
-from nctoric.linalg import canonical_ray, scalar_rank, zero_in_hull
+from nctoric.linalg import (canonical_ray, scalar_kernel_basis, scalar_rank,
+                            zero_in_hull)
 from nctoric.scalars import Scalar, common_field
 from test_linalg import rational_subspace_dim
 
@@ -34,6 +35,9 @@ def test_configuration_validation():
         lvm.Configuration([[(1, 0)], [(0, 1)]])        # n <= 2m
     with pytest.raises(InputError):
         lvm.Configuration([[(1, 0)], [(0, 1), (0, 0)], [(1, 1)]])
+    for m in (-1, 1.5, True, "1"):
+        with pytest.raises(InputError, match="m must be a non-negative integer"):
+            lvm.Configuration([[(1, 0)]] * 3, m=m)
 
 
 def test_check_admissible():
@@ -185,6 +189,115 @@ def test_generic_fiber():
         assert rep.torus_rank == 3
         assert rep.rational
         assert rep.slope == Scalar(p)
+
+
+def slope_oracle(cfg):
+    """generic_fiber's slope by a scan of all C(n, 2) coordinate pairs: a
+    pair whose projection of the phase plane is a line off the axes carries
+    a Kronecker slope; the first irrational one is reported, else the
+    first one."""
+    rows = lvm._system_rows(cfg)[:-1]
+    slopes = []
+    for i, j in combinations(range(cfg.n), 2):
+        proj = [[r[i], r[j]] for r in rows]
+        if scalar_rank(proj) != 1:
+            continue
+        a, b = next(p for p in proj if not (p[0].is_zero() and p[1].is_zero()))
+        if a.is_zero() or b.is_zero():
+            continue
+        slopes.append(b / a if abs(b / a) >= Scalar(1) else a / b)
+    irr = [s for s in slopes if not s.is_rational]
+    return irr[0] if irr else slopes[0] if slopes else None
+
+
+#: how a point of configuration_with_repeats is made from the earlier ones
+REPEATS = ("zero", "copy", "negative", "rational multiple",
+           "irrational multiple", "fresh", "fresh")
+
+
+def configuration_with_repeats(rng, m, d):
+    """A configuration over Q(sqrt d) (Q for d = 0) of n > 2m vectors in
+    C^m whose real points are zero, fresh, or copies, negatives, rational
+    and irrational multiples of earlier points (over Q the last are
+    rational), so that many phase columns are parallel; returns it with
+    the kinds drawn."""
+    root = Scalar.sqrt_int(d) if d else Scalar(0)
+    pts, kinds = [], []
+    for _ in range(rng.randint(2 * m + 1, 2 * m + 5)):
+        kind = rng.choice(REPEATS) if pts else "fresh"
+        if kind == "fresh":
+            p = [Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3))) +
+                 root * rng.randint(-1, 1) for _ in range(2 * m)]
+        elif kind == "zero":
+            p = [Scalar(0)] * (2 * m)
+        else:
+            factor = {"copy": Scalar(1), "negative": Scalar(-1),
+                      "rational multiple": Scalar(Fraction(
+                          rng.choice((-3, -2, 2, 3, 5)), rng.randint(1, 3))),
+                      "irrational multiple": Scalar(rng.randint(-2, 2)) +
+                      root * rng.choice((-1, 1))}[kind]
+            p = [factor * x for x in rng.choice(pts)]
+        pts.append(p)
+        kinds.append(kind)
+    return lvm.Configuration([list(zip(p[::2], p[1::2])) for p in pts],
+                             m), kinds
+
+
+def test_slopes_from_column_lines_match_the_pair_scan():
+    rng = random.Random(14)
+    seen, compared = set(), 0
+    for trial in range(160):
+        d, m = (0, 2, 3, 5)[trial % 4], 1 + trial // 4 % 2
+        cfg, kinds = configuration_with_repeats(rng, m, d)
+        try:
+            slope = lvm.generic_fiber(cfg).slope
+        except DegenerateFoliation:
+            continue
+        assert slope == slope_oracle(cfg), cfg.lambdas
+        if slope is not None:
+            assert slope.to_json() == slope_oracle(cfg).to_json()
+        compared += 1
+        seen.update(kinds)
+        seen.add("none" if slope is None else
+                  "rational" if slope.is_rational else "irrational")
+    assert compared >= 60
+    assert seen == set(REPEATS) | {"none", "rational", "irrational"}
+
+
+def test_one_elimination_per_configuration(monkeypatch):
+    eliminations = []
+
+    def counted(M):
+        eliminations.append(len(M))
+        return row_reduce(M)
+
+    row_reduce = linalg._row_reduce
+    monkeypatch.setattr(linalg, "_row_reduce", counted)
+    monkeypatch.setattr(lvm, "_row_reduce", counted)
+    queries = (lvm.condition_K, lvm.leaf_dichotomy, lvm.generic_fiber,
+               lambda c: lvm.gale_transform(c).vectors, lvm.solution_basis,
+               lvm.orbifold_weights_1d)
+    for make in (lambda: teardrop(4), five_vector, five_vector_perturbed):
+        cfg, fresh = make(), make()
+        eliminations.clear()
+        answers = [outcome(f, cfg) for f in queries]
+        assert len(eliminations) == 1
+        # mutating what a query returns leaves the next answer unchanged
+        lvm.solution_basis(cfg)[0][0] = Scalar(7)
+        lvm.gale_transform(cfg).vectors[0].append(Scalar(7))
+        lvm.generic_fiber(cfg).foliation_subspace[0][0] = Scalar(7)
+        assert len(eliminations) == 1
+        assert answers == [outcome(f, fresh) for f in queries]
+        assert answers == [outcome(f, cfg) for f in queries]
+
+
+def test_cached_kernel_is_the_kernel_of_the_system():
+    rng = random.Random(41)
+    for trial in range(80):
+        d, m = (0, 2, 3, 5)[trial % 4], 1 + trial // 4 % 2
+        cfg, _ = configuration_with_repeats(rng, m, d)
+        assert [list(v) for v in cfg._kernel] == scalar_kernel_basis(
+            lvm._system_rows(cfg), cfg.n)
 
 
 def test_orbifold_weights():
