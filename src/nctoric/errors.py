@@ -115,5 +115,9 @@ class TooManySubsets(NctoricError):
     name = "TooManySubsets"
 
 
+class ChainTooLong(NctoricError):
+    name = "ChainTooLong"
+
+
 class InputError(NctoricError):
     name = "InputError"

@@ -11,15 +11,19 @@ from __future__ import annotations
 from functools import cmp_to_key
 from itertools import combinations
 
-from .errors import (DimensionMismatch, InputError, NonRational,
-                     NotSimplicial, WrongDimension)
+from .errors import (ChainTooLong, DimensionMismatch, InputError,
+                     NonRational, NotSimplicial, WrongDimension)
 from .linalg import (canonical_ray, has_nonneg_solution, int_det, scalar_rank,
                      transpose, zero_in_hull)
 from .polytope import SimplePolytope
-from .scalars import Scalar, sorted_vectors
+from .scalars import Scalar, common_field, sorted_vectors
 
 SMOOTH = "Smooth"
 NON_RATIONAL = "NonRational"
+#: most digits of one Hirzebruch-Jung chain: the longest rational chain
+#: `hj_digits` builds and the largest `depth` that `hj.hj_expand` and
+#: `hj.resolve_cone` accept
+DEPTH_LIMIT = 1000
 
 
 class Cone:
@@ -113,9 +117,17 @@ class Fan:
         return F
 
     def _build(self, ambient_dim, rays, faces):
-        table = tuple(sorted_vectors(set(rays.values())))
-        pos = {r: i for i, r in enumerate(table)}
-        index = {key: pos[r] for key, r in rays.items()}
+        # a canonical rational ray is a primitive integer vector, so a
+        # rational table sorts and indexes on its integer entries, in the
+        # same lexicographic order
+        rational = not common_field(x for r in rays.values() for x in r)
+        keys = {key: tuple(x.a.numerator for x in r) if rational else r
+                for key, r in rays.items()}
+        ray_of = dict(zip(keys.values(), rays.values()))
+        order = sorted(ray_of)
+        table = tuple(ray_of[k] for k in order)
+        pos = {k: i for i, k in enumerate(order)}
+        index = {key: pos[k] for key, k in keys.items()}
         closed = set()
         for face in sorted({frozenset(index[k] for k in f) for f in faces},
                            key=len, reverse=True):
@@ -154,23 +166,28 @@ class Fan:
 
 def normal_fan(P: SimplePolytope) -> Fan:
     """Fan with one cone per member of F, generated by the outward facet
-    normals (negated inward rows), so the unit square yields the four
-    coordinate quadrants."""
+    normals, so the unit square yields the four coordinate quadrants.  The
+    ray of an outward normal is the negated canonical ray of its inward
+    row, which the polytope already keeps: canonical_ray(-v) is
+    -canonical_ray(v) over Q and Q(sqrt(d)) alike."""
     used = {i for I in P.incidence for i in I}
-    rays = {i: canonical_ray([-x for x in P.facets[i][0]]) for i in used}
+    rays = {i: tuple(-x for x in P._normal_rays[i][0]) for i in used}
     return Fan.from_faces(P.dim, rays, P.incidence)
 
 
 def cone_classify(sigma: Cone):
     """"Smooth", ("Orbifold", index) or "NonRational" for a full-dimensional
-    simplicial cone."""
+    simplicial cone.  n rational rays are independent iff their integer
+    determinant is nonzero; irrational ones are ranked exactly."""
     n = sigma.ambient_dim
-    if len(sigma.rays) != n or sigma.dim != n:
+    idx = 0
+    if len(sigma.rays) == n:
+        if sigma.is_rational():
+            idx = abs(int_det([[int(x.a) for x in r] for r in sigma.rays]))
+        elif sigma.dim == n:
+            return NON_RATIONAL
+    if not idx:
         raise NotSimplicial(f"expected {n} independent rays")
-    if not sigma.is_rational():
-        return NON_RATIONAL
-    M = [[int(x.a) for x in r] for r in sigma.rays]
-    idx = abs(int_det(M))
     return SMOOTH if idx == 1 else ("Orbifold", idx)
 
 
@@ -190,26 +207,36 @@ def _bezout(p, q):
 
 def hj_frame(v, w):
     """Bezout normalisation of cone(v, w), for v a primitive integer vector
-    and w a ray (of Scalars) off the line of v.
+    and w a ray off the line of v: ints and Fractions for a rational ray,
+    integral or not, or Scalars.
 
     Returns (e, x, y): e is integral, {v, e} is a lattice basis and
     w = x e - y v with x > 0 <= y < x, so in the frame (e, v) the cone is
-    cone((0, 1), (x, -y)) and its chain is driven by the HJ digits of x/y."""
+    cone((0, 1), (x, -y)) and its chain is driven by the HJ digits of x/y.
+    x and y are exact in the field of w: ints or Fractions for a rational
+    ray, Scalars otherwise."""
     p, q = v
     s, t = _bezout(p, q)
-    eps = 1 if _cross(v, w) > 0 else -1
+    cross = _cross(v, w)
+    eps = 1 if cross > 0 else -1
     e = (-eps * t, eps * s)             # cross(v, e) = eps
-    x = eps * _cross(v, w)              # w = x e + beta v
+    x = eps * cross                     # w = x e + beta v
     beta = -eps * _cross(e, w)
-    c = (beta / x).ceil()
+    c = -(-beta // x)                   # the ceiling of beta / x
     return (e[0] + c * p, e[1] + c * q), x, x * c - beta
 
 
-def hj_digits(m: int, k: int) -> list:
-    """Digits a_i >= 2 of the descending fraction of m/k > 1 (none when
-    k = 0): a = ceil(m/k), then continue with k/(a k - m)."""
+def hj_digits(m, k) -> list:
+    """Digits a_i >= 2 of the descending fraction of m/k > 1 for ints or
+    Fractions m, k (none when k = 0): a = ceil(m/k), then continue with
+    k/(a k - m).  A fraction of more than DEPTH_LIMIT digits raises
+    ChainTooLong before its next digit is computed."""
     digits = []
     while k:
+        if len(digits) == DEPTH_LIMIT:
+            raise ChainTooLong(
+                f"the Hirzebruch-Jung chain is longer than DEPTH_LIMIT = "
+                f"{DEPTH_LIMIT} digits")
         a = -(-m // k)
         digits.append(a)
         m, k = k, a * k - m
@@ -243,8 +270,8 @@ def dual_cone_2d(sigma: Cone):
     # by +90 and w rotated by -90
     d1 = [-u[1], u[0]]
     d2 = [w[1], -w[0]]
-    e, x, y = hj_frame(d1, [Scalar(a) for a in d2])
-    inner = hj_chain(d1, e, hj_digits(int(x.a), int(y.a)))
+    e, x, y = hj_frame(d1, d2)
+    inner = hj_chain(d1, e, hj_digits(x, y))
     return [d1, d2], sorted([d1] + inner + [d2])
 
 

@@ -16,15 +16,13 @@ from math import gcd, isqrt, lcm
 
 from .errors import (DivisionByZero, InputError, NotNormalizable,
                      OutOfRange, PeriodNotFound, RationalInput)
-from .fan import Cone, Fan, hj_chain, hj_digits, hj_frame
+from .fan import DEPTH_LIMIT, Cone, Fan, hj_chain, hj_digits, hj_frame
 from .scalars import Scalar
 
 #: safety valve for period detection on quadratic irrationals, shared by
-#: the regular continued fractions of `nctorus`
+#: the regular continued fractions of `nctorus`; DEPTH_LIMIT, the largest
+#: `depth` accepted by `hj_expand` and `resolve_cone`, must not exceed it
 PERIOD_SEARCH_LIMIT = 10_000
-#: largest `depth` accepted by `hj_expand` and `resolve_cone`; it must not
-#: exceed PERIOD_SEARCH_LIMIT
-DEPTH_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -39,8 +37,9 @@ class HJExpansion:
 def hj_expand(x, depth: int | None = None) -> HJExpansion:
     """Digits a_i >= 2 with a_i = ceil(x_i), x_{i+1} = 1/(a_i - x_i).
 
-    Rational x > 1 terminates; quadratic-irrational x yields `depth` digits
-    together with the detected (preperiod, period) structure."""
+    Rational x > 1 terminates, within DEPTH_LIMIT digits (ChainTooLong
+    otherwise); quadratic-irrational x yields `depth` digits together with
+    the detected (preperiod, period) structure."""
     _check_depth(depth)
     x = Scalar._coerce(x)
     if x <= Scalar(1):
@@ -121,9 +120,9 @@ def resolve_cone(sigma: Cone, depth: int | None = None):
     """Subdivide a 2D cone along the Hirzebruch-Jung rays.
 
     Rational slope: the full smooth resolution (r inserted rays, every
-    adjacent pair unimodular).  Irrational slope: `depth` rays from the
-    truncated expansion; only the final wedge containing the irrational
-    ray stays non-smooth.
+    adjacent pair unimodular, r at most DEPTH_LIMIT).  Irrational slope:
+    `depth` rays from the truncated expansion; only the final wedge
+    containing the irrational ray stays non-smooth.
 
     Returns (fan, inserted_rays, M) where M is the normalizing unimodular
     map used (for traceability): it sends the rational ray kept fixed to
@@ -132,21 +131,21 @@ def resolve_cone(sigma: Cone, depth: int | None = None):
     _check_depth(depth)
     if sigma.ambient_dim != 2 or len(sigma.rays) != 2:
         raise NotNormalizable("need a full-dimensional 2D cone")
-    w, v = sigma.rays
-    if not all(x.is_rational for x in v):
-        v, w = w, v
-        if not all(x.is_rational for x in v):
+    w, ray = sigma.rays
+    if not all(x.is_rational for x in ray):
+        ray, w = w, ray
+        if not all(x.is_rational for x in ray):
             raise NotNormalizable("no rational primitive ray to normalize")
-    v = [int(x.a) for x in v]
-    e, x, y = hj_frame(v, w)
-    digits = ()
-    if not y.is_zero():
-        slope = x / y
-        if not slope.is_rational and depth is None:
-            depth = 5
-        digits = hj_expand(slope, depth=depth).digits
+    # canonical rational rays are primitive integer vectors
+    v = [int(a.a) for a in ray]
+    if all(a.is_rational for a in w):
+        e, x, y = hj_frame(v, [int(a.a) for a in w])
+        digits = hj_digits(x, y)
+    else:
+        e, x, y = hj_frame(v, w)
+        digits = hj_expand(x / y, depth=depth or 5).digits
     inserted = [[Scalar(a) for a in u] for u in hj_chain(v, e, digits)]
-    chain = [tuple(Scalar(a) for a in v)] + [tuple(u) for u in inserted] + [w]
+    chain = [ray] + [tuple(u) for u in inserted] + [w]
     F = Fan.from_faces(2, dict(enumerate(chain)),
                        [(j, j + 1) for j in range(len(chain) - 1)])
     # the rows of M are the cross products with v and with e, signed by

@@ -196,7 +196,7 @@ def normal_data(P: SimplePolytope):
         if not t.is_rational:
             raise IrrationalNormals("irrational facet normal scale")
         rho.append([int(x.a) for x in r])
-        lam.append(c / t)
+        lam.append(Scalar(c.a / t.a, c.b / t.a, c.d))
     return rho, lam
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .errors import CodimensionOne, RankDeficient
 from .linalg import integer_kernel_basis, transpose
 from .polytope import SimplePolytope, normal_data
-from .scalars import Scalar
+from .scalars import Scalar, common_field
 
 
 def forbidden_strata(family, N: int):
@@ -62,7 +62,10 @@ def quotient_data(P: SimplePolytope) -> QuotientData:
     strata = forbidden_strata(P.incidence, P.N)
     rho, lam = normal_data(P)
     basis = kernel_lattice(rho)
-    nu = [sum(((-lam[j]) * b[j] for j in range(len(lam))), Scalar(0))
+    # one Fraction sum for the rational part and one for the sqrt(d) part
+    d = common_field(lam)
+    nu = [Scalar(-sum(bj * x.a for bj, x in zip(b, lam) if bj),
+                 -sum(bj * x.b for bj, x in zip(b, lam) if bj), d)
           for b in basis]
     return QuotientData(N=P.N, forbidden_strata=strata, kernel_basis=basis,
                         nu_P=nu, lambda_P=lam)

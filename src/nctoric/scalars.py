@@ -139,6 +139,10 @@ class Scalar:
     def __rtruediv__(self, other):
         return Scalar._coerce(other) * self.inverse()
 
+    def __floordiv__(self, other) -> int:
+        """Exact floor of the quotient, an int, as for ints and Fractions."""
+        return (self / other).floor()
+
     def conjugate(self) -> "Scalar":
         """Galois conjugate a + b sqrt(d) -> a - b sqrt(d)."""
         return Scalar(self.a, -self.b, self.d)

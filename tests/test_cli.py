@@ -338,6 +338,28 @@ def test_depth_above_the_limit_is_an_input_error(capsys, tmp_path):
     assert len(parse(out)["payload"]["inserted_rays"]) == DEPTH_LIMIT
 
 
+def test_rational_chain_past_the_limit_is_a_domain_error(capsys, tmp_path):
+    # (n + 1)/n has n Hirzebruch-Jung digits
+    n = DEPTH_LIMIT
+    code, out = invoke(capsys, ["hj", "expand", "--value", f"{n + 1}/{n}"])
+    assert code == 0
+    assert len(parse(out)["payload"]["digits"]) == n
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"rays": [[0, 1], [n + 1, -n]]}))
+    code, out = invoke(capsys, ["hj", "resolve", "--cone", str(path)])
+    assert code == 0
+    assert len(parse(out)["payload"]["inserted_rays"]) == n
+    path.write_text(json.dumps({"rays": [[0, 1], [n + 2, -n - 1]]}))
+    for argv in (["hj", "expand", "--value", f"{n + 2}/{n + 1}"],
+                 ["hj", "resolve", "--cone", str(path)],
+                 ["hj", "resolve", "--cone", str(path), "--svg"]):
+        code, out = invoke(capsys, argv)
+        assert code == 4
+        err = json.loads(out)
+        assert err["error"] == "ChainTooLong"
+        assert f"DEPTH_LIMIT = {n}" in err["message"]
+
+
 #: 10^25 sqrt(2): neither continued fraction repeats within
 #: PERIOD_SEARCH_LIMIT steps
 HUGE = "sqrt(2)*10000000000000000000000000"

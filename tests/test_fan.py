@@ -5,15 +5,19 @@ from math import gcd
 
 import pytest
 
-from nctoric.errors import (DimensionMismatch, FieldMismatch, InputError,
-                            NonRational, NotSimplicial, WrongDimension)
-from nctoric.fan import (Cone, Fan, canonical_ray, cone_classify, dual_cone_2d,
-                         fan_from_json, fan_to_json, is_refinement,
-                         normal_fan)
+from nctoric.errors import (ChainTooLong, DimensionMismatch, FieldMismatch,
+                            InputError, NonRational, NotSimple, NotSimplicial,
+                            Unbounded, WrongDimension)
+from nctoric.fan import (DEPTH_LIMIT, Cone, Fan, _bezout, canonical_ray,
+                         cone_classify, dual_cone_2d, fan_from_json,
+                         fan_to_json, hj_chain, hj_digits, hj_frame,
+                         is_refinement, normal_fan)
 from nctoric.hj import resolve_cone
 from nctoric.linalg import solve_exact
-from nctoric.polytope import SimplePolytope, cube
-from nctoric.scalars import Scalar
+from nctoric.polytope import IRRATIONAL, SimplePolytope, cube, simplex
+from nctoric.scalars import Scalar, sorted_vectors
+
+from test_polytope import lattice_polygon, sqrt2_polygon
 
 
 def test_canonical_ray():
@@ -132,6 +136,16 @@ def test_cone_classify():
     assert cone_classify(Cone([[1, 0], [Scalar(1), r2]])) == "NonRational"
     with pytest.raises(NotSimplicial):
         cone_classify(Cone([[1, 0]]))
+    # four extreme rays over a quadrilateral span only a 3-space of R^4:
+    # dependence is reported before irrationality
+    for x in (Scalar(-1), -r2):
+        square = Cone([[1, 0, 1, 0], [0, 1, 1, 0], [-1, 0, 1, 0],
+                       [0, x, 1, 0]])
+        assert len(square.rays) == 4
+        with pytest.raises(NotSimplicial):
+            cone_classify(square)
+    assert cone_classify(Cone([[1, 0, 0], [0, 1, 0], [1, 1, 3]])) == \
+        ("Orbifold", 3)
 
 
 def check_hilbert_basis(d1, d2, basis, box=10):
@@ -475,3 +489,126 @@ def test_contains_in_three_and_four_dimensions():
         assert got == all(x.sign() >= 0 for x in t), (rays, v)
         answers.add(got)
     assert answers == {True, False}
+
+
+# -- oracles: the normal fan canonicalising afresh, and the Scalar frame -------
+
+
+def normal_fan_oracle(P):
+    """normal_fan with canonical_ray called on every negated normal."""
+    used = {i for I in P.incidence for i in I}
+    rays = {i: canonical_ray([-x for x in P.facets[i][0]]) for i in used}
+    return Fan.from_faces(P.dim, rays, P.incidence)
+
+
+def test_normal_fan_matches_the_canonicalising_oracle():
+    rng = random.Random(1506)
+    cases = [cube(d) for d in range(2, 6)] + [simplex(d) for d in range(2, 6)]
+    cases.append(cube(3, side=Fraction(5, 2)))
+    polygons = []
+    while len(polygons) < 12:
+        try:
+            polygons.append(SimplePolytope(lattice_polygon(rng)))
+        except (Unbounded, NotSimple):
+            pass
+    cases += polygons
+    for P in polygons:
+        try:
+            cases.append(SimplePolytope(sqrt2_polygon(rng, P)))
+        except (Unbounded, NotSimple):
+            pass
+    over_sqrt2 = [P for P in cases if any(
+        not x.is_rational for nrm, c in P.facets for x in nrm + [c])]
+    assert len(over_sqrt2) >= 8
+    assert any(P.delzant_class == IRRATIONAL for P in over_sqrt2)
+    for P in cases:
+        F = normal_fan(P)
+        assert F == normal_fan_oracle(P)
+        # the ray table keeps its exact lexicographic order
+        assert list(F.rays) == sorted_vectors(F.rays)
+
+
+def hj_frame_oracle(v, w):
+    """hj_frame with every step in Scalar arithmetic."""
+    w = [Scalar._coerce(a) for a in w]
+    p, q = v
+    s, t = _bezout(p, q)
+    eps = 1 if _cross(v, w) > 0 else -1
+    e = (-eps * t, eps * s)
+    x = eps * _cross(v, w)
+    beta = -eps * _cross(e, w)
+    c = (beta / x).ceil()
+    return (e[0] + c * p, e[1] + c * q), x, x * c - beta
+
+
+def dual_cone_2d_oracle(sigma):
+    """dual_cone_2d on the Scalar frame."""
+    u, w = ([int(x.a) for x in r] for r in sigma.rays)
+    if _cross(u, w) < 0:
+        u, w = w, u
+    d1 = [-u[1], u[0]]
+    d2 = [w[1], -w[0]]
+    e, x, y = hj_frame_oracle(d1, [Scalar(a) for a in d2])
+    inner = hj_chain(d1, e, hj_digits(int(x.a), int(y.a)))
+    return [d1, d2], sorted([d1] + inner + [d2])
+
+
+def _image(M, v):
+    return [M[i][0] * v[0] + M[i][1] * v[1] for i in range(2)]
+
+
+def test_hj_frame_matches_the_scalar_oracle():
+    rng = random.Random(2774)
+    # every coprime m/k with m <= 200, in a seeded unimodular frame
+    for m in range(1, 201):
+        for k in range(m):
+            if gcd(m, k) != 1:
+                continue
+            M = random_gl2(rng)
+            v, w = _image(M, (0, 1)), _image(M, (m, -k))
+            e, x, y = hj_frame(v, w)
+            assert type(x) is int and 0 <= y < x
+            assert (e, Scalar(x), Scalar(y)) == hj_frame_oracle(v, w)
+    # a rational ray that is not integral stays exact
+    e, x, y = hj_frame((0, 1), [Fraction(3, 2), -1])
+    assert (e, x, y) == ((1, 0), Fraction(3, 2), 1)
+    assert (e, Scalar(x), Scalar(y)) == \
+        hj_frame_oracle((0, 1), [Fraction(3, 2), -1])
+    # Q(sqrt 2) and Q(sqrt 5) rays: the ceiling comes from Scalar floor
+    for d in (2, 5):
+        root = Scalar.sqrt_int(d)
+        for _ in range(40):
+            M = random_gl2(rng)
+            slope = Scalar(rng.randint(1, 4)) + Scalar(
+                Fraction(rng.randint(1, 5), rng.randint(1, 3))) * root
+            v, w = _image(M, (0, 1)), _image(M, (slope, Scalar(-1)))
+            e, x, y = hj_frame(v, w)
+            assert (e, x, y) == hj_frame_oracle(v, w)
+            assert 0 <= y < x and not (x / y).is_rational
+
+
+def _turn(v):
+    return [-v[1], v[0]]
+
+
+def test_dual_cone_matches_the_scalar_oracle():
+    rng = random.Random(1308)
+    for det in range(1, 201):
+        k = rng.choice([k for k in range(1, det + 1) if gcd(det, k) == 1])
+        M = random_gl2(rng)
+        u, w = _image(M, (0, 1)), _image(M, (det, -k))
+        # the same cone in all four quarter-turn orientations
+        for _ in range(4):
+            u, w = _turn(u), _turn(w)
+            sigma = Cone([u, w])
+            assert dual_cone_2d(sigma) == dual_cone_2d_oracle(sigma), (u, w)
+
+
+def test_dual_chains_are_capped():
+    # the dual of cone((0, 1), (m, -1)) has the chain of m/(m - 1), with
+    # m - 1 digits, so its Hilbert basis has m + 1 elements
+    n = DEPTH_LIMIT
+    rays, basis = dual_cone_2d(Cone([[0, 1], [n + 1, -1]]))
+    assert len(basis) == n + 2
+    with pytest.raises(ChainTooLong, match=f"DEPTH_LIMIT = {n}"):
+        dual_cone_2d(Cone([[0, 1], [n + 2, -1]]))

@@ -1,13 +1,20 @@
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from nctoric.errors import InputError, NotNormalizable, OutOfRange
-from nctoric.fan import Cone, cone_classify, is_refinement, Fan
+from nctoric.errors import (ChainTooLong, InputError, NotNormalizable,
+                            OutOfRange)
+from nctoric.fan import (Cone, cone_classify, dual_cone_2d, hj_chain,
+                         is_refinement, Fan)
 from nctoric.hj import (DEPTH_LIMIT, PERIOD_SEARCH_LIMIT, hj_evaluate,
                        hj_expand, resolve_cone)
-from nctoric.scalars import Scalar
+from nctoric.polytope import cube
+from nctoric.quotient import quotient_data
+from nctoric.scalars import Scalar, sorted_vectors
+
+from test_fan import _image, hj_frame_oracle, random_gl2
 
 
 def test_expand_rational():
@@ -105,3 +112,82 @@ def test_resolve_needs_a_rational_ray():
     sigma = Cone([[Scalar(1), r2], [r2, Scalar(-1)]])
     with pytest.raises(NotNormalizable):
         resolve_cone(sigma, depth=2)
+
+
+def test_rational_chains_are_capped():
+    # (n + 1)/n has n digits, all 2
+    n = DEPTH_LIMIT
+    assert hj_expand(Fraction(n + 1, n)).digits == (2,) * n
+    _, inserted, _ = resolve_cone(Cone([[0, 1], [n + 1, -n]]))
+    assert len(inserted) == n
+    for call in (lambda: hj_expand(Fraction(n + 2, n + 1)),
+                 lambda: resolve_cone(Cone([[0, 1], [n + 2, -n - 1]]))):
+        with pytest.raises(ChainTooLong, match=f"DEPTH_LIMIT = {n}"):
+            call()
+
+
+def resolve_cone_oracle(sigma, depth=None):
+    """resolve_cone on the Scalar frame, with the digits of x/y from
+    hj_expand and the rational ray wrapped again."""
+    w, v = sigma.rays
+    if not all(x.is_rational for x in v):
+        v, w = w, v
+    v = [int(x.a) for x in v]
+    e, x, y = hj_frame_oracle(v, w)
+    digits = ()
+    if not y.is_zero():
+        slope = x / y
+        if not slope.is_rational and depth is None:
+            depth = 5
+        digits = hj_expand(slope, depth=depth).digits
+    inserted = [[Scalar(a) for a in u] for u in hj_chain(v, e, digits)]
+    chain = [tuple(Scalar(a) for a in v)] + [tuple(u) for u in inserted] + [w]
+    F = Fan.from_faces(2, dict(enumerate(chain)),
+                       [(j, j + 1) for j in range(len(chain) - 1)])
+    eps = v[0] * e[1] - v[1] * e[0]
+    M = [[-eps * v[1], eps * v[0]], [eps * e[1], -eps * e[0]]]
+    return F, inserted, M
+
+
+def test_resolve_cone_matches_the_scalar_oracle():
+    rng = random.Random(1112)
+    pairs = [(m, k) for m in range(1, 201) for k in range(m) if gcd(m, k) == 1]
+    cones = [(Cone([_image(M, (0, 1)), _image(M, (m, -k))]), None)
+             for m, k in rng.sample(pairs, 300) for M in [random_gl2(rng)]]
+    for d in (2, 5):
+        root = Scalar.sqrt_int(d)
+        for depth in range(1, 13):
+            slope = Scalar(rng.randint(1, 3)) + Scalar(rng.randint(1, 3)) * root
+            M = random_gl2(rng)
+            cones.append((Cone([_image(M, (0, 1)),
+                                _image(M, (slope, Scalar(-1)))]), depth))
+            cones.append((Cone([[0, 1], [slope, Scalar(-1)]]), None))
+    for sigma, depth in cones:
+        F, inserted, M = resolve_cone(sigma, depth)
+        assert (F, inserted, M) == resolve_cone_oracle(sigma, depth), sigma
+        assert list(F.rays) == sorted_vectors(F.rays)
+
+
+def test_scalars_are_built_once_per_output_entry(monkeypatch):
+    built = []
+    init = Scalar.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    sigma = Cone([[0, 1], [101, -100]])
+    P = cube(5)
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    # one Scalar per entry of an inserted ray; the frame and the digits
+    # are integers
+    F, inserted, _ = resolve_cone(sigma)
+    assert len(inserted) == 100
+    assert len(built) <= 2 * len(inserted) + 4
+    # one offset lambda_i per facet and one moment entry per kernel vector
+    built.clear()
+    q = quotient_data(P)
+    assert len(built) <= len(q.lambda_P) + len(q.nu_P)
+    built.clear()
+    dual_cone_2d(sigma)
+    assert built == []

@@ -6,9 +6,11 @@ import pytest
 
 from nctoric.errors import (CodimensionOne, Empty, NotSimple, RankDeficient,
                             Unbounded)
-from nctoric.polytope import SimplePolytope, cube, simplex
+from nctoric.polytope import SimplePolytope, cube, normal_data, simplex
 from nctoric.quotient import forbidden_strata, kernel_lattice, quotient_data
 from nctoric.scalars import Scalar
+
+from test_polytope import lattice_polygon, small_polygon
 
 
 def test_forbidden_strata_square():
@@ -158,3 +160,53 @@ def test_strata_zero_sets_never_realized():
                 if (P._eval(i, v) - P.facets[i][1]).is_zero()}
         for stratum in q.forbidden_strata:
             assert not stratum <= zero
+
+
+def moment_oracle(P):
+    """(lambda, nu_P) in Scalar arithmetic: lambda_i = c_i / t_i through
+    Scalar division and nu_P = -B^T lambda as a sum of Scalar products."""
+    lam = [c if rt is None else c / rt[1]
+           for (_, c), rt in zip(P.facets, P._normal_rays)]
+    basis = kernel_lattice(normal_data(P)[0])
+    return lam, [sum(((-lam[j]) * b[j] for j in range(len(lam))), Scalar(0))
+                 for b in basis]
+
+
+def _translated(facets, shift):
+    """The same polytope moved by `shift`: <x - shift, n> >= c."""
+    return [(nrm, Scalar._coerce(c) + sum((a * s for a, s in zip(nrm, shift)),
+                                          Scalar(0)))
+            for nrm, c in facets]
+
+
+def test_moment_vector_matches_the_scalar_oracle():
+    r2 = Scalar.sqrt_int(2)
+    box = SimplePolytope([([1, 0], 0), ([-1, 0], -r2), ([0, 1], 0),
+                          ([0, -1], -1 - r2)])
+    assert quotient_data(box).nu_P == [r2, 1 + r2]
+    # non-primitive normals scale their offsets
+    scaled = SimplePolytope([([2, 0], 0), ([-3, 0], -3 * r2), ([0, 1], 0),
+                             ([0, -1], -1 - r2)])
+    assert quotient_data(scaled).nu_P == [r2, 1 + r2]
+    rng = random.Random(2774)
+    cases = [box, scaled] + [cube(d) for d in range(1, 5)] + \
+        [simplex(d) for d in range(1, 5)]
+    polygons = []
+    while len(polygons) < 20:
+        facets = rng.choice((lattice_polygon, small_polygon))(rng)
+        if len(facets) > 10:
+            continue
+        try:
+            P = SimplePolytope(facets)
+        except (Unbounded, NotSimple):
+            continue
+        if not any(P.redundant):
+            polygons.append(P)
+    cases += polygons
+    for P in polygons[:10]:
+        shift = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) * r2,
+                 Scalar(rng.randint(-3, 3)) + r2 / 3]
+        cases.append(SimplePolytope(_translated(P.facets, shift)))
+    for P in cases:
+        q = quotient_data(P)
+        assert (q.lambda_P, q.nu_P) == moment_oracle(P), P.facets

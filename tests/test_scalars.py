@@ -85,6 +85,11 @@ def test_comparisons_and_floor():
     assert Scalar(Fraction(7, 2)).floor() == 3
     assert Scalar(Fraction(-7, 2)).floor() == -4
     assert Scalar(3).floor() == 3 == Scalar(3).ceil()
+    # floor division is the floor of the exact quotient, as for Fractions
+    assert (1 + r2) // 1 == 2 and (-1 - r2) // 1 == -3
+    assert r2 // Scalar(Fraction(1, 3)) == 4 and r2 // (-r2) == -1
+    assert Scalar(Fraction(7, 2)) // Fraction(-1, 2) == Fraction(7, 2) // \
+        Fraction(-1, 2) == -7
 
 
 def test_floor_of_a_huge_irrational_is_exact():
