@@ -22,14 +22,6 @@ def h_from_f(f, d: int):
             for i in range(d + 1)]
 
 
-def f_from_h(h, d: int):
-    """Inverse transform: f_{i-1} = sum_j C(d-j, d-i) h_j."""
-    if len(h) != d + 1:
-        raise LengthMismatch(f"need h_0..h_{d}, got {len(h)} entries")
-    return [sum(comb(d - j, d - i) * h[j] for j in range(i + 1))
-            for i in range(d + 1)]
-
-
 def check_dehn_sommerville(h) -> bool:
     h = list(h)
     return h == h[::-1]

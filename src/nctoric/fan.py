@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .errors import (ChainTooLong, DimensionMismatch, InputError,
                      NonRational, NotSimplicial, WrongDimension)
-from .linalg import (canonical_ray, has_nonneg_solution, int_det, scalar_rank,
+from .linalg import (_pair_row, canonical_ray, has_nonneg_solution, pair_det,
                      transpose, zero_in_hull)
 from .polytope import SimplePolytope
 from .scalars import Scalar, common_field, sorted_vectors
@@ -70,10 +70,6 @@ class Cone:
         rays = ", ".join("(" + ",".join(map(str, r)) + ")" for r in self.rays)
         return f"Cone[{rays}]"
 
-    @property
-    def dim(self):
-        return scalar_rank([list(r) for r in self.rays])
-
     def is_rational(self):
         return all(all(x.is_rational for x in r) for r in self.rays)
 
@@ -124,7 +120,7 @@ class Fan:
         keys = {key: tuple(x.a.numerator for x in r) if rational else r
                 for key, r in rays.items()}
         ray_of = dict(zip(keys.values(), rays.values()))
-        order = sorted(ray_of)
+        order = sorted(ray_of) if rational else sorted_vectors(ray_of)
         table = tuple(ray_of[k] for k in order)
         pos = {k: i for i, k in enumerate(order)}
         index = {key: pos[k] for key, k in keys.items()}
@@ -177,18 +173,18 @@ def normal_fan(P: SimplePolytope) -> Fan:
 
 def cone_classify(sigma: Cone):
     """"Smooth", ("Orbifold", index) or "NonRational" for a full-dimensional
-    simplicial cone.  n rational rays are independent iff their integer
-    determinant is nonzero; irrational ones are ranked exactly."""
+    simplicial cone.  n rays are independent iff their determinant over
+    Z[sqrt(d)], each ray cleared of denominators, is nonzero; for rational
+    rays, primitive integer vectors, its absolute value is the index."""
     n = sigma.ambient_dim
-    idx = 0
     if len(sigma.rays) == n:
-        if sigma.is_rational():
-            idx = abs(int_det([[int(x.a) for x in r] for r in sigma.rays]))
-        elif sigma.dim == n:
+        d = common_field(x for r in sigma.rays for x in r)
+        x, y = pair_det([_pair_row(r) for r in sigma.rays], d)
+        if d and (x or y):
             return NON_RATIONAL
-    if not idx:
-        raise NotSimplicial(f"expected {n} independent rays")
-    return SMOOTH if idx == 1 else ("Orbifold", idx)
+        if x:
+            return SMOOTH if abs(x) == 1 else ("Orbifold", abs(x))
+    raise NotSimplicial(f"expected {n} independent rays")
 
 
 # -- the Hirzebruch-Jung chain of a 2D cone ------------------------------------

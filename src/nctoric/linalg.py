@@ -35,29 +35,60 @@ def transpose(A):
     return [list(col) for col in zip(*A)] if A else []
 
 
-def int_det(A: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    n = len(A)
-    if n == 0:
-        return 1
-    M = [row[:] for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+def _pair_row(entries) -> list:
+    """Entries (ints, Fractions or Scalars of one field d) times the least
+    positive integer that makes them integer pairs x + y sqrt(d): the list
+    of their x parts followed by the list of their y parts."""
+    v = [e.a if isinstance(e, Scalar) else e for e in entries]
+    v += [e.b if isinstance(e, Scalar) else 0 for e in entries]
+    den = lcm(*[e.denominator for e in v])
+    return [e.numerator * (den // e.denominator) for e in v]
+
+
+def _bareiss_pivot(T, r, j, rows, D, d: int):
+    """Fraction-free pivot on column j of row P = T[r], for T a list of rows
+    of integer pairs R[:w] + R[w:] sqrt(d): each row R = T[i], i in rows,
+    becomes (p R - f P) / D, with p and f the column-j entries of P and R
+    and D = (dx, dy) the previous pivot.  The quotient lies in Z[sqrt(d)]
+    (Sylvester's identity; Bareiss, Math. Comp. 22, 1968) and is computed
+    exactly as (p D* R - f D* P) // N, D* the conjugate of D and N = D D*
+    its norm, which is nonzero for D != 0 as sqrt(d) is irrational."""
+    P = T[r]
+    w = len(P) // 2
+    dx, dy = D
+    N = dx * dx - dy * dy * d
+    px, py = P[j] * dx - P[w + j] * dy * d, P[w + j] * dx - P[j] * dy
+    for i in rows:
+        R = T[i]
+        fx, fy = R[j] * dx - R[w + j] * dy * d, R[w + j] * dx - R[j] * dy
+        cols = list(zip(R[:w], R[w:], P[:w], P[w:]))
+        T[i] = [(px * a + py * d * c - fx * e - fy * d * h) // N
+                for a, c, e, h in cols] + \
+            [(px * c + py * a - fx * h - fy * e) // N
+             for a, c, e, h in cols]
+
+
+def pair_det(rows, d: int = 0) -> tuple:
+    """Determinant (x, y) = x + y sqrt(d) of the n x n matrix over
+    Z[sqrt(d)] whose row i is rows[i][:n] + rows[i][n:] sqrt(d), for d = 0
+    or square-free, by fraction-free elimination: after k pivots, entry
+    (i, j) below them is the minor on rows and columns 0..k-1 plus i and j,
+    so the last pivot is the determinant.  A zero pivot is swapped with the
+    first row below with a nonzero entry in its column, flipping the sign;
+    when there is none the matrix is singular."""
+    n = len(rows)
+    T = [list(row) for row in rows]
+    sign, D = 1, (1, 0)
+    for k in range(n):
+        r = next((i for i in range(k, n) if T[i][k] or T[i][n + k]), None)
+        if r is None:
+            return (0, 0)
+        if r != k:
+            T[k], T[r] = T[r], T[k]
+            sign = -sign
+        _bareiss_pivot(T, k, k, range(k + 1, n), D, d)
+        D = (T[k][k], T[k][n + k])
+    return (sign * D[0], sign * D[1])
 
 
 def smith_normal_form(A: IntMatrix):
@@ -226,7 +257,7 @@ def has_nonneg_solution(A: ScalarMatrix, b) -> bool:
     rows, is a positive multiple of the sum of one artificial per row; a
     leaving artificial never re-enters.  Each row is D times its row in the
     dividing tableau, D > 0 the basis determinant, so a pivot divides
-    exactly by the last D (Bareiss, Math. Comp. 22, 1968; Avis, lrs)."""
+    exactly by the last D (_bareiss_pivot; Avis, lrs)."""
     m = len(A)
     n = len(A[0]) if m else 0
     if len(b) != m:
@@ -235,15 +266,12 @@ def has_nonneg_solution(A: ScalarMatrix, b) -> bool:
     w = n + 1  # row i is T[i][:w] + T[i][w:] sqrt(d), right-hand side last
     T = []
     for row, rhs in zip(A, b):
-        v = [e.a if isinstance(e, Scalar) else e for e in (*row, rhs)]
-        v += [e.b if isinstance(e, Scalar) else 0 for e in (*row, rhs)]
-        den = lcm(*[e.denominator for e in v])
-        v = [e.numerator * (den // e.denominator) for e in v]
+        v = _pair_row((*row, rhs))
         g = (gcd(*v) or 1) * (-1 if _pair_sign(v[n], v[-1], d) < 0 else 1)
         T.append([e // g for e in v])
     T.append([sum(c) for c in zip([0] * 2 * w, *T)])
     basis = [n + i for i in range(m)]  # indices >= n are artificial
-    dx, dy = 1, 0  # D = dx + dy sqrt(d)
+    D = (1, 0)  # the basis determinant as an integer pair
     while T[m][n] or T[m][-1]:
         # Bland: least column enters; ratio ties leave by least basic index
         j = next((j for j in range(n)
@@ -262,20 +290,8 @@ def has_nonneg_solution(A: ScalarMatrix, b) -> bool:
                 if s > 0 or s == 0 and basis[i] > basis[r]:
                     continue
             r = i
-        # row i becomes (p R - f P) / D = (p D* R - f D* P) / N: p and f
-        # are the column-j entries of P and R, D* is D conjugate, N = D D*
-        P, N = T[r], dx * dx - dy * dy * d
-        px, py = P[j] * dx - P[w + j] * dy * d, P[w + j] * dx - P[j] * dy
-        for i, R in enumerate(T):
-            if i == r:
-                continue
-            fx, fy = R[j] * dx - R[w + j] * dy * d, R[w + j] * dx - R[j] * dy
-            cols = list(zip(R[:w], R[w:], P[:w], P[w:]))
-            T[i] = [(px * a + py * d * c - fx * e - fy * d * h) // N
-                    for a, c, e, h in cols] + \
-                [(px * c + py * a - fx * h - fy * e) // N
-                 for a, c, e, h in cols]
-        dx, dy = P[j], P[w + j]
+        _bareiss_pivot(T, r, j, [i for i in range(m + 1) if i != r], D, d)
+        D = (T[r][j], T[r][w + j])
         basis[r] = j
     return True
 
@@ -285,12 +301,6 @@ def zero_in_hull(points) -> bool:
     sum t_i p_i = 0."""
     rows = [list(coords) for coords in zip(*points)] + [[1] * len(points)]
     return has_nonneg_solution(rows, [0] * (len(rows) - 1) + [1])
-
-
-def scalar_kernel_basis(A: ScalarMatrix, n: int) -> list:
-    """Kernel basis of an m x n ScalarMatrix (n passed for the m = 0 case)."""
-    rows, pivots = _row_reduce(A)
-    return _free_kernel(rows, pivots, n)
 
 
 def scalar_rank(A: ScalarMatrix) -> int:

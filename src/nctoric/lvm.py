@@ -16,7 +16,8 @@ from itertools import combinations
 
 from .errors import (DegenerateFoliation, DegenerateSystem, InputError,
                      IrrationalWeights, WrongDimension)
-from .linalg import _free_kernel, _row_reduce, canonical_ray, zero_in_hull
+from .linalg import (_free_kernel, _pair_row, _row_reduce, canonical_ray,
+                     pair_det, zero_in_hull)
 from .polytope import SimplePolytope, _subsets
 from .scalars import Scalar, common_field
 
@@ -93,11 +94,21 @@ def configuration_from_json(obj) -> Configuration:
 
 def check_admissible(cfg: Configuration) -> dict:
     """Siegel: 0 in conv(Lambda); weak hyperbolicity: no 2m-subset's hull
-    contains 0 (TooManySubsets past polytope.SUBSET_LIMIT subsets)."""
+    contains 0 (TooManySubsets past polytope.SUBSET_LIMIT subsets).
+
+    If 0 = sum t_i p_i with sum t_i = 1, the points p_i are linearly
+    dependent, so 2m points in R^2m with a nonzero determinant settle their
+    subset and only singular subsets run a hull test.  Each point is
+    scaled once by a positive integer to integer pairs (linalg._pair_row),
+    which changes neither a determinant's zero-ness nor hull membership."""
     pts = cfg.real_points()
-    subs = _subsets(pts, 2 * cfg.m, "the weak hyperbolicity check")
+    subs = _subsets(range(cfg.n), 2 * cfg.m, "the weak hyperbolicity check")
+    d = common_field(x for p in pts for x in p)
+    rows = [_pair_row(p) for p in pts]
     return {"siegel": zero_in_hull(pts),
-            "weak_hyperbolic": all(not zero_in_hull(s) for s in subs)}
+            "weak_hyperbolic": not any(
+                zero_in_hull([pts[i] for i in s]) for s in subs
+                if pair_det([rows[i] for i in s], d) == (0, 0))}
 
 
 def _system_rows(cfg: Configuration):

@@ -14,8 +14,8 @@ from math import comb
 
 from .errors import (Empty, InputError, IrrationalNormals, NotSimple,
                      TooManySubsets, Unbounded)
-from .linalg import (canonical_ray, has_nonneg_solution, int_det,
-                     scalar_rank, solve_exact, transpose)
+from .linalg import (_pair_row, canonical_ray, has_nonneg_solution,
+                     pair_det, scalar_rank, solve_exact, transpose)
 from .scalars import Scalar, common_field, sorted_vectors
 
 IRRATIONAL = "Irrational"
@@ -24,7 +24,8 @@ INTEGRAL_DELZANT = "IntegralDelzant"
 
 #: most index subsets one search may try: the C(N, n) facet subsets of
 #: vertex enumeration and the C(n, 2m) sub-configurations of the LVM weak
-#: hyperbolicity check, each costing one exact solve or hull test
+#: hyperbolicity check, each costing one exact solve, or one determinant
+#: and, for a singular subset, a hull test
 SUBSET_LIMIT = 500
 
 
@@ -167,7 +168,7 @@ class SimplePolytope:
                     if not self.redundant[i]]
             if not all(x.is_rational for r in rays for x in r):
                 return IRRATIONAL
-            if abs(int_det([[int(x.a) for x in r] for r in rays])) != 1:
+            if abs(pair_det([_pair_row(r) for r in rays])[0]) != 1:
                 integral = False
         return INTEGRAL_DELZANT if integral else RATIONAL_DELZANT
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .errors import DivisionByZero, FieldMismatch, InputError
 
@@ -361,10 +362,18 @@ def common_field(values) -> int:
 
 
 def sorted_vectors(vectors) -> list:
-    """Vectors of Scalars in exact lexicographic order.  The entries must
-    share one field (FieldMismatch otherwise), so any two compare; rational
-    vectors are compared through their Fractions."""
+    """Vectors of Scalars, all of one length, in exact lexicographic order.
+    The entries must share one field (FieldMismatch otherwise), so any two
+    compare: rational vectors through their Fractions, irrational ones by
+    the sign of the first nonzero entrywise difference, read off the
+    differences of the rational and sqrt(d) parts without a Scalar."""
     vectors = list(vectors)
-    if common_field(x for v in vectors for x in v) == 0:
+    d = common_field(x for v in vectors for x in v)
+    if d == 0:
         return sorted(vectors, key=lambda v: [x.a for x in v])
-    return sorted(vectors)
+
+    def cmp(u, v):
+        return next((s for s in (_pair_sign(x.a - y.a, x.b - y.b, d)
+                                 for x, y in zip(u, v)) if s), 0)
+
+    return sorted(vectors, key=cmp_to_key(cmp))

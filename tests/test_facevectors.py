@@ -6,9 +6,17 @@ import pytest
 
 from nctoric.errors import LengthMismatch
 from nctoric.facevectors import (_binomial_decomposition,
-                                 check_dehn_sommerville, f_from_h, g_from_h,
+                                 check_dehn_sommerville, g_from_h,
                                  g_theorem_necessity, h_from_f, is_m_vector,
                                  shadow)
+
+
+def f_from_h(h, d: int):
+    """Inverse of h_from_f: f_{i-1} = sum_j C(d-j, d-i) h_j."""
+    if len(h) != d + 1:
+        raise LengthMismatch(f"need h_0..h_{d}, got {len(h)} entries")
+    return [sum(comb(d - j, d - i) * h[j] for j in range(i + 1))
+            for i in range(d + 1)]
 
 
 def test_h_from_f_known():

@@ -13,10 +13,11 @@ from nctoric.fan import (DEPTH_LIMIT, Cone, Fan, _bezout, canonical_ray,
                          fan_to_json, hj_chain, hj_digits, hj_frame,
                          is_refinement, normal_fan)
 from nctoric.hj import resolve_cone
-from nctoric.linalg import solve_exact
+from nctoric.linalg import scalar_rank, solve_exact
 from nctoric.polytope import IRRATIONAL, SimplePolytope, cube, simplex
 from nctoric.scalars import Scalar, sorted_vectors
 
+from test_linalg import int_det
 from test_polytope import lattice_polygon, sqrt2_polygon
 
 
@@ -33,7 +34,7 @@ def test_cone_invariants():
     with pytest.raises(InputError):
         Cone([[1, 0], [-1, 0]])
     c = Cone([[1, 0], [0, 1]])
-    assert c.dim == 2
+    assert scalar_rank([list(r) for r in c.rays]) == 2
     assert c.contains([1, 1])
     assert not c.contains([-1, 1])
     assert c.contains([0, 0])
@@ -146,6 +147,72 @@ def test_cone_classify():
             cone_classify(square)
     assert cone_classify(Cone([[1, 0, 0], [0, 1, 0], [1, 1, 3]])) == \
         ("Orbifold", 3)
+
+
+def cone_classify_oracle(sigma):
+    """cone_classify by the integer determinant oracle for rational rays
+    and an exact rank for irrational ones; "NotSimplicial" for dependent
+    rays or too few of them."""
+    n = sigma.ambient_dim
+    if len(sigma.rays) == n:
+        if sigma.is_rational():
+            idx = abs(int_det([[int(x.a) for x in r] for r in sigma.rays]))
+            if idx:
+                return "Smooth" if idx == 1 else ("Orbifold", idx)
+        elif scalar_rank([list(r) for r in sigma.rays]) == n:
+            return "NonRational"
+    return "NotSimplicial"
+
+
+def test_cone_classify_matches_the_rank_oracle():
+    rng = random.Random(20261106)
+    seen = set()
+    for trial in range(300):
+        d = (0, 2, 5)[trial % 3]
+        root = Scalar.sqrt_int(d) if d else Scalar(0)
+        n = rng.randint(2, 4)
+        rays = [[Scalar(rng.randint(-3, 3)) + root * rng.randint(-1, 1)
+                 if rng.random() < 0.3 else Scalar(rng.randint(-3, 3))
+                 for _ in range(n)] for _ in range(rng.randint(n - 1, n))]
+        if rng.random() < 0.3 and len(rays) > 2:  # a dependent ray
+            rays[-1] = [a + b for a, b in zip(rays[0], rays[1])]
+        if trial % 4 == 3:  # four extreme rays over a square, in R^4
+            M = [[Scalar(rng.randint(-2, 2)) + root * rng.randint(-1, 1)
+                  for _ in range(3)] for _ in range(4)]
+            rays = [[sum((a * x for a, x in zip(row, sq)), Scalar(0))
+                     for row in M] for sq in ((1, 0, 1), (0, 1, 1),
+                                              (-1, 0, 1), (0, -1, 1))]
+        try:
+            sigma = Cone(rays)
+        except InputError:  # a zero ray, or a line
+            continue
+        want = cone_classify_oracle(sigma)
+        try:
+            got = cone_classify(sigma)
+        except NotSimplicial:
+            got = "NotSimplicial"
+        assert got == want, sigma
+        seen.add((d > 0, want if isinstance(want, str) else want[0]))
+    assert seen >= {(False, "Smooth"), (False, "Orbifold"),
+                    (False, "NotSimplicial"), (True, "NonRational"),
+                    (True, "NotSimplicial")}
+
+
+def test_irrational_ray_tables_keep_the_scalar_order():
+    rng = random.Random(20261105)
+    for d in (2, 5):
+        root = Scalar.sqrt_int(d)
+        for trial in range(40):
+            dim = rng.randint(1, 3)
+            vecs = [[Scalar(rng.randint(-2, 2)) + root * rng.randint(-1, 1)
+                     for _ in range(dim)] for _ in range(rng.randint(1, 8))]
+            rays = {canonical_ray(v) for v in vecs
+                    if any(not x.is_zero() for x in v)}
+            want = sorted(rays)  # tuples compared through Scalar.__lt__
+            assert sorted_vectors(rays) == want
+            F = Fan.from_faces(dim, dict(enumerate(rays)),
+                               [[k] for k in range(len(rays))])
+            assert list(F.rays) == want
 
 
 def check_hilbert_basis(d1, d2, basis, box=10):
@@ -524,8 +591,9 @@ def test_normal_fan_matches_the_canonicalising_oracle():
     for P in cases:
         F = normal_fan(P)
         assert F == normal_fan_oracle(P)
-        # the ray table keeps its exact lexicographic order
-        assert list(F.rays) == sorted_vectors(F.rays)
+        # the ray table keeps its exact lexicographic order, as compared
+        # by Scalar.__lt__
+        assert list(F.rays) == sorted(F.rays)
 
 
 def hj_frame_oracle(v, w):

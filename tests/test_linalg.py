@@ -2,16 +2,49 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from nctoric.errors import DimensionMismatch, FieldMismatch
-from nctoric.linalg import (_row_reduce, canonical_ray, has_nonneg_solution,
-                            identity, int_det, integer_kernel_basis, mat_mul,
-                            scalar_kernel_basis, scalar_rank, smith_normal_form,
-                            solve_exact, zero_in_hull)
+from nctoric.linalg import (_free_kernel, _pair_row, _row_reduce,
+                            canonical_ray, has_nonneg_solution, identity,
+                            integer_kernel_basis, mat_mul, pair_det,
+                            scalar_rank, smith_normal_form, solve_exact,
+                            zero_in_hull)
 from nctoric.scalars import Scalar, common_field
+
+
+def int_det(A) -> int:
+    """Oracle: the integer Bareiss determinant with its own elimination."""
+    n = len(A)
+    if n == 0:
+        return 1
+    M = [row[:] for row in A]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for i in range(k + 1, n):
+                if M[i][k] != 0:
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
+def scalar_kernel_basis(A, n: int) -> list:
+    """Kernel basis of an m x n Scalar matrix (n passed for the m = 0 case),
+    one vector per free column of its reduced form."""
+    rows, pivots = _row_reduce(A)
+    return _free_kernel(rows, pivots, n)
 
 
 def mat_vec(A, v):
@@ -71,9 +104,79 @@ def test_snf_random_matrices():
         check_snf(A)
 
 
+def int_pairs(A):
+    """An integer matrix as rows of integer pairs with zero sqrt(d) parts."""
+    return [list(row) + [0] * len(row) for row in A]
+
+
 def test_int_rank_and_det():
     assert int_det([[2, 4], [6, 8]]) == -8
     assert int_det([[1, 2], [2, 4]]) == 0
+    assert pair_det(int_pairs([[2, 4], [6, 8]])) == (-8, 0)
+    assert pair_det(int_pairs([[1, 2], [2, 4]])) == (0, 0)
+    assert pair_det([]) == (1, 0)
+    assert pair_det(int_pairs([[0, 1], [1, 0]])) == (-1, 0)
+
+
+def test_pair_det_matches_the_integer_oracle():
+    rng = random.Random(20261102)
+    seen = set()
+    for trial in range(300):
+        n = rng.randint(1, 5)
+        A = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 1:  # the first pivots vanish, so rows must swap
+            for i in range(rng.randint(1, n) - 1):
+                A[i][0] = 0
+            for j in range(1, n):
+                A[0][j] = A[0][j] if rng.random() < 0.5 else 0
+        elif trial % 3 == 2 and n > 1:  # a row a combination of others
+            i = rng.randrange(n)
+            j, k = (rng.choice([x for x in range(n) if x != i])
+                    for _ in range(2))
+            a, c = rng.randint(-2, 2), rng.randint(-2, 2)
+            A[i] = [a * x + c * y for x, y in zip(A[j], A[k])]
+        want = int_det(A)
+        for d in (0, 2, 5):
+            assert pair_det(int_pairs(A), d) == (want, 0), (A, d)
+        seen.add(("singular" if want == 0 else
+                  "swap" if A[0][0] == 0 else "plain"))
+    assert seen == {"singular", "swap", "plain"}
+
+
+def cofactor_det(M):
+    """Oracle: Laplace expansion along the first row, on Scalars."""
+    if not M:
+        return Scalar(1)
+    return sum(((-1) ** j * M[0][j] *
+                cofactor_det([row[:j] + row[j + 1:] for row in M[1:]])
+                for j in range(len(M))), Scalar(0))
+
+
+def test_pair_det_matches_scalar_cofactors():
+    rng = random.Random(20261103)
+    seen = set()
+    for trial in range(240):
+        d = (2, 5)[trial % 2]
+        n = rng.randint(1, 4)
+        r = Scalar.sqrt_int(d)
+        M = [[Scalar(0) if rng.random() < 0.25 else
+              Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+              + r * Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+              for _ in range(n)] for _ in range(n)]
+        if n > 1 and trial % 4 >= 2:  # a row an irrational multiple of another
+            i, j = rng.sample(range(n), 2)
+            M[i] = [(1 + r) * x for x in M[j]]
+        rows = [_pair_row(row) for row in M]
+        scale = 1
+        for row in M:  # the positive integer each row was multiplied by
+            scale *= lcm(*[f.denominator for x in row for f in (x.a, x.b)])
+        x, y = pair_det(rows, d)
+        want = cofactor_det(M) * scale
+        assert Scalar(x, y, d) == want, (M, d)
+        seen.add((d, want.is_zero(), want.is_rational))
+    assert {(d, z) for d, z, _ in seen} == {(d, z) for d in (2, 5)
+                                            for z in (False, True)}
+    assert any(not z and not q for _, z, q in seen)
 
 
 def test_integer_kernel_saturated():

@@ -7,10 +7,9 @@ import pytest
 from nctoric import linalg, lvm
 from nctoric.errors import (DegenerateFoliation, DegenerateSystem, InputError,
                             IrrationalWeights, WrongDimension)
-from nctoric.linalg import (canonical_ray, scalar_kernel_basis, scalar_rank,
-                            zero_in_hull)
+from nctoric.linalg import canonical_ray, scalar_rank, zero_in_hull
 from nctoric.scalars import Scalar, common_field
-from test_linalg import rational_subspace_dim
+from test_linalg import rational_subspace_dim, scalar_kernel_basis
 
 R2 = Scalar.sqrt_int(2)
 
@@ -51,6 +50,99 @@ def test_check_admissible():
     flags = lvm.check_admissible(lvm.Configuration([[(1, 0)], [(-1, 0)],
                                                     [(0, 1)]]))
     assert flags["siegel"] and not flags["weak_hyperbolic"]
+
+
+def weak_hyperbolic_oracle(cfg):
+    """Oracle: no 2m-subset of the points has 0 in its hull, by one hull LP
+    per subset."""
+    pts = cfg.real_points()
+    return all(not zero_in_hull(s) for s in combinations(pts, 2 * cfg.m))
+
+
+def planted_configuration(rng, m, d, kind):
+    """n > 2m seeded points of R^2m over Q, or Q(sqrt d) for d > 0, with a
+    singular 2m-subset of the given kind planted: a zero point, a pair on a
+    line through 0 (antipodal or not), three points on a line through 0,
+    or (m = 2) four points on a hyperplane through 0; "random" plants
+    nothing."""
+    k = 2 * m
+    root = Scalar.sqrt_int(d) if d else Scalar(0)
+
+    def entry():
+        return Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2))) \
+            + root * rng.randint(-1, 1)
+
+    def factor():  # a nonzero multiplier of either sign
+        return Scalar(Fraction(rng.choice((-1, 1)) * rng.randint(1, 3),
+                               rng.randint(1, 2))) + root * rng.randint(0, 1)
+
+    pts = [[entry() for _ in range(k)] for _ in range(rng.randint(k + 1, k + 3))]
+    idx = rng.sample(range(len(pts)), k if kind == "hyperplane" else 3)
+    if kind == "zero":
+        pts[idx[0]] = [Scalar(0)] * k
+    elif kind == "pair":
+        pts[idx[1]] = [factor() * x for x in pts[idx[0]]]
+    elif kind == "collinear":
+        v = pts[idx[0]]
+        for i in idx[1:]:
+            pts[i] = [factor() * x for x in v]
+    elif kind == "hyperplane":  # k points in the span of k - 1 vectors
+        span = [[entry() for _ in range(k)] for _ in range(k - 1)]
+        for i in idx:
+            c = [factor() for _ in span]
+            pts[i] = [sum((a * u[j] for a, u in zip(c, span)), Scalar(0))
+                      for j in range(k)]
+    return lvm.Configuration([[(p[2 * j], p[2 * j + 1]) for j in range(m)]
+                              for p in pts], m)
+
+
+def test_check_admissible_matches_the_hull_scan_oracle():
+    rng = random.Random(20261104)
+    seen = set()
+    for trial in range(360):
+        m, d = 1 + trial % 2, (0, 2, 5)[trial // 2 % 3]
+        kinds = ("random", "zero", "pair", "collinear") + \
+            (("hyperplane",) if m == 2 else ())
+        kind = rng.choice(kinds)
+        cfg = planted_configuration(rng, m, d, kind)
+        flags = lvm.check_admissible(cfg)
+        assert flags == {"siegel": zero_in_hull(cfg.real_points()),
+                         "weak_hyperbolic": weak_hyperbolic_oracle(cfg)}, \
+            (kind, lvm.configuration_to_json(cfg))
+        seen.add((m, d, kind, flags["weak_hyperbolic"]))
+    # both answers in every field and m, and for every planted singular
+    # subset that may or may not hold 0 in its hull
+    assert {(m, d, w) for m, d, _, w in seen} == {
+        (m, d, w) for m in (1, 2) for d in (0, 2, 5) for w in (False, True)}
+    assert {(kind, w) for _, _, kind, w in seen} >= {
+        (kind, w) for kind in ("pair", "collinear", "hyperplane")
+        for w in (False, True)}
+
+
+def test_check_admissible_runs_hulls_only_on_singular_subsets(monkeypatch):
+    calls = []
+
+    def counting(pts):
+        calls.append(len(pts))
+        return zero_in_hull(pts)
+
+    monkeypatch.setattr(lvm, "zero_in_hull", counting)
+    r2 = Scalar.sqrt_int(2)
+    # no singular 2m-subset: the Siegel hull is the only LP
+    for cfg in (lvm.Configuration([[(1, 0)], [(0, 1)], [(-1, -2)]]),
+                lvm.Configuration([[(1, 0), (0, 0)], [(0, 1), (0, 0)],
+                                   [(0, 0), (1, 0)], [(0, 0), (0, 1)],
+                                   [(-1, -1), (-r2, -1)]])):
+        calls.clear()
+        assert lvm.check_admissible(cfg) == {"siegel": True,
+                                             "weak_hyperbolic": True}
+        assert calls == [cfg.n]
+    # two antipodal pairs: the scan stops at the first
+    calls.clear()
+    flags = lvm.check_admissible(
+        lvm.Configuration([[(1, 0)], [(-1, 0)], [(0, 1)], [(0, -1)]]))
+    assert flags == {"siegel": True, "weak_hyperbolic": False}
+    assert calls == [4, 2]
 
 
 def test_solution_basis_five_vector():

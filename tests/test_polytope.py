@@ -10,8 +10,9 @@ from nctoric.polytope import (INTEGRAL_DELZANT, IRRATIONAL, RATIONAL_DELZANT,
                               SimplePolytope, classify_delzant, cube,
                               face_counts, from_json, normal_data, simplex,
                               to_json)
-from nctoric.linalg import canonical_ray, int_det, scalar_kernel_basis
+from nctoric.linalg import canonical_ray
 from nctoric.scalars import Scalar
+from test_linalg import int_det, scalar_kernel_basis
 
 
 def test_rational_direction():
