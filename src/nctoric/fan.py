@@ -56,7 +56,13 @@ class Cone:
 
     def _contains_line(self):
         # the rays are nonzero, so the cone holds a line iff some nonnegative
-        # combination of them with weights summing to 1 vanishes
+        # combination of them with weights summing to 1 vanishes; that makes
+        # them dependent, so n rays in R^n with a nonzero determinant over
+        # Z[sqrt(d)] span a pointed cone without an LP
+        if len(self.rays) == self.ambient_dim:
+            d = common_field(x for r in self.rays for x in r)
+            if any(pair_det([_pair_row(r) for r in self.rays], d)):
+                return False
         return zero_in_hull(self.rays)
 
     def __eq__(self, other):
@@ -165,9 +171,13 @@ def normal_fan(P: SimplePolytope) -> Fan:
     normals, so the unit square yields the four coordinate quadrants.  The
     ray of an outward normal is the negated canonical ray of its inward
     row, which the polytope already keeps: canonical_ray(-v) is
-    -canonical_ray(v) over Q and Q(sqrt(d)) alike."""
-    used = {i for I in P.incidence for i in I}
-    rays = {i: tuple(-x for x in P._normal_rays[i][0]) for i in used}
+    -canonical_ray(v) over Q and Q(sqrt(d)) alike.  A rational ray, a
+    primitive integer vector, is negated on its integer Fractions."""
+    rays = {}
+    for i in {i for I in P.incidence for i in I}:
+        r = P._normal_rays[i][0]
+        rays[i] = tuple(-x for x in r) if common_field(r) else \
+            tuple(Scalar(-x.a) for x in r)
     return Fan.from_faces(P.dim, rays, P.incidence)
 
 

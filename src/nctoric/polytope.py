@@ -181,7 +181,8 @@ def normal_data(P: SimplePolytope):
     """Primitive inward integer normals rho (N x n) and exact offsets.
 
     Row i and offset i are scaled together so that P = {x : <x, rho_i> >=
-    lambda_i} still holds verbatim."""
+    lambda_i} still holds verbatim: a normal t rho_i with t > 0, rational
+    or not, gives lambda_i = c_i / t."""
     if P.delzant_class == IRRATIONAL:
         raise IrrationalNormals("polytope has irrational facet normals")
     rho = []
@@ -194,10 +195,13 @@ def normal_data(P: SimplePolytope):
         r, t = ray_and_scale
         if not all(x.is_rational for x in r):
             raise IrrationalNormals("irrational facet normal")
-        if not t.is_rational:
-            raise IrrationalNormals("irrational facet normal scale")
         rho.append([int(x.a) for x in r])
-        lam.append(Scalar(c.a / t.a, c.b / t.a, c.d))
+        if t.d:
+            lam.append(c / t)
+        elif c.d:
+            lam.append(Scalar(c.a / t.a, c.b / t.a, c.d))
+        else:
+            lam.append(Scalar(c.a / t.a))
     return rho, lam
 
 

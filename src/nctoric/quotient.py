@@ -4,12 +4,15 @@ vector in kernel coordinates.
 
 The ambient torus moment map carries a factor of pi per coordinate; since
 only zero-sets and linear identities are ever tested, that factor is
-dropped so all arithmetic stays in Q.
+dropped so all arithmetic stays exact in the field of the offsets, Q or
+Q(sqrt(d)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
 
 from .errors import CodimensionOne, RankDeficient
 from .linalg import integer_kernel_basis, transpose
@@ -62,10 +65,17 @@ def quotient_data(P: SimplePolytope) -> QuotientData:
     strata = forbidden_strata(P.incidence, P.N)
     rho, lam = normal_data(P)
     basis = kernel_lattice(rho)
-    # one Fraction sum for the rational part and one for the sqrt(d) part
     d = common_field(lam)
-    nu = [Scalar(-sum(bj * x.a for bj, x in zip(b, lam) if bj),
-                 -sum(bj * x.b for bj, x in zip(b, lam) if bj), d)
-          for b in basis]
+    if d:
+        # one Fraction sum for the rational part and one for the sqrt(d) part
+        nu = [Scalar(-sum(bj * x.a for bj, x in zip(b, lam) if bj),
+                     -sum(bj * x.b for bj, x in zip(b, lam) if bj), d)
+              for b in basis]
+    else:
+        # over the common denominator each entry is one integer dot product
+        den = lcm(*[x.a.denominator for x in lam])
+        num = [x.a.numerator * (den // x.a.denominator) for x in lam]
+        nu = [Scalar(Fraction(-sum(bj * k for bj, k in zip(b, num)), den))
+              for b in basis]
     return QuotientData(N=P.N, forbidden_strata=strata, kernel_basis=basis,
                         nu_P=nu, lambda_P=lam)

@@ -53,13 +53,21 @@ def _pair_sign(x, y, d: int) -> int:
     return sy if sx != -sy or y * y * d > x * x else sx
 
 
+_ZERO = Fraction(0)
+
+
 class Scalar:
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, a, b=0, d=0):
+    def __init__(self, a, b=None, d=None):
+        if b is None and d is None:
+            # a rational from one Fraction, reused when given one
+            self.a = a if type(a) is Fraction else Fraction(a)
+            self.b, self.d = _ZERO, 0
+            return
         a = Fraction(a)
-        b = Fraction(b)
-        d = int(d)
+        b = Fraction(0 if b is None else b)
+        d = int(0 if d is None else d)
         if d < 0:
             raise ValueError("d must be non-negative")
         if d in (0, 1):

@@ -117,6 +117,18 @@ def test_quotient_data(capsys, square_file):
     assert len(p["nu_P"]) == 2
 
 
+def test_quotient_data_accepts_an_irrational_normal_scale(capsys, tmp_path):
+    # sqrt(2) x >= 1, y >= 0, x + y <= 3: a rational polytope
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps({"facets": [
+        {"normal": [{"a": "0", "b": "1", "d": 2}, 0], "offset": 1},
+        {"normal": [0, 1], "offset": 0},
+        {"normal": [-1, -1], "offset": -3}]}))
+    code, out = invoke(capsys, ["quotient", "data", "--polytope", str(path)])
+    assert code == 0
+    assert parse(out)["payload"]["nu_P"] == [{"a": "3", "b": "-1/2", "d": 2}]
+
+
 def test_lvm_subcommands(capsys, five_vector_file):
     code, out = invoke(capsys, ["lvm", "check", "--config",
                                 five_vector_file])

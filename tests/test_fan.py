@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from nctoric import fan
 from nctoric.errors import (ChainTooLong, DimensionMismatch, FieldMismatch,
                             InputError, NonRational, NotSimple, NotSimplicial,
                             Unbounded, WrongDimension)
@@ -13,7 +14,7 @@ from nctoric.fan import (DEPTH_LIMIT, Cone, Fan, _bezout, canonical_ray,
                          fan_to_json, hj_chain, hj_digits, hj_frame,
                          is_refinement, normal_fan)
 from nctoric.hj import resolve_cone
-from nctoric.linalg import scalar_rank, solve_exact
+from nctoric.linalg import scalar_rank, solve_exact, zero_in_hull
 from nctoric.polytope import IRRATIONAL, SimplePolytope, cube, simplex
 from nctoric.scalars import Scalar, sorted_vectors
 
@@ -106,6 +107,79 @@ def test_cone_with_a_line_is_rejected_in_3d():
     assert len(Cone(rays[:2] + [[0, -1, 1]]).rays) == 3
     with pytest.raises(InputError):
         Cone([[1, 0, 0, 0], [0, 1, 0, 0], [-1, -1, 1, 0], [0, 0, -1, 0]])
+
+
+def seeded_ray_sets(rng):
+    """Nonzero ray sets in R^2 and R^3 over Q and Q(sqrt 2): n - 1, n or
+    n + 1 random rays, n rays with one a combination of the others, or
+    with an antiparallel pair."""
+    r2 = Scalar.sqrt_int(2)
+    for _ in range(400):
+        n = rng.choice((2, 3))
+        root = rng.choice((Scalar(0), r2))
+
+        def entry():
+            return Scalar(rng.randint(-3, 3)) + root * rng.randint(-1, 1)
+
+        kind = rng.choice(("fewer", "square", "more", "dependent",
+                           "antiparallel"))
+        k = {"fewer": n - 1, "more": n + 1}.get(kind, n)
+        rays = [[entry() for _ in range(n)] for _ in range(k)]
+        if kind == "dependent":
+            rays[-1] = [sum((entry() * r[i] for r in rays[:-1]), Scalar(0))
+                        for i in range(n)]
+        elif kind == "antiparallel":
+            factor = Scalar(rng.randint(1, 3)) + root * rng.randint(0, 1)
+            rays[-1] = [-factor * x for x in rays[0]]
+        if all(any(not x.is_zero() for x in r) for r in rays):
+            yield kind, rays
+
+
+def test_pointed_cones_match_the_hull_lp():
+    outcomes = set()
+    for kind, rays in seeded_ray_sets(random.Random(1757)):
+        line = zero_in_hull([canonical_ray(r) for r in rays])
+        try:
+            Cone(rays)
+            got = False
+        except InputError:
+            got = True
+        assert got == line, rays
+        n = len(rays[0])
+        independent = len(rays) == n and scalar_rank(rays) == n
+        assert not (independent and got), rays
+        d = any(not x.is_rational for r in rays for x in r)
+        outcomes.add((kind, n, d, independent, got))
+    # every kind in both dimensions and both fields, and lines both among
+    # singular square sets and among the others
+    assert {o[:3] for o in outcomes} == {
+        (k, n, d) for k in ("fewer", "square", "more", "dependent",
+                            "antiparallel") for n in (2, 3) for d in (0, 1)}
+    assert {o[3:] for o in outcomes if o[0] != "fewer"} == {
+        (True, False), (False, False), (False, True)}
+
+
+def test_independent_rays_run_no_hull_lp(monkeypatch):
+    calls = []
+
+    def counted(points):
+        calls.append(points)
+        return zero_in_hull(points)
+
+    monkeypatch.setattr(fan, "zero_in_hull", counted)
+    r2 = Scalar.sqrt_int(2)
+    Cone([[1, 0], [0, 1]])
+    Cone([[1, 2, 0], [0, 1, 1], [3, 0, -1]])
+    Cone([[Scalar(1), r2], [Scalar(0), Scalar(1)]])
+    dual_cone_2d(Cone([[0, 1], [101, -100]]))
+    assert calls == []
+    # singular and non-square ray sets keep the LP
+    Cone([[1, 0]])
+    Cone([[1, 0], [1, 1], [0, 1]])
+    Cone([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
+    with pytest.raises(InputError):
+        Cone([[1, r2], [-2, -2 * r2]])
+    assert len(calls) == 4
 
 
 def test_fan_rays_of_two_fields_are_rejected():
@@ -561,6 +635,14 @@ def test_contains_in_three_and_four_dimensions():
 # -- oracles: the normal fan canonicalising afresh, and the Scalar frame -------
 
 
+def negating_normal_fan(P):
+    """normal_fan negating every entry of the canonical inward rays as a
+    Scalar."""
+    used = {i for I in P.incidence for i in I}
+    rays = {i: tuple(-x for x in P._normal_rays[i][0]) for i in used}
+    return Fan.from_faces(P.dim, rays, P.incidence)
+
+
 def normal_fan_oracle(P):
     """normal_fan with canonical_ray called on every negated normal."""
     used = {i for I in P.incidence for i in I}
@@ -591,6 +673,8 @@ def test_normal_fan_matches_the_canonicalising_oracle():
     for P in cases:
         F = normal_fan(P)
         assert F == normal_fan_oracle(P)
+        # rational rays negated on their integers give the same JSON
+        assert fan_to_json(F) == fan_to_json(negating_normal_fan(P))
         # the ray table keeps its exact lexicographic order, as compared
         # by Scalar.__lt__
         assert list(F.rays) == sorted(F.rays)

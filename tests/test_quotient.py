@@ -6,7 +6,8 @@ import pytest
 
 from nctoric.errors import (CodimensionOne, Empty, NotSimple, RankDeficient,
                             Unbounded)
-from nctoric.polytope import SimplePolytope, cube, normal_data, simplex
+from nctoric.polytope import (INTEGRAL_DELZANT, SimplePolytope, cube,
+                              normal_data, simplex)
 from nctoric.quotient import forbidden_strata, kernel_lattice, quotient_data
 from nctoric.scalars import Scalar
 
@@ -210,3 +211,28 @@ def test_moment_vector_matches_the_scalar_oracle():
     for P in cases:
         q = quotient_data(P)
         assert (q.lambda_P, q.nu_P) == moment_oracle(P), P.facets
+
+
+def test_an_irrational_scale_divides_the_offset():
+    # sqrt(2) x >= 1 is the halfspace x >= sqrt(2)/2 with a rational ray
+    r2 = Scalar.sqrt_int(2)
+    scaled = SimplePolytope([([r2, 0], 1), ([0, 1], 0), ([-1, -1], -3)])
+    plain = SimplePolytope([([1, 0], r2 / 2), ([0, 1], 0), ([-1, -1], -3)])
+    assert scaled.delzant_class == plain.delzant_class == INTEGRAL_DELZANT
+    assert normal_data(scaled) == normal_data(plain)
+    for P in (scaled, plain):
+        q = quotient_data(P)
+        assert q.kernel_basis == [[1, 1, 1]]
+        assert q.nu_P == [3 - r2 / 2]
+        assert (q.lambda_P, q.nu_P) == moment_oracle(P)
+    # seeded polygons with one halfspace rescaled by a positive irrational
+    rng = random.Random(1761)
+    for _ in range(10):
+        P = SimplePolytope(lattice_polygon(rng))
+        j = rng.randrange(P.N)
+        t = rng.randint(1, 3) + rng.choice((1, -1)) * r2 / rng.randint(2, 3)
+        facets = [([t * x for x in nrm], t * c) if i == j else (nrm, c)
+                  for i, (nrm, c) in enumerate(P.facets)]
+        q = quotient_data(SimplePolytope(facets))
+        assert (q.lambda_P, q.nu_P) == moment_oracle(SimplePolytope(facets))
+        assert q.nu_P == quotient_data(P).nu_P

@@ -76,6 +76,32 @@ def test_hash_agrees_with_equality():
     assert len({Scalar(1), r2, Scalar(1, 1, 2), Scalar(1, -1, 2)}) == 4
 
 
+def test_one_argument_scalar_is_the_three_argument_rational():
+    rng = random.Random(1717)
+    values = [True, False, 0, -1, 10**100, -(10**100) - 1, Fraction(-22, 7)]
+    values += [rng.randint(-10**6, 10**6) for _ in range(40)]
+    values += [rng.choice((-1, 1)) * rng.randint(10**100, 10**120)
+               for _ in range(20)]
+    values += [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30))
+               for _ in range(40)]
+    for q in values:
+        one, three = Scalar(q), Scalar(q, 0, 0)
+        assert (one.a, one.b, one.d) == (three.a, three.b, three.d), q
+        assert type(one.a) is Fraction and type(one.b) is Fraction
+        assert one == three and hash(one) == hash(three)
+        assert str(one) == str(three) and one.to_json() == three.to_json()
+        assert one == q and hash(one) == hash(q)
+    half = Fraction(1, 2)
+    assert Scalar(half).a is half
+    # bad input raises what the Fraction constructor and the d check raise
+    for args, kwargs, error in ((("x",), {}, ValueError),
+                                ((None,), {}, TypeError),
+                                ((Scalar(1),), {}, TypeError),
+                                ((1,), {"d": -1}, ValueError)):
+        with pytest.raises(error):
+            Scalar(*args, **kwargs)
+
+
 def test_comparisons_and_floor():
     r2 = Scalar.sqrt_int(2)
     assert Scalar(1) < r2 < Scalar(2)
