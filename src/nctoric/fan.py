@@ -32,13 +32,16 @@ class Cone:
     def __init__(self, rays, ambient_dim=None):
         rays = [canonical_ray(r) for r in rays]
         if rays:
+            if ambient_dim not in (None, len(rays[0])):
+                raise InputError(f"a ray of dimension {len(rays[0])} in a "
+                                 f"cone of ambient dimension {ambient_dim}")
             ambient_dim = len(rays[0])
         elif ambient_dim is None:
             raise InputError("empty cone needs an explicit ambient dimension")
         if any(len(r) != ambient_dim for r in rays):
             raise InputError("rays of mixed dimension")
         self.ambient_dim = ambient_dim
-        self.rays = tuple(sorted_vectors(set(rays)))
+        self.rays = _ray_table(rays)[0]
         if self._contains_line():
             raise InputError("cone contains a line (not strictly convex)")
         if len(self.rays) > 2:
@@ -58,10 +61,14 @@ class Cone:
         # the rays are nonzero, so the cone holds a line iff some nonnegative
         # combination of them with weights summing to 1 vanishes; that makes
         # them dependent, so n rays in R^n with a nonzero determinant over
-        # Z[sqrt(d)] span a pointed cone without an LP
-        if len(self.rays) == self.ambient_dim:
+        # Z[sqrt(d)] span a pointed cone without an LP.  Canonical rational
+        # rays are integer rows already.
+        n = len(self.rays)
+        if n == self.ambient_dim:
             d = common_field(x for r in self.rays for x in r)
-            if any(pair_det([_pair_row(r) for r in self.rays], d)):
+            rows = [_pair_row(r) for r in self.rays] if d else \
+                [[x.a.numerator for x in r] + [0] * n for r in self.rays]
+            if any(pair_det(rows, d)):
                 return False
         return zero_in_hull(self.rays)
 
@@ -95,18 +102,39 @@ def _face_key(face):
     return (len(face), sorted(face))
 
 
+def _ray_table(rays):
+    """(table, positions): the distinct rays of a list of canonical rays in
+    exact lexicographic order, and the index in that table of each given
+    ray.  A canonical rational ray is a primitive integer vector, so a
+    rational list dedupes and sorts on its integer entries, in the same
+    order; an irrational one keeps `sorted_vectors`."""
+    rational = not common_field(x for r in rays for x in r)
+    keys = [tuple(x.a.numerator for x in r) for r in rays] if rational \
+        else rays
+    ray_of = dict(zip(keys, rays))
+    order = sorted(ray_of) if rational else sorted_vectors(ray_of)
+    pos = {k: i for i, k in enumerate(order)}
+    return tuple(ray_of[k] for k in order), [pos[k] for k in keys]
+
+
 class Fan:
     """Finite fan; faces of member cones are filled in automatically.
 
     `rays` is the sorted tuple of canonical rays and `faces` the
-    subset-closed family of cones as frozensets of indices into it."""
+    subset-closed family of cones as frozensets of indices into it; its
+    maximal faces are recorded as they are built."""
 
     def __init__(self, cones, ambient_dim=None):
         cones = list(cones)
         if cones:
+            if ambient_dim not in (None, cones[0].ambient_dim):
+                raise InputError(f"a cone of dimension {cones[0].ambient_dim} "
+                                 f"in a fan of ambient dimension {ambient_dim}")
             ambient_dim = cones[0].ambient_dim
         elif ambient_dim is None:
             raise InputError("empty fan needs an ambient dimension")
+        if any(c.ambient_dim != ambient_dim for c in cones):
+            raise DimensionMismatch("cones of different ambient dimensions")
         self._build(ambient_dim, {r: r for c in cones for r in c.rays},
                     [c.rays for c in cones])
 
@@ -119,26 +147,21 @@ class Fan:
         return F
 
     def _build(self, ambient_dim, rays, faces):
-        # a canonical rational ray is a primitive integer vector, so a
-        # rational table sorts and indexes on its integer entries, in the
-        # same lexicographic order
-        rational = not common_field(x for r in rays.values() for x in r)
-        keys = {key: tuple(x.a.numerator for x in r) if rational else r
-                for key, r in rays.items()}
-        ray_of = dict(zip(keys.values(), rays.values()))
-        order = sorted(ray_of) if rational else sorted_vectors(ray_of)
-        table = tuple(ray_of[k] for k in order)
-        pos = {k: i for i, k in enumerate(order)}
-        index = {key: pos[k] for key, k in keys.items()}
-        closed = set()
+        table, pos = _ray_table(list(rays.values()))
+        index = dict(zip(rays, pos))
+        # by decreasing size, a face not yet in the closure lies in no other
+        # face, so it is maximal
+        closed, maximal = set(), []
         for face in sorted({frozenset(index[k] for k in f) for f in faces},
                            key=len, reverse=True):
             if face not in closed:
+                maximal.append(face)
                 closed.update(frozenset(sub) for k in range(len(face) + 1)
                               for sub in combinations(face, k))
         self.ambient_dim = ambient_dim
         self.rays = table
         self.faces = frozenset(closed)
+        self._maximal = sorted(maximal, key=_face_key)
 
     def __eq__(self, other):
         return isinstance(other, Fan) and self.ambient_dim == other.ambient_dim \
@@ -159,11 +182,7 @@ class Fan:
         return frozenset(self._cone(f) for f in self.faces)
 
     def maximal_cones(self):
-        # in a subset-closed family a face is maximal iff it is no other
-        # face minus one of its rays
-        covered = {f - {i} for f in self.faces for i in f}
-        return [self._cone(f) for f in sorted(self.faces, key=_face_key)
-                if f not in covered]
+        return [self._cone(f) for f in self._maximal]
 
 
 def normal_fan(P: SimplePolytope) -> Fan:

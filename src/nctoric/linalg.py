@@ -311,17 +311,19 @@ def canonical_ray(v) -> tuple:
     """Canonical representative of the ray through v, always a positive
     multiple of v: the primitive integer vector when the direction is
     rational, else v divided by the absolute value of its first nonzero
-    entry.  The zero vector spans no ray (InputError)."""
-    v = [Scalar._coerce(x) for x in v]
-    nz = next((x for x in v if not x.is_zero()), None)
-    if nz is None:
+    entry.  The zero vector spans no ray (InputError).  An all-int v is
+    divided by its gcd directly."""
+    if not all(type(x) is int for x in v):
+        v = [Scalar._coerce(x) for x in v]
+        if common_field(v):
+            # an irrational entry is nonzero: make |first nonzero| = 1
+            scale = abs(next(x for x in v if not x.is_zero())).inverse()
+            v = [x * scale for x in v]
+            if not all(x.is_rational for x in v):
+                return tuple(v)
+        den = lcm(*[x.a.denominator for x in v])
+        v = [x.a.numerator * (den // x.a.denominator) for x in v]
+    g = gcd(*v)
+    if not g:
         raise InputError("the zero vector spans no ray")
-    if common_field(v):  # irrational entries: make |first nonzero| = 1
-        scale = abs(nz).inverse()
-        v = [x * scale for x in v]
-        if not all(x.is_rational for x in v):
-            return tuple(v)
-    den = lcm(*[x.a.denominator for x in v])
-    nums = [x.a.numerator * (den // x.a.denominator) for x in v]
-    g = gcd(*nums)
-    return tuple(Scalar(k // g) for k in nums)
+    return tuple(Scalar(k // g) for k in v)

@@ -174,17 +174,34 @@ class Scalar:
         # a rational Scalar equals its Fraction, so it hashes like one
         return hash((self.a, self.b, self.d)) if self.d else hash(self.a)
 
+    def _order(self, other):
+        """Sign of self - other without building a Scalar for it: the
+        Fractions compared over Q, else _pair_sign of the differences of
+        the parts.  None when other is no number."""
+        try:
+            o = Scalar._coerce(other)
+        except (TypeError, ValueError):
+            return None
+        d = self._join(o)
+        if not d:
+            return (self.a > o.a) - (self.a < o.a)
+        return _pair_sign(self.a - o.a, self.b - o.b, d)
+
     def __lt__(self, other):
-        return (self - other).sign() < 0
+        s = self._order(other)
+        return NotImplemented if s is None else s < 0
 
     def __le__(self, other):
-        return (self - other).sign() <= 0
+        s = self._order(other)
+        return NotImplemented if s is None else s <= 0
 
     def __gt__(self, other):
-        return (self - other).sign() > 0
+        s = self._order(other)
+        return NotImplemented if s is None else s > 0
 
     def __ge__(self, other):
-        return (self - other).sign() >= 0
+        s = self._order(other)
+        return NotImplemented if s is None else s >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self

@@ -9,10 +9,10 @@ from nctoric import fan
 from nctoric.errors import (ChainTooLong, DimensionMismatch, FieldMismatch,
                             InputError, NonRational, NotSimple, NotSimplicial,
                             Unbounded, WrongDimension)
-from nctoric.fan import (DEPTH_LIMIT, Cone, Fan, _bezout, canonical_ray,
-                         cone_classify, dual_cone_2d, fan_from_json,
-                         fan_to_json, hj_chain, hj_digits, hj_frame,
-                         is_refinement, normal_fan)
+from nctoric.fan import (DEPTH_LIMIT, Cone, Fan, _bezout, _face_key,
+                         canonical_ray, cone_classify, dual_cone_2d,
+                         fan_from_json, fan_to_json, hj_chain, hj_digits,
+                         hj_frame, is_refinement, normal_fan)
 from nctoric.hj import resolve_cone
 from nctoric.linalg import scalar_rank, solve_exact, zero_in_hull
 from nctoric.polytope import IRRATIONAL, SimplePolytope, cube, simplex
@@ -29,6 +29,18 @@ def test_canonical_ray():
     c = canonical_ray([r2, Scalar(2)])
     assert c[0] == Scalar(1) and c[1] == r2  # 2/sqrt2 = sqrt2
     assert canonical_ray([-r2, Scalar(2)]) == (Scalar(-1), r2)
+    # an all-int vector is divided by its gcd; the zero vector is no ray
+    rng = random.Random(1803)
+    for _ in range(200):
+        ints = [rng.randint(-9, 9) * rng.choice((1, 6, 10**20))
+                for _ in range(rng.randint(1, 4))]
+        if any(ints):
+            ray = canonical_ray(ints)
+            assert ray == canonical_ray([Scalar(k) for k in ints]), ints
+            assert all(type(x) is Scalar for x in ray)
+    for zero in ([], [0], [0, 0, 0], [Fraction(0), 0]):
+        with pytest.raises(InputError):
+            canonical_ray(zero)
 
 
 def test_cone_invariants():
@@ -186,6 +198,50 @@ def test_fan_rays_of_two_fields_are_rejected():
     r2, r3 = Scalar.sqrt_int(2), Scalar.sqrt_int(3)
     with pytest.raises(FieldMismatch):
         Fan([Cone([[Scalar(1), r2]]), Cone([[Scalar(1), r3]])])
+
+
+def test_fan_rejects_cones_of_different_dimensions():
+    with pytest.raises(DimensionMismatch):
+        Fan([Cone([[1, 0], [0, 1]]), Cone([[1, 0, 0], [0, 1, 0], [0, 0, 1]])])
+    with pytest.raises(DimensionMismatch):
+        Fan([Cone([], ambient_dim=2), Cone([[1, 0, 0]])])
+
+
+def test_an_explicit_ambient_dimension_must_match_the_rays():
+    with pytest.raises(InputError):
+        Cone([[1, 0]], ambient_dim=3)
+    with pytest.raises(InputError):
+        Fan([Cone([[1, 0]])], ambient_dim=3)
+    with pytest.raises(InputError):
+        Fan([Cone([], ambient_dim=2)], ambient_dim=3)
+    assert Cone([[1, 0]], ambient_dim=2) == Cone([[1, 0]])
+    assert Fan([Cone([[1, 0]])], ambient_dim=2) == Fan([Cone([[1, 0]])])
+    assert Cone([], ambient_dim=3).ambient_dim == 3
+    assert Fan([], ambient_dim=3).ambient_dim == 3
+
+
+def test_cones_from_ints_fractions_and_scalars_agree():
+    rng = random.Random(1804)
+    for _ in range(80):
+        dim = rng.choice((2, 3))
+        # a last coordinate >= 1 keeps the cone pointed
+        base = [[rng.randint(-4, 4) for _ in range(dim - 1)]
+                + [rng.randint(1, 3)] for _ in range(rng.randint(1, dim + 2))]
+        # non-primitive multiples and duplicates of the base rays
+        rays = [[k * x for x in r] for r in base
+                for k in rng.sample((1, 2, 3, 6), rng.randint(1, 2))]
+        rays += rng.sample(rays, rng.randint(0, len(rays)))
+        rng.shuffle(rays)
+        dens = [rng.randint(1, 7) for _ in rays]
+        cones = [Cone(rays),
+                 Cone([[Fraction(x, q) for x in r] for r, q in zip(rays, dens)]),
+                 Cone([[Scalar(Fraction(x, q)) for x in r]
+                       for r, q in zip(rays, dens)])]
+        first = cones[0]
+        assert all(type(x) is Scalar for r in first.rays for x in r)
+        for c in cones[1:]:
+            assert c == first and c.rays == first.rays
+            assert repr(c) == repr(first) and hash(c) == hash(first)
 
 
 def test_normal_fan_of_cube_is_all_faces_of_its_orthants():
@@ -764,3 +820,68 @@ def test_dual_chains_are_capped():
     assert len(basis) == n + 2
     with pytest.raises(ChainTooLong, match=f"DEPTH_LIMIT = {n}"):
         dual_cone_2d(Cone([[0, 1], [n + 2, -1]]))
+
+
+# -- oracle: maximal faces by the covered-set pass -----------------------------
+
+
+def maximal_cones_oracle(F):
+    """In a subset-closed family a face is maximal iff it is no other face
+    minus one of its rays."""
+    covered = {f - {i} for f in F.faces for i in f}
+    return [F._cone(f) for f in sorted(F.faces, key=_face_key)
+            if f not in covered]
+
+
+def seeded_fans(rng):
+    """Normal fans of boxes, simplices and lattice polygons, and
+    Hirzebruch-Jung resolutions of rational and Q(sqrt 2) 2D cones."""
+    for d in range(1, 5):
+        box = []
+        for i in range(d):
+            e = [0] * d
+            e[i] = 1
+            box += [(e, 0), ([-x for x in e], -Fraction(rng.randint(1, 9),
+                                                        rng.randint(1, 4)))]
+        yield normal_fan(SimplePolytope(box))
+        a = [rng.randint(1, 4) for _ in range(d)]
+        yield normal_fan(SimplePolytope(
+            [([int(i == j) for j in range(d)], 0) for i in range(d)]
+            + [([-x for x in a], -rng.randint(1, 5))]))
+        yield normal_fan(simplex(d + 1))
+    polygons = 0
+    while polygons < 8:
+        try:
+            P = SimplePolytope(lattice_polygon(rng))
+        except (Unbounded, NotSimple):
+            continue
+        polygons += 1
+        yield normal_fan(P)
+    r2 = Scalar.sqrt_int(2)
+    for _ in range(12):
+        m = rng.randint(2, 60)
+        k = rng.choice([k for k in range(1, m) if gcd(m, k) == 1])
+        M = random_gl2(rng)
+        yield resolve_cone(Cone([_image(M, (0, 1)), _image(M, (m, -k))]))[0]
+    yield resolve_cone(Cone([[0, 1], [1 + r2, Scalar(-1)]]), depth=6)[0]
+
+
+def test_maximal_cones_match_the_covered_set_oracle():
+    rng = random.Random(1805)
+    kinds = set()
+    for F in seeded_fans(rng):
+        maxima = F.maximal_cones()
+        assert maxima == maximal_cones_oracle(F)
+        # the same fan from its maximal cones, repeated and shuffled in
+        # among some of their faces, records the same maximal faces
+        faces = sorted(F.faces, key=_face_key)
+        cones = maxima * 2 + [F._cone(f) for f in rng.sample(
+            faces, min(len(faces), 6))]
+        rng.shuffle(cones)
+        G = Fan(cones)
+        assert G == F and G.maximal_cones() == maxima
+        assert maximal_cones_oracle(G) == maxima
+        kinds.add((F.ambient_dim,
+                   all(x.is_rational for r in F.rays for x in r)))
+    assert {dim for dim, _ in kinds} == {1, 2, 3, 4, 5}
+    assert (2, False) in kinds

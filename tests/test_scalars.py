@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -155,6 +156,102 @@ def test_field_mismatch():
     with pytest.raises(FieldMismatch):
         common_field([Scalar.sqrt_int(2), Scalar.sqrt_int(5)])
     assert common_field([Scalar(1), Scalar.sqrt_int(3)]) == 3
+
+
+# -- the ordering operators against the sign of the difference ---------------
+
+ORDERS = {operator.lt: lambda s: s < 0, operator.le: lambda s: s <= 0,
+          operator.gt: lambda s: s > 0, operator.ge: lambda s: s >= 0}
+
+
+def order_oracle(x, y) -> int:
+    """The sign of x - y, read off the difference Scalar."""
+    return (Scalar._coerce(x) - y).sign()
+
+
+def seeded_order_pairs(rng, d):
+    """Pairs of Scalars over Q (d = 0) or Q(sqrt d): random, equal, a
+    hair apart, differing only in the sqrt(d) part, and an irrational
+    against a nearby rational (its floor or a truncation)."""
+    root = Scalar.sqrt_int(d) if d else Scalar(0)
+
+    def value():
+        return Scalar(Fraction(rng.randint(-60, 60), rng.randint(1, 12))) + \
+            root * Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    for _ in range(120):
+        x = value()
+        kind = rng.randrange(5)
+        if kind == 0:
+            y = value()
+        elif kind == 1:
+            y = Scalar(x.a, x.b, x.d)
+        elif kind == 2:
+            y = x + Fraction(rng.choice((-1, 1)), 10 ** rng.randint(3, 15))
+        elif kind == 3:
+            y = x + root * Fraction(rng.choice((-1, 1)), rng.randint(1, 9))
+        else:
+            k = 10 ** rng.randint(0, 9)
+            y = Scalar(Fraction((x * k).floor() + rng.randint(0, 1), k))
+        yield (x, y) if rng.random() < 0.5 else (y, x)
+
+
+def test_ordering_matches_the_sign_of_the_difference():
+    rng = random.Random(1801)
+    for d in (0, 2, 999983):
+        signs = set()
+        for x, y in seeded_order_pairs(rng, d):
+            s = order_oracle(x, y)
+            signs.add(s)
+            # rational operands also as an int or a Fraction, on either
+            # side, so the reflected operators run too
+            plain = [v.a for v in (x, y) if v.is_rational]
+            plain += [int(q) for q in plain if q.denominator == 1]
+            for op, want in ORDERS.items():
+                assert op(x, y) is want(s), (op, x, y)
+                for q in plain:
+                    for u, v in ((x, q), (q, x), (y, q), (q, y)):
+                        assert op(u, v) is want(order_oracle(u, v)), (op, u, v)
+        assert signs == {-1, 0, 1}, d
+
+
+def test_ordering_across_fields_raises_field_mismatch():
+    r2, r3 = Scalar.sqrt_int(2), Scalar.sqrt_int(3)
+    for op in ORDERS:
+        for x, y in ((r2, r3), (r3 + 1, r2), (Scalar(0, 1, 999983), r2)):
+            with pytest.raises(FieldMismatch):
+                op(x, y)
+
+
+def test_ordering_against_a_non_number_is_a_type_error():
+    for x in (Scalar(1), Scalar.sqrt_int(2)):
+        for other in ("x", None):
+            for op in ORDERS:
+                with pytest.raises(TypeError):
+                    op(x, other)
+                with pytest.raises(TypeError):
+                    op(other, x)
+
+
+def test_comparing_two_scalars_builds_no_scalar(monkeypatch):
+    r2 = Scalar.sqrt_int(2)
+    pairs = [(Scalar(1), Scalar(Fraction(1, 2))), (Scalar(3), Scalar(3)),
+             (r2, Scalar(Fraction(1393, 985))), (r2, r2 + 1), (r2, r2),
+             (Scalar(0, 1, 999983), Scalar(1000)), (Scalar(-2), -r2)]
+    built = []
+    init = Scalar.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    for x, y in pairs:
+        for op in ORDERS:
+            op(x, y)
+    assert built == []
+    # the patch does count: an int operand is coerced once
+    assert Scalar(1) < 2 and len(built) == 2
 
 
 def test_division_by_zero():
