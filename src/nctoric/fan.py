@@ -4,18 +4,19 @@ bases, and refinement checking.
 
 A Fan stores its rays once, canonical and in exact lexicographic order, and
 its faces as a subset-closed family of frozensets of ray indices, the form
-of SimplePolytope.incidence."""
+of SimplePolytope.incidence.  That family is the face lattice of a
+simplicial cone only, so every maximal cone of a fan has independent rays
+(NotSimplicial otherwise)."""
 
 from __future__ import annotations
 
 from functools import cmp_to_key
-from itertools import combinations
 
 from .errors import (ChainTooLong, DimensionMismatch, InputError,
                      NonRational, NotSimplicial, WrongDimension)
 from .linalg import (_pair_row, canonical_ray, has_nonneg_solution, pair_det,
-                     transpose, zero_in_hull)
-from .polytope import SimplePolytope
+                     scalar_rank, transpose, zero_in_hull)
+from .polytope import SimplePolytope, _closure
 from .scalars import Scalar, common_field, sorted_vectors
 
 SMOOTH = "Smooth"
@@ -42,7 +43,17 @@ class Cone:
             raise InputError("rays of mixed dimension")
         self.ambient_dim = ambient_dim
         self.rays = _ray_table(rays)[0]
-        if self._contains_line():
+        if ambient_dim == 2:
+            self.rays = _extreme_rays_2d(self.rays)
+            return
+        # the rays are nonzero, so the cone holds a line iff some
+        # nonnegative combination of them with weights summing to 1
+        # vanishes; that makes them dependent, so n independent rays in R^n
+        # span a pointed cone, all of them extreme, without an LP
+        if len(self.rays) == ambient_dim and _independent(self.rays,
+                                                          ambient_dim):
+            return
+        if zero_in_hull(self.rays):
             raise InputError("cone contains a line (not strictly convex)")
         if len(self.rays) > 2:
             # two distinct rays of a strictly convex cone are both extreme;
@@ -56,21 +67,6 @@ class Cone:
         c = object.__new__(cls)
         c.rays, c.ambient_dim = rays, ambient_dim
         return c
-
-    def _contains_line(self):
-        # the rays are nonzero, so the cone holds a line iff some nonnegative
-        # combination of them with weights summing to 1 vanishes; that makes
-        # them dependent, so n rays in R^n with a nonzero determinant over
-        # Z[sqrt(d)] span a pointed cone without an LP.  Canonical rational
-        # rays are integer rows already.
-        n = len(self.rays)
-        if n == self.ambient_dim:
-            d = common_field(x for r in self.rays for x in r)
-            rows = [_pair_row(r) for r in self.rays] if d else \
-                [[x.a.numerator for x in r] + [0] * n for r in self.rays]
-            if any(pair_det(rows, d)):
-                return False
-        return zero_in_hull(self.rays)
 
     def __eq__(self, other):
         return isinstance(other, Cone) and self.rays == other.rays \
@@ -98,6 +94,56 @@ def _cross(u, w):
     return u[0] * w[1] - u[1] * w[0]
 
 
+def _cross_sign(u, w):
+    c = _cross(u, w)
+    return c.sign() if isinstance(c, Scalar) else (c > 0) - (c < 0)
+
+
+def _plane_coordinates(rays):
+    """Canonical rays as tuples for `_cross_sign`: of ints when every ray
+    is rational (a primitive integer vector), else of the Scalars."""
+    if common_field(x for r in rays for x in r):
+        return list(rays)
+    return [tuple(x.a.numerator for x in r) for r in rays]
+
+
+def _extreme_rays_2d(rays):
+    """The extreme rays, in table order, of a cone on distinct canonical
+    rays of R^2; InputError when the cone holds a line.  The rays of a
+    pointed 2D cone lie in an open half-plane, where cross-product signs
+    order them, so one pass finds the clockwise-most u and the
+    counterclockwise-most w.  Two rays or more span a pointed cone iff then
+    cross(u, w) > 0 and cross(u, r) >= 0 <= cross(r, w) for every ray r:
+    those two half-planes meet in cone(u, w)."""
+    if len(rays) < 2:
+        return rays
+    vecs = _plane_coordinates(rays)
+    u = w = vecs[0]
+    for r in vecs[1:]:
+        if _cross_sign(u, r) < 0:
+            u = r
+        if _cross_sign(r, w) < 0:
+            w = r
+    if _cross_sign(u, w) <= 0 or any(
+            _cross_sign(u, r) < 0 or _cross_sign(r, w) < 0 for r in vecs):
+        raise InputError("cone contains a line (not strictly convex)")
+    return tuple(r for r, v in zip(rays, vecs) if v is u or v is w)
+
+
+def _independent(rays, n):
+    """Are these nonzero canonical rays of R^n linearly independent?  n of
+    them are iff their determinant over Z[sqrt(d)], each ray cleared of
+    denominators, is nonzero; canonical rational rays are integer rows
+    already."""
+    k = len(rays)
+    if k != n:
+        return k <= 1 or (k < n and scalar_rank([list(r) for r in rays]) == k)
+    d = common_field(x for r in rays for x in r)
+    rows = [_pair_row(r) for r in rays] if d else \
+        [[x.a.numerator for x in r] + [0] * n for r in rays]
+    return any(pair_det(rows, d))
+
+
 def _face_key(face):
     return (len(face), sorted(face))
 
@@ -118,7 +164,8 @@ def _ray_table(rays):
 
 
 class Fan:
-    """Finite fan; faces of member cones are filled in automatically.
+    """Finite simplicial fan; faces of member cones are filled in
+    automatically.
 
     `rays` is the sorted tuple of canonical rays and `faces` the
     subset-closed family of cones as frozensets of indices into it; its
@@ -141,27 +188,46 @@ class Fan:
     @classmethod
     def from_faces(cls, ambient_dim, rays, faces):
         """Fan on canonical rays given as a mapping key -> ray, with cones
-        given as sets of keys; faces of the cones are filled in."""
+        given as sets of keys; faces of the cones are filled in, and each
+        maximal cone must have independent rays."""
         F = object.__new__(cls)
         F._build(ambient_dim, rays, faces)
         return F
 
+    @classmethod
+    def _closed(cls, ambient_dim, rays, faces, maximal):
+        """Fan on a sorted table of canonical rays with a subset-closed
+        family of simplicial faces and its maximal faces, all frozensets
+        of indices into the table; nothing is closed or checked."""
+        F = object.__new__(cls)
+        F.ambient_dim, F.rays, F.faces = ambient_dim, rays, frozenset(faces)
+        F._maximal = sorted(maximal, key=_face_key)
+        return F
+
     def _build(self, ambient_dim, rays, faces):
+        """Close the given cones, then check that every maximal cone has
+        independent rays.  Rays that are dependent raise InputError when
+        their cone holds a line, whichever cone that is, and NotSimplicial
+        otherwise: independent rays span a pointed cone."""
         table, pos = _ray_table(list(rays.values()))
         index = dict(zip(rays, pos))
         # by decreasing size, a face not yet in the closure lies in no other
         # face, so it is maximal
-        closed, maximal = set(), []
-        for face in sorted({frozenset(index[k] for k in f) for f in faces},
-                           key=len, reverse=True):
-            if face not in closed:
-                maximal.append(face)
-                closed.update(frozenset(sub) for k in range(len(face) + 1)
-                              for sub in combinations(face, k))
+        tops = sorted({sum(1 << i for i in {index[k] for k in f})
+                       for f in faces}, key=int.bit_count, reverse=True)
+        family, maximal = _closure(tops)
         self.ambient_dim = ambient_dim
         self.rays = table
-        self.faces = frozenset(closed)
-        self._maximal = sorted(maximal, key=_face_key)
+        self.faces = frozenset(family.values())
+        self._maximal = sorted((family[m] for m in maximal), key=_face_key)
+        dependent = [sigma.rays for sigma in map(self._cone, self._maximal)
+                     if not _independent(sigma.rays, ambient_dim)]
+        if any(zero_in_hull(rays) for rays in dependent):
+            raise InputError("cone contains a line (not strictly convex)")
+        if dependent:
+            raise NotSimplicial(
+                f"a cone on {len(dependent[0])} dependent rays in dimension "
+                f"{ambient_dim}; fans are simplicial")
 
     def __eq__(self, other):
         return isinstance(other, Fan) and self.ambient_dim == other.ambient_dim \
@@ -192,12 +258,22 @@ def normal_fan(P: SimplePolytope) -> Fan:
     row, which the polytope already keeps: canonical_ray(-v) is
     -canonical_ray(v) over Q and Q(sqrt(d)) alike.  A rational ray, a
     primitive integer vector, is negated on its integer Fractions."""
-    rays = {}
-    for i in {i for I in P.incidence for i in I}:
+    used = sorted(set().union(*P._maximal))
+    rays = []
+    for i in used:
         r = P._normal_rays[i][0]
-        rays[i] = tuple(-x for x in r) if common_field(r) else \
-            tuple(Scalar(-x.a) for x in r)
-    return Fan.from_faces(P.dim, rays, P.incidence)
+        rays.append(tuple(-x for x in r) if common_field(r) else
+                    tuple(Scalar(-x.a) for x in r))
+    # the polytope's family is closed already: only its facet indices
+    # become positions in the ray table
+    table, pos = _ray_table(rays)
+    where = [None] * P.N
+    for i, k in zip(used, pos):
+        where[i] = k
+    return Fan._closed(
+        P.dim, table,
+        [frozenset(map(where.__getitem__, f)) for f in P.incidence],
+        [frozenset(map(where.__getitem__, f)) for f in P._maximal])
 
 
 def cone_classify(sigma: Cone):
@@ -309,21 +385,26 @@ def is_refinement(fine: Fan, coarse: Fan) -> bool:
     if fine.ambient_dim > 2:
         raise WrongDimension("refinement test implemented for dim <= 2")
     index = {r: i for i, r in enumerate(fine.rays)}
-    ccw = cmp_to_key(lambda i, j: _cross(fine.rays[j], fine.rays[i]).sign())
+    vecs = _plane_coordinates(fine.rays + coarse.rays)
+    fine_vecs, coarse_vecs = vecs[:len(fine.rays)], vecs[len(fine.rays):]
+    ccw = cmp_to_key(lambda i, j: _cross_sign(fine_vecs[j], fine_vecs[i]))
     for face in coarse.faces:
         rays = {coarse.rays[i] for i in face}
         if len(rays) <= 1:
             # the origin and the rays must be faces of the fine fan
             if frozenset(index.get(r) for r in rays) not in fine.faces:
                 return False
-        elif len(rays) == 2:
-            # a 2D sector: the fine rays inside it, counterclockwise, run
-            # from one of its edges to the other, and the fine 2-cones
-            # inside it are exactly the consecutive pairs.  A face on more
-            # rays is the sector of its two outermost ones, also a face.
-            sector = coarse._cone(face)
-            inside = sorted((i for i, r in enumerate(fine.rays)
-                             if sector.contains(r)), key=ccw)
+        else:
+            # a 2D sector cone(a, b), counterclockwise from a to b, holds r
+            # iff cross(a, r) >= 0 <= cross(r, b).  The fine rays inside
+            # it, counterclockwise, run from one of its edges to the other,
+            # and the fine 2-cones inside it are the consecutive pairs.
+            a, b = (coarse_vecs[i] for i in face)
+            if _cross_sign(a, b) < 0:
+                a, b = b, a
+            inside = sorted((i for i, r in enumerate(fine_vecs)
+                             if _cross_sign(a, r) >= 0 <= _cross_sign(r, b)),
+                            key=ccw)
             if not inside or \
                     {fine.rays[inside[0]], fine.rays[inside[-1]]} != rays:
                 return False
@@ -372,9 +453,4 @@ def fan_from_json(obj) -> Fan:
         raise InputError(f"bad fan JSON: {e}") from e
     raw = {r for c in cones for r in c}
     _check_json_dim("fan", dim, raw)
-    F = Fan.from_faces(dim, {r: canonical_ray(r) for r in raw}, cones)
-    # faces of a strictly convex cone are strictly convex, and every
-    # maximal face is a listed cone, so checking those checks them all
-    if any(sigma._contains_line() for sigma in F.maximal_cones()):
-        raise InputError("cone contains a line (not strictly convex)")
-    return F
+    return Fan.from_faces(dim, {r: canonical_ray(r) for r in raw}, cones)

@@ -16,7 +16,8 @@ from math import gcd, isqrt, lcm
 
 from .errors import (DivisionByZero, InputError, NotNormalizable,
                      OutOfRange, PeriodNotFound, RationalInput)
-from .fan import DEPTH_LIMIT, Cone, Fan, hj_chain, hj_digits, hj_frame
+from .fan import (DEPTH_LIMIT, Cone, Fan, _ray_table, hj_chain, hj_digits,
+                  hj_frame)
 from .scalars import Scalar
 
 #: safety valve for period detection on quadratic irrationals, shared by
@@ -145,9 +146,12 @@ def resolve_cone(sigma: Cone, depth: int | None = None):
         e, x, y = hj_frame(v, w)
         digits = hj_expand(x / y, depth=depth or 5).digits
     inserted = [[Scalar(a) for a in u] for u in hj_chain(v, e, digits)]
-    chain = [ray] + [tuple(u) for u in inserted] + [w]
-    F = Fan.from_faces(2, dict(enumerate(chain)),
-                       [(j, j + 1) for j in range(len(chain) - 1)])
+    # the fan's faces are the origin, the rays and the consecutive pairs
+    # of the chain, closed already
+    table, pos = _ray_table([ray] + [tuple(u) for u in inserted] + [w])
+    pairs = [frozenset(p) for p in zip(pos, pos[1:])]
+    F = Fan._closed(2, table, [frozenset()] + [frozenset((k,)) for k in pos]
+                    + pairs, pairs)
     # the rows of M are the cross products with v and with e, signed by
     # det(v, e) = +-1
     eps = v[0] * e[1] - v[1] * e[0]

@@ -3,7 +3,9 @@
 The halfspace convention is <x, normal> >= offset (inward-pointing
 normals).  Vertices, the facet-incidence family F and the Delzant
 classification, read off the facet normals at each vertex, are derived
-eagerly at construction; the object is immutable afterwards.
+eagerly at construction; the object is immutable afterwards.  F is closed
+once, from the essential facet sets of the vertices, and is also kept as
+bit masks for the normal fan and the forbidden strata.
 """
 
 from __future__ import annotations
@@ -38,6 +40,35 @@ def _subsets(items, k: int, search: str):
             f"{search} would try C({len(items)}, {k}) = {count} index "
             f"subsets, more than SUBSET_LIMIT = {SUBSET_LIMIT}")
     return combinations(items, k)
+
+
+def _closure(tops):
+    """(family, maximal) of the subset closure of index sets given as bit
+    masks by non-increasing size: `family` maps each member mask to its
+    frozenset of indices, and `maximal` lists the given masks that no
+    earlier one contains.  The submasks of a top are built by adding its
+    bits from the lowest up, so each new member is an earlier one plus one
+    index, and a top already in the family adds nothing."""
+    family, maximal = {}, []
+    for top in tops:
+        if top in family:
+            continue
+        maximal.append(top)
+        family.setdefault(0, frozenset())
+        subs = [0]
+        rest = top
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            added = {low.bit_length() - 1}
+            grown = []
+            for s in subs:
+                t = s | low
+                if t not in family:
+                    family[t] = family[s] | added
+                grown.append(t)
+            subs += grown
+    return family, maximal
 
 
 def _as_scalars(vec):
@@ -99,11 +130,19 @@ class SimplePolytope:
             None if all(x.is_zero() for x in nrm) else _ray_and_scale(nrm)
             for nrm, _ in self.facets]
         self.redundant = self._redundancy_flags()
+        # the essential facet sets of the vertices, as bit masks; n facets
+        # through a point fix it, so each vertex has its own
+        tops = []
         for active in self.vertex_facets:
             essential = [i for i in active if not self.redundant[i]]
             if len(essential) != n:
                 raise NotSimple(f"vertex on {len(essential)} facets in dimension {n}")
-        self.incidence = self._family()
+            tops.append(sum(1 << i for i in essential))
+        # the family as a dict mask -> frozenset, closed once; every member
+        # is a face of a vertex's facet set, and those are its maximal faces
+        self._masks, _ = _closure(tops)
+        self._maximal = [self._masks[m] for m in tops]
+        self.incidence = set(self._masks.values())
         self.delzant_class = self._classify()
 
     def _eval(self, i, x):
@@ -146,15 +185,6 @@ class SimplePolytope:
         cols = transpose(normals)
         return not has_nonneg_solution(cols, [-sum(c, Scalar(0)) for c in cols])
 
-    def _family(self):
-        fam = {frozenset()}
-        for active in self.vertex_facets:
-            ess = [i for i in active if not self.redundant[i]]
-            for k in range(1, len(ess) + 1):
-                for sub in combinations(ess, k):
-                    fam.add(frozenset(sub))
-        return fam
-
     def _classify(self):
         """Delzant class from the canonical rays of the n essential facets
         at each vertex.  Those normals are independent (the vertex is a
@@ -163,9 +193,8 @@ class SimplePolytope:
         primitive edges form a lattice basis iff the primitive normals do:
         a simplicial cone is smooth iff its dual is."""
         integral = True
-        for active in self.vertex_facets:
-            rays = [self._normal_rays[i][0] for i in active
-                    if not self.redundant[i]]
+        for top in self._maximal:
+            rays = [self._normal_rays[i][0] for i in top]
             if not all(x.is_rational for r in rays for x in r):
                 return IRRATIONAL
             if abs(pair_det([_pair_row(r) for r in rays])[0]) != 1:

@@ -24,19 +24,37 @@ def forbidden_strata(family, N: int):
     """Inclusion-minimal index sets outside the subset-closed family.
 
     These index the coordinate subspaces removed from C^N; their minimal
-    size must be >= 2, otherwise the halfspace data is degenerate.  A
-    minimal non-face is F + {j} for a face F and j > max(F), whose
-    one-smaller subsets are all faces while it is not."""
-    fam = {frozenset(I) for I in family} | {frozenset()}
+    size must be >= 2, otherwise the halfspace data is degenerate."""
+    masks = {sum(1 << i for i in f): f for f in map(frozenset, family)}
+    masks.setdefault(0, frozenset())
+    return _strata(masks, N)
+
+
+def _strata(masks, N: int):
+    """forbidden_strata of a subset-closed family given as a dict from bit
+    masks to frozensets, sorted by size and then as sorted lists.  A
+    minimal non-face is F + {j} for a face F and j above every index of F,
+    whose one-smaller subsets are all faces while it is not: S is tested
+    first, then S minus each bit of F."""
     minimal = []
-    for F in fam:
-        for j in range(max(F, default=-1) + 1, N):
-            S = F | {j}
-            if S not in fam and all(S - {i} in fam for i in F):
-                minimal.append(S)
-    if any(len(m) == 1 for m in minimal):
+    for F, face in masks.items():
+        for j in range(F.bit_length(), N):
+            S = F | 1 << j
+            if S in masks:
+                continue
+            rest = F
+            while rest:
+                low = rest & -rest
+                if S ^ low not in masks:
+                    break
+                rest ^= low
+            else:
+                minimal.append(sorted(face) + [j])
+    minimal.sort()
+    minimal.sort(key=len)
+    if minimal and len(minimal[0]) == 1:
         raise CodimensionOne("a single facet index is already forbidden")
-    return sorted(minimal, key=lambda s: (len(s), sorted(s)))
+    return [frozenset(m) for m in minimal]
 
 
 def kernel_lattice(rho):
@@ -62,7 +80,7 @@ class QuotientData:
 def quotient_data(P: SimplePolytope) -> QuotientData:
     """Forbidden strata, kernel lattice B and the moment vector
     nu_P = B^T (-lambda_P), where B's columns span ker(rho^T)."""
-    strata = forbidden_strata(P.incidence, P.N)
+    strata = _strata(P._masks, P.N)
     rho, lam = normal_data(P)
     basis = kernel_lattice(rho)
     d = common_field(lam)

@@ -91,6 +91,18 @@ def test_fan_of_polytope_and_svg(capsys, tmp_path, square_file):
     assert out.startswith("<svg ") and out.count("<line") == 4
 
 
+def test_fan_svg_rejects_non_simplicial_cones(capsys, tmp_path):
+    # (1, 1) is no extreme ray of the quadrant, and four rays over a
+    # square are dependent in R^3
+    for dim, rays in ((2, [[1, 0], [1, 1], [0, 1]]),
+                      (3, [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]])):
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps({"dim": dim, "cones": [{"rays": rays}]}))
+        code, out = invoke(capsys, ["fan", "svg", str(path)])
+        assert code == 4
+        assert json.loads(out)["error"] == "NotSimplicial"
+
+
 def test_fan_classify(capsys, tmp_path):
     path = tmp_path / "cone.json"
     path.write_text(json.dumps({"rays": [["0", "1"], ["2", "-1"]]}))

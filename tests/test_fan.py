@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 from math import gcd
 
@@ -14,7 +15,8 @@ from nctoric.fan import (DEPTH_LIMIT, Cone, Fan, _bezout, _face_key,
                          fan_from_json, fan_to_json, hj_chain, hj_digits,
                          hj_frame, is_refinement, normal_fan)
 from nctoric.hj import resolve_cone
-from nctoric.linalg import scalar_rank, solve_exact, zero_in_hull
+from nctoric.linalg import (has_nonneg_solution, scalar_rank, solve_exact,
+                            transpose, zero_in_hull)
 from nctoric.polytope import IRRATIONAL, SimplePolytope, cube, simplex
 from nctoric.scalars import Scalar, sorted_vectors
 
@@ -175,23 +177,36 @@ def test_independent_rays_run_no_hull_lp(monkeypatch):
     calls = []
 
     def counted(points):
-        calls.append(points)
+        calls.append("hull")
         return zero_in_hull(points)
 
+    def counted_feasibility(A, b):
+        calls.append("feasible")
+        return has_nonneg_solution(A, b)
+
     monkeypatch.setattr(fan, "zero_in_hull", counted)
+    monkeypatch.setattr(fan, "has_nonneg_solution", counted_feasibility)
     r2 = Scalar.sqrt_int(2)
     Cone([[1, 0], [0, 1]])
     Cone([[1, 2, 0], [0, 1, 1], [3, 0, -1]])
     Cone([[Scalar(1), r2], [Scalar(0), Scalar(1)]])
     dual_cone_2d(Cone([[0, 1], [101, -100]]))
-    assert calls == []
-    # singular and non-square ray sets keep the LP
+    # in the plane every cone is pointed and pruned by cross-product signs
     Cone([[1, 0]])
-    Cone([[1, 0], [1, 1], [0, 1]])
+    assert len(Cone([[1, 0], [1, 1], [0, 1]]).rays) == 2
+    assert len(Cone([[Scalar(1), r2], [Scalar(0), Scalar(1)],
+                     [Scalar(1), Scalar(0)]]).rays) == 2
+    for rays in ([[1, r2], [-2, -2 * r2]], [[1, 0], [0, 1], [-1, 0]]):
+        with pytest.raises(InputError):
+            Cone(rays)
+    assert calls == []
+    # singular and non-square ray sets in R^3 keep the LP, and pruning
+    # runs one feasibility LP per ray
+    Cone([[1, 0, 0]])
     Cone([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
     with pytest.raises(InputError):
-        Cone([[1, r2], [-2, -2 * r2]])
-    assert len(calls) == 4
+        Cone([[1, r2, 0], [-2, -2 * r2, 0]])
+    assert calls == ["hull", "hull"] + ["feasible"] * 3 + ["hull"]
 
 
 def test_fan_rays_of_two_fields_are_rejected():
@@ -476,6 +491,30 @@ def test_fan_json_roundtrip():
         Cone([[0, 0], [1, 0]])
 
 
+def test_non_simplicial_cones_are_rejected():
+    # the cone over a square has 10 faces, not the 16 subsets of its rays
+    square = [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]
+    planar = [[1, 0], [1, 1], [0, 1]]
+
+    def as_json(dim, *cones):
+        return {"dim": dim, "cones": [{"rays": [[str(x) for x in r]
+                                                for r in c]} for c in cones]}
+
+    with pytest.raises(NotSimplicial):
+        Fan([Cone(square)])
+    with pytest.raises(NotSimplicial):
+        Fan.from_faces(3, dict(enumerate(map(canonical_ray, square))),
+                       [range(4)])
+    for dim, rays in ((3, square), (2, planar)):
+        with pytest.raises(NotSimplicial):
+            fan_from_json(as_json(dim, rays))
+    # a Cone keeps only its extreme rays, so the planar one is a quadrant
+    assert Fan([Cone(planar)]) == Fan([Cone([[1, 0], [0, 1]])])
+    # a cone holding a line is reported first, whichever cone it is
+    with pytest.raises(InputError):
+        fan_from_json(as_json(2, planar, [[1, 0], [-1, 0]]))
+
+
 # -- oracles: membership by cross products and refinement by an edge walk ------
 
 
@@ -571,6 +610,106 @@ def _tiles_sector(parts, sigma):
             return False
         used.add(nxt[0])
         cur = nxt[1]
+
+
+# -- LP oracles: planar cones and refinement as decided in any dimension -------
+
+
+def cone_lp_oracle(rays):
+    """The rays of Cone(rays) by the hull LP and one feasibility LP per
+    ray, as in R^3 and up; None when the cone holds a line."""
+    table = tuple(sorted_vectors({canonical_ray(r) for r in rays}))
+    if zero_in_hull(table):
+        return None
+    if len(table) <= 2:
+        return table
+    return tuple(r for r in table if not has_nonneg_solution(
+        transpose([s for s in table if s != r]), r))
+
+
+def is_refinement_lp_oracle(fine, coarse):
+    """is_refinement of 2D fans with sector membership by one LP per fine
+    ray and the counterclockwise order by Scalar cross products."""
+    index = {r: i for i, r in enumerate(fine.rays)}
+    ccw = cmp_to_key(lambda i, j: _cross(fine.rays[j], fine.rays[i]).sign())
+    for face in coarse.faces:
+        rays = {coarse.rays[i] for i in face}
+        if len(rays) <= 1:
+            if frozenset(index.get(r) for r in rays) not in fine.faces:
+                return False
+            continue
+        sector = coarse._cone(face)
+        inside = sorted((i for i, r in enumerate(fine.rays)
+                         if sector.contains(r)), key=ccw)
+        if not inside or \
+                {fine.rays[inside[0]], fine.rays[inside[-1]]} != rays:
+            return False
+        pairs = {frozenset(p) for p in zip(inside, inside[1:])}
+        if pairs != {f for f in fine.faces if len(f) == 2 and f <= set(inside)}:
+            return False
+    return True
+
+
+def seeded_planar_sectors(rng):
+    """(a, b, inner, outer) over Q and over Q(sqrt 2): a sector cone(a, b)
+    with a -> b counterclockwise, rays inside it (some on its edges, as
+    multiples of a or b) and rays outside it."""
+    r2 = Scalar.sqrt_int(2)
+    count = 0
+    while count < 160:
+        root = r2 if count % 2 else Scalar(0)
+
+        def entry():
+            return Scalar(rng.randint(-4, 4)) + root * rng.randint(-1, 1)
+
+        a, b = [entry(), entry()], [entry(), entry()]
+        if _cross(a, b).sign() <= 0:
+            continue
+        inner = []
+        for _ in range(rng.randint(0, 4)):
+            s, t = rng.randint(0, 3), rng.randint(0, 3)
+            if s or t:
+                inner.append([s * x + t * y for x, y in zip(a, b)])
+        outer = [[-x for x in rng.choice((a, b))],
+                 [-x - y for x, y in zip(a, b)],
+                 [x - y for x, y in zip(a, b)]]
+        count += 1
+        yield a, b, inner, outer
+
+
+def test_planar_cones_and_refinement_match_the_lp_oracles():
+    rng = random.Random(1919)
+    seen = set()
+    for a, b, inner, outer in seeded_planar_sectors(rng):
+        field = any(not x.is_rational for x in a + b)
+        for rays in [[a, b] + inner, inner + [b, a, b]] + \
+                [[a, b] + inner + [o] for o in outer] + [[a, outer[0]]]:
+            want = cone_lp_oracle(rays)
+            try:
+                got = Cone(rays).rays
+            except InputError:
+                got = None
+            assert got == want, rays
+            seen.add(("cone", field, got is None))
+        # the fan of the sector cut along the inner rays, counterclockwise
+        cut = sorted({canonical_ray(r) for r in [a, b] + inner},
+                     key=cmp_to_key(lambda u, w: _cross(w, u).sign()))
+        fine = Fan([Cone([u, w]) for u, w in zip(cut, cut[1:])])
+        coarse = Fan([Cone([a, b])])
+        pairs = [(fine, coarse), (coarse, fine), (fine, fine)]
+        if len(cut) > 2:
+            maxima = fine.maximal_cones()
+            del maxima[rng.randrange(len(maxima))]
+            pairs.append((Fan(maxima, ambient_dim=2), coarse))
+        beyond = Fan(fine.maximal_cones() + [Cone([b, outer[2]])])
+        pairs += [(beyond, coarse), (coarse, beyond)]
+        for F, G in pairs:
+            got = is_refinement(F, G)
+            assert got == is_refinement_lp_oracle(F, G) == \
+                is_refinement_oracle(F, G), (F.rays, G.rays)
+            seen.add(("refinement", field, got))
+    assert seen == {(kind, field, answer) for kind in ("cone", "refinement")
+                    for field in (False, True) for answer in (False, True)}
 
 
 def random_gl2(rng):
@@ -885,3 +1024,59 @@ def test_maximal_cones_match_the_covered_set_oracle():
                    all(x.is_rational for r in F.rays for x in r)))
     assert {dim for dim, _ in kinds} == {1, 2, 3, 4, 5}
     assert (2, False) in kinds
+
+
+# -- oracle: fans closed from their maximal cones ------------------------------
+
+
+def assert_same_fan(F, G):
+    assert type(F.faces) is frozenset
+    assert all(type(f) is frozenset for f in F.faces)
+    assert (F.ambient_dim, F.rays, F.faces, F._maximal) == \
+        (G.ambient_dim, G.rays, G.faces, G._maximal)
+    assert fan_to_json(F) == fan_to_json(G)
+
+
+def test_closed_family_fans_match_closure_built_fans():
+    """normal_fan and resolve_cone hand Fan a family closed already; the
+    fans built by closing their maximal cones are the same."""
+    rng = random.Random(1903)
+    cases = []
+    for d in range(1, 5):
+        box = []
+        for i in range(d):
+            e = [int(i == j) for j in range(d)]
+            box += [(e, rng.randint(-3, 3)),
+                    ([-x for x in e], -Fraction(rng.randint(4, 9), 2))]
+        cases += [SimplePolytope(box), simplex(d + 1)]
+    polygons = []
+    while len(polygons) < 6:
+        try:
+            polygons.append(SimplePolytope(lattice_polygon(rng)))
+        except (Unbounded, NotSimple):
+            pass
+    cases += polygons
+    for P in polygons[:3]:
+        cases.append(SimplePolytope(
+            [(list(u) + [0], c) for u, c in P.facets]
+            + [([0, 0, 1], 0), ([0, 0, -1], -rng.randint(1, 5))]))
+    for P in polygons:
+        try:
+            cases.append(SimplePolytope(sqrt2_polygon(rng, P)))
+        except (Unbounded, NotSimple):
+            pass
+    assert any(not x.is_rational for P in cases for nrm, _ in P.facets
+               for x in nrm)
+    assert {P.dim for P in cases} == {1, 2, 3, 4, 5}
+    for P in cases:
+        assert_same_fan(normal_fan(P), normal_fan_oracle(P))
+    ccw = cmp_to_key(lambda u, w: _cross(w, u).sign())
+    fields = set()
+    for sigma, depth in seeded_sectors(rng):
+        F, inserted, _ = resolve_cone(sigma, depth)
+        chain = sorted({*sigma.rays, *map(tuple, inserted)}, key=ccw)
+        assert_same_fan(F, Fan.from_faces(
+            2, dict(enumerate(chain)),
+            [(j, j + 1) for j in range(len(chain) - 1)]))
+        fields.add(sigma.is_rational())
+    assert fields == {False, True}

@@ -87,7 +87,7 @@ def test_forbidden_strata_match_scan_on_random_families():
     rng = random.Random(9)
     outcomes = set()
     for _ in range(300):
-        N = rng.randint(1, 6)
+        N = rng.randint(1, 10)
         # the subsets of a few random generators, and sometimes an index
         # that no member uses
         used = range(N - 1) if rng.random() < 0.2 else range(N)
@@ -100,6 +100,30 @@ def test_forbidden_strata_match_scan_on_random_families():
         assert got == strata_or_error(scan_forbidden_strata, fam, N), (fam, N)
         if len(used) < N:
             assert got == "CodimensionOne"
+        outcomes.add(got == "CodimensionOne")
+    assert outcomes == {False, True}
+
+
+def test_quotient_data_strata_from_masks_match_scan():
+    """quotient_data reads the polytope's own bit-mask family."""
+    rng = random.Random(19)
+    outcomes = set()
+    cases = seeded_polytopes(rng, 40) + [cube(d) for d in range(1, 6)]
+    cases += [simplex(d) for d in range(1, 6)]
+    while len(cases) < 60:
+        try:
+            cases.append(SimplePolytope(lattice_polygon(rng)))
+        except (Unbounded, NotSimple):
+            pass
+    for P in cases:
+        want = strata_or_error(scan_forbidden_strata, P.incidence, P.N)
+        try:
+            got = quotient_data(P).forbidden_strata
+        except CodimensionOne:
+            got = "CodimensionOne"
+        assert got == want
+        assert set(P._masks.values()) == P.incidence
+        assert all(P._masks[sum(1 << i for i in f)] == f for f in P.incidence)
         outcomes.add(got == "CodimensionOne")
     assert outcomes == {False, True}
 
