@@ -107,8 +107,9 @@ def _cmd_lvm(args) -> str:
     cfg = lvm.configuration_from_json(_load_json(args.config))
     if args.action == "check":
         return _emit(lvm.check_admissible(cfg))
+    eps = _scalar_list(args.eps) if args.eps is not None else None
     if args.action == "gale":
-        g = lvm.gale_transform(cfg)
+        g = lvm.gale_transform(cfg, eps)
         return _emit({"vectors": [[x.to_json() for x in v] for v in g.vectors],
                       "epsilons": [e.to_json() for e in g.epsilons]})
     if args.action == "dichotomy":
@@ -124,9 +125,7 @@ def _cmd_lvm(args) -> str:
             "foliation_subspace": [[x.to_json() for x in v]
                                    for v in rep.foliation_subspace],
         })
-    eps = _scalar_list(args.eps) if args.eps else None
-    g = lvm.gale_transform(cfg, eps)
-    P = lvm.polytope_from_gale(g)
+    P = lvm.polytope_from_gale(lvm.gale_transform(cfg, eps))
     diags = [f"redundant_facet:{i}" for i, r in enumerate(P.redundant) if r]
     return _emit(polytope.to_json(P), diags)
 
@@ -208,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["check", "gale", "dichotomy", "fiber", "polytope"])
     p.add_argument("--config", required=True)
     p.add_argument("--eps", default=None)
-    p.set_defaults(handler=_cmd_lvm)
+    p.set_defaults(handler=_cmd_lvm, parser=p)
 
     p = sub.add_parser("hj")
     p.add_argument("action", choices=["expand", "resolve"])
@@ -241,21 +240,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _check_required(args):
-    """Flags an action needs but its subcommand's parser cannot require,
-    reported through that parser like any other usage error."""
+def _check_flags(args):
+    """Flags an action needs, or does not take, that its subcommand's
+    parser can neither require nor refuse, reported through that parser
+    like any other usage error."""
+    action = getattr(args, "action", None)
     need = {
         ("hj", "expand"): ["value"],
         ("hj", "resolve"): ["cone"],
         ("nctorus", "classify"): ["theta"],
         ("nctorus", "morita"): ["theta1", "theta2"],
     }
-    missing = [f"--{flag}" for flag in
-               need.get((args.command, getattr(args, "action", None)), [])
+    refuse = {("lvm", a): ["eps"] for a in ("check", "dichotomy", "fiber")}
+    missing = [f"--{flag}" for flag in need.get((args.command, action), [])
                if getattr(args, flag) is None]
     if missing:
         args.parser.error("the following arguments are required: "
                           + ", ".join(missing))
+    extra = [f"--{flag}" for flag in refuse.get((args.command, action), [])
+             if getattr(args, flag) is not None]
+    if extra:
+        args.parser.error(f"argument {extra[0]}: not allowed with {action}")
 
 
 def run(argv=None) -> int:
@@ -268,7 +273,7 @@ def run(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0,) else 0
     try:
-        _check_required(args)
+        _check_flags(args)
         out = args.handler(args)
     except SystemExit:
         return EXIT_USAGE

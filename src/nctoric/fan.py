@@ -14,10 +14,11 @@ from functools import cmp_to_key
 
 from .errors import (ChainTooLong, DimensionMismatch, InputError,
                      NonRational, NotSimplicial, WrongDimension)
-from .linalg import (_pair_row, canonical_ray, has_nonneg_solution, pair_det,
-                     scalar_rank, transpose, zero_in_hull)
-from .polytope import SimplePolytope, _closure
-from .scalars import Scalar, common_field, sorted_vectors
+from .linalg import (_orientation, _pair_row, _plane_extremes, canonical_ray,
+                     has_nonneg_solution, pair_det, scalar_rank, transpose,
+                     zero_in_hull)
+from .polytope import SimplePolytope, _closure, _ray_table
+from .scalars import Scalar, common_field
 
 SMOOTH = "Smooth"
 NON_RATIONAL = "NonRational"
@@ -44,7 +45,14 @@ class Cone:
         self.ambient_dim = ambient_dim
         self.rays = _ray_table(rays)[0]
         if ambient_dim == 2:
-            self.rays = _extreme_rays_2d(self.rays)
+            # the rays are nonzero, so the cone is pointed iff they lie in
+            # an open half-plane, and then the extreme ones are the
+            # clockwise-most and the counterclockwise-most
+            d = common_field(x for r in self.rays for x in r)
+            extreme = _plane_extremes(_ray_rows(self.rays, d), d)
+            if extreme is None:
+                raise InputError("cone contains a line (not strictly convex)")
+            self.rays = tuple(self.rays[i] for i in extreme)
             return
         # the rays are nonzero, so the cone holds a line iff some
         # nonnegative combination of them with weights summing to 1
@@ -84,83 +92,43 @@ class Cone:
 
     def contains(self, v) -> bool:
         """Exact membership in every dimension: is v a nonnegative
-        combination of the rays?  A cone with no rays holds only 0."""
-        if not self.rays:
-            return all(x == 0 for x in v)
-        return has_nonneg_solution(transpose(self.rays), v)
+        combination of the rays?  The cone is pointed, so that is 0 in the
+        hull of the rays and -v: a hull combination with no weight on -v
+        would put 0 in the hull of the rays.  So a cone with no rays holds
+        only 0, and in R^1 and R^2 no LP runs."""
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatch(f"a vector of dimension {len(v)} in a "
+                                    f"cone of dimension {self.ambient_dim}")
+        return zero_in_hull([*self.rays, [-x for x in v]])
 
 
 def _cross(u, w):
     return u[0] * w[1] - u[1] * w[0]
 
 
-def _cross_sign(u, w):
-    c = _cross(u, w)
-    return c.sign() if isinstance(c, Scalar) else (c > 0) - (c < 0)
-
-
-def _plane_coordinates(rays):
-    """Canonical rays as tuples for `_cross_sign`: of ints when every ray
-    is rational (a primitive integer vector), else of the Scalars."""
-    if common_field(x for r in rays for x in r):
-        return list(rays)
-    return [tuple(x.a.numerator for x in r) for r in rays]
-
-
-def _extreme_rays_2d(rays):
-    """The extreme rays, in table order, of a cone on distinct canonical
-    rays of R^2; InputError when the cone holds a line.  The rays of a
-    pointed 2D cone lie in an open half-plane, where cross-product signs
-    order them, so one pass finds the clockwise-most u and the
-    counterclockwise-most w.  Two rays or more span a pointed cone iff then
-    cross(u, w) > 0 and cross(u, r) >= 0 <= cross(r, w) for every ray r:
-    those two half-planes meet in cone(u, w)."""
-    if len(rays) < 2:
-        return rays
-    vecs = _plane_coordinates(rays)
-    u = w = vecs[0]
-    for r in vecs[1:]:
-        if _cross_sign(u, r) < 0:
-            u = r
-        if _cross_sign(r, w) < 0:
-            w = r
-    if _cross_sign(u, w) <= 0 or any(
-            _cross_sign(u, r) < 0 or _cross_sign(r, w) < 0 for r in vecs):
-        raise InputError("cone contains a line (not strictly convex)")
-    return tuple(r for r, v in zip(rays, vecs) if v is u or v is w)
+def _ray_rows(rays, d):
+    """Canonical rays of the field Q(sqrt(d)) as integer pair rows, the
+    x parts then the y parts of x + y sqrt(d): a rational ray, a primitive
+    integer vector, is its integer entries with zero sqrt(d) parts, and an
+    irrational one is cleared of denominators (linalg._pair_row)."""
+    if d:
+        return [_pair_row(r) for r in rays]
+    return [[x.a.numerator for x in r] + [0] * len(r) for r in rays]
 
 
 def _independent(rays, n):
     """Are these nonzero canonical rays of R^n linearly independent?  n of
     them are iff their determinant over Z[sqrt(d)], each ray cleared of
-    denominators, is nonzero; canonical rational rays are integer rows
-    already."""
+    denominators, is nonzero."""
     k = len(rays)
     if k != n:
         return k <= 1 or (k < n and scalar_rank([list(r) for r in rays]) == k)
     d = common_field(x for r in rays for x in r)
-    rows = [_pair_row(r) for r in rays] if d else \
-        [[x.a.numerator for x in r] + [0] * n for r in rays]
-    return any(pair_det(rows, d))
+    return any(pair_det(_ray_rows(rays, d), d))
 
 
 def _face_key(face):
     return (len(face), sorted(face))
-
-
-def _ray_table(rays):
-    """(table, positions): the distinct rays of a list of canonical rays in
-    exact lexicographic order, and the index in that table of each given
-    ray.  A canonical rational ray is a primitive integer vector, so a
-    rational list dedupes and sorts on its integer entries, in the same
-    order; an irrational one keeps `sorted_vectors`."""
-    rational = not common_field(x for r in rays for x in r)
-    keys = [tuple(x.a.numerator for x in r) for r in rays] if rational \
-        else rays
-    ray_of = dict(zip(keys, rays))
-    order = sorted(ray_of) if rational else sorted_vectors(ray_of)
-    pos = {k: i for i, k in enumerate(order)}
-    return tuple(ray_of[k] for k in order), [pos[k] for k in keys]
 
 
 class Fan:
@@ -254,22 +222,10 @@ class Fan:
 def normal_fan(P: SimplePolytope) -> Fan:
     """Fan with one cone per member of F, generated by the outward facet
     normals, so the unit square yields the four coordinate quadrants.  The
-    ray of an outward normal is the negated canonical ray of its inward
-    row, which the polytope already keeps: canonical_ray(-v) is
-    -canonical_ray(v) over Q and Q(sqrt(d)) alike.  A rational ray, a
-    primitive integer vector, is negated on its integer Fractions."""
-    used = sorted(set().union(*P._maximal))
-    rays = []
-    for i in used:
-        r = P._normal_rays[i][0]
-        rays.append(tuple(-x for x in r) if common_field(r) else
-                    tuple(Scalar(-x.a) for x in r))
-    # the polytope's family is closed already: only its facet indices
-    # become positions in the ray table
-    table, pos = _ray_table(rays)
-    where = [None] * P.N
-    for i, k in zip(used, pos):
-        where[i] = k
+    polytope keeps their ray table (SimplePolytope._outward_rays), and its
+    family is closed already: only its facet indices become positions in
+    that table."""
+    table, where = P._outward_rays
     return Fan._closed(
         P.dim, table,
         [frozenset(map(where.__getitem__, f)) for f in P.incidence],
@@ -385,9 +341,10 @@ def is_refinement(fine: Fan, coarse: Fan) -> bool:
     if fine.ambient_dim > 2:
         raise WrongDimension("refinement test implemented for dim <= 2")
     index = {r: i for i, r in enumerate(fine.rays)}
-    vecs = _plane_coordinates(fine.rays + coarse.rays)
+    d = common_field(x for r in fine.rays + coarse.rays for x in r)
+    vecs = _ray_rows(fine.rays + coarse.rays, d)
     fine_vecs, coarse_vecs = vecs[:len(fine.rays)], vecs[len(fine.rays):]
-    ccw = cmp_to_key(lambda i, j: _cross_sign(fine_vecs[j], fine_vecs[i]))
+    ccw = cmp_to_key(lambda i, j: _orientation(fine_vecs[j], fine_vecs[i], d))
     for face in coarse.faces:
         rays = {coarse.rays[i] for i in face}
         if len(rays) <= 1:
@@ -400,11 +357,11 @@ def is_refinement(fine: Fan, coarse: Fan) -> bool:
             # it, counterclockwise, run from one of its edges to the other,
             # and the fine 2-cones inside it are the consecutive pairs.
             a, b = (coarse_vecs[i] for i in face)
-            if _cross_sign(a, b) < 0:
+            if _orientation(a, b, d) < 0:
                 a, b = b, a
             inside = sorted((i for i, r in enumerate(fine_vecs)
-                             if _cross_sign(a, r) >= 0 <= _cross_sign(r, b)),
-                            key=ccw)
+                             if _orientation(a, r, d) >= 0
+                             <= _orientation(r, b, d)), key=ccw)
             if not inside or \
                     {fine.rays[inside[0]], fine.rays[inside[-1]]} != rays:
                 return False

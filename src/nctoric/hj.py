@@ -16,8 +16,8 @@ from math import gcd, isqrt, lcm
 
 from .errors import (DivisionByZero, InputError, NotNormalizable,
                      OutOfRange, PeriodNotFound, RationalInput)
-from .fan import (DEPTH_LIMIT, Cone, Fan, _ray_table, hj_chain, hj_digits,
-                  hj_frame)
+from .fan import DEPTH_LIMIT, Cone, Fan, hj_chain, hj_digits, hj_frame
+from .polytope import _ray_table
 from .scalars import Scalar
 
 #: safety valve for period detection on quadratic irrationals, shared by

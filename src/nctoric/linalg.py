@@ -41,8 +41,9 @@ def _pair_row(entries) -> list:
     of their x parts followed by the list of their y parts."""
     v = [e.a if isinstance(e, Scalar) else e for e in entries]
     v += [e.b if isinstance(e, Scalar) else 0 for e in entries]
-    den = lcm(*[e.denominator for e in v])
-    return [e.numerator * (den // e.denominator) for e in v]
+    v = [e.as_integer_ratio() for e in v]
+    den = lcm(*[q for _, q in v])
+    return [p * (den // q) for p, q in v]
 
 
 def _bareiss_pivot(T, r, j, rows, D, d: int):
@@ -75,8 +76,11 @@ def pair_det(rows, d: int = 0) -> tuple:
     (i, j) below them is the minor on rows and columns 0..k-1 plus i and j,
     so the last pivot is the determinant.  A zero pivot is swapped with the
     first row below with a nonzero entry in its column, flipping the sign;
-    when there is none the matrix is singular."""
+    when there is none the matrix is singular.  For n = 2 it is the
+    closed form of _det2."""
     n = len(rows)
+    if n == 2:
+        return _det2(*rows, d)
     T = [list(row) for row in rows]
     sign, D = 1, (1, 0)
     for k in range(n):
@@ -89,6 +93,61 @@ def pair_det(rows, d: int = 0) -> tuple:
         _bareiss_pivot(T, k, k, range(k + 1, n), D, d)
         D = (T[k][k], T[k][n + k])
     return (sign * D[0], sign * D[1])
+
+
+def _det2(u, w, d: int) -> tuple:
+    """det(u, w) = x + y sqrt(d) of plane vectors given as integer pair
+    rows [x0, x1, y0, y1], entry k being x_k + y_k sqrt(d)."""
+    a, b, p, q = u
+    c, e, r, s = w
+    return (a * e - b * c + (p * s - q * r) * d,
+            a * s + p * e - b * r - q * c)
+
+
+def _orientation(u, w, d: int) -> int:
+    """Exact sign of det(u, w) for plane vectors given as integer pair rows
+    (see _det2): positive iff w lies counterclockwise of u by an angle
+    strictly between 0 and pi.  For d = 0 it is the sign of the integer
+    cross product, and the sqrt(d) parts are not read."""
+    if not d:
+        c = u[0] * w[1] - u[1] * w[0]
+        return (c > 0) - (c < 0)
+    return _pair_sign(*_det2(u, w, d), d)
+
+
+def _turned_within(u, w, d: int) -> bool:
+    """Does w lie counterclockwise of u by an angle in [0, pi)?  Either
+    det(u, w) > 0, or det(u, w) = 0 and w points the way u does: u . w > 0,
+    the dot product being det(w, u turned by +90 degrees)."""
+    s = _orientation(u, w, d)
+    return s > 0 or s == 0 and \
+        _orientation(w, (-u[1], u[0], -u[3], u[2]), d) > 0
+
+
+def _plane_extremes(vecs, d: int):
+    """Indices, in increasing order, of the clockwise-most and the
+    counterclockwise-most of plane vectors (integer pair rows, see _det2),
+    or None when the vectors lie in no open half-plane, as when one of them
+    is 0.  In an open half-plane orientation signs order the directions, so
+    one pass finds the clockwise-most u and the counterclockwise-most w.
+    The vectors lie in one iff then every v lies within a half-turn
+    counterclockwise of u, and w within one of v: every v is in the sector
+    from u to w, and w, one of the v, bounds it to less than a half-turn."""
+    if not vecs:
+        return ()
+    u = w = 0
+    for i, v in enumerate(vecs[1:], 1):
+        if _orientation(vecs[u], v, d) < 0:
+            u = i
+        if _orientation(v, vecs[w], d) < 0:
+            w = i
+    # a nonzero vector lies within a half-turn of itself
+    U, W = vecs[u], vecs[w]
+    if any(U) and any(W) and all((v is U or _turned_within(U, v, d)) and
+                                 (v is W or _turned_within(v, W, d))
+                                 for v in vecs):
+        return (u, w) if u < w else (w, u) if w < u else (u,)
+    return None
 
 
 def smith_normal_form(A: IntMatrix):
@@ -297,8 +356,18 @@ def has_nonneg_solution(A: ScalarMatrix, b) -> bool:
 
 
 def zero_in_hull(points) -> bool:
-    """Is 0 in the convex hull of the points?  t >= 0, sum t_i = 1 and
-    sum t_i p_i = 0."""
+    """Is 0 in the convex hull of the points (ints, Fractions or Scalars of
+    one field)?  In R^1 and R^2, where each point is scaled once by a
+    positive integer to an integer pair row (_pair_row), iff the points
+    lie in no open half-plane (_plane_extremes).  In R^n for n >= 3, by
+    phase I on t >= 0, sum t_i = 1 and sum t_i p_i = 0."""
+    if not points:
+        return False
+    if len(points[0]) <= 2:
+        d = common_field(e for p in points for e in p if isinstance(e, Scalar))
+        pad = [0] * (2 - len(points[0]))
+        return _plane_extremes([_pair_row([*p, *pad]) for p in points],
+                               d) is None
     rows = [list(coords) for coords in zip(*points)] + [[1] * len(points)]
     return has_nonneg_solution(rows, [0] * (len(rows) - 1) + [1])
 

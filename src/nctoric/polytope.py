@@ -11,6 +11,7 @@ bit masks for the normal fan and the forbidden strata.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -69,6 +70,21 @@ def _closure(tops):
                 grown.append(t)
             subs += grown
     return family, maximal
+
+
+def _ray_table(rays):
+    """(table, positions): the distinct rays of a list of canonical rays in
+    exact lexicographic order, and the index in that table of each given
+    ray.  A canonical rational ray is a primitive integer vector, so a
+    rational list dedupes and sorts on its integer entries, in the same
+    order; an irrational one keeps `sorted_vectors`."""
+    rational = not common_field(x for r in rays for x in r)
+    keys = [tuple(x.a.numerator for x in r) for r in rays] if rational \
+        else rays
+    ray_of = dict(zip(keys, rays))
+    order = sorted(ray_of) if rational else sorted_vectors(ray_of)
+    pos = {k: i for i, k in enumerate(order)}
+    return tuple(ray_of[k] for k in order), [pos[k] for k in keys]
 
 
 def _as_scalars(vec):
@@ -144,6 +160,27 @@ class SimplePolytope:
         self._maximal = [self._masks[m] for m in tops]
         self.incidence = set(self._masks.values())
         self.delzant_class = self._classify()
+
+    @cached_property
+    def _outward_rays(self):
+        """(table, where): the ray table (_ray_table) of the outward normals
+        of the facets in some maximal face, and for each facet its index in
+        that table (None for a facet in none).  An outward ray is the
+        negated canonical ray of its inward normal, which _normal_rays
+        keeps: canonical_ray(-v) is -canonical_ray(v) over Q and Q(sqrt(d))
+        alike, and a rational ray, a primitive integer vector, is negated
+        on its integer Fractions."""
+        used = sorted(set().union(*self._maximal))
+        rays = []
+        for i in used:
+            r = self._normal_rays[i][0]
+            rays.append(tuple(-x for x in r) if common_field(r) else
+                        tuple(Scalar(-x.a) for x in r))
+        table, pos = _ray_table(rays)
+        where = [None] * self.N
+        for i, k in zip(used, pos):
+            where[i] = k
+        return table, where
 
     def _eval(self, i, x):
         nrm, _ = self.facets[i]

@@ -165,6 +165,43 @@ def test_lvm_subcommands(capsys, five_vector_file):
     assert code == 0 and parse(out)["payload"]["dim"] == 2
 
 
+def test_lvm_gale_reads_eps(capsys, five_vector_file):
+    code, out = invoke(capsys, ["lvm", "gale", "--config", five_vector_file,
+                                "--eps", "1,2,3,4,sqrt(2)"])
+    assert code == 0
+    assert parse(out)["payload"]["epsilons"] == [
+        {"a": str(k), "b": "0", "d": 0} for k in (1, 2, 3, 4)] + [
+        {"a": "0", "b": "1", "d": 2}]
+    default = parse(invoke(capsys, ["lvm", "gale", "--config",
+                                    five_vector_file])[1])["payload"]
+    code, out = invoke(capsys, ["lvm", "gale", "--config", five_vector_file,
+                                "--eps", "1,1,1,1,1"])
+    assert code == 0 and parse(out)["payload"] == default
+    # a list of the wrong length or with a bad literal is bad input
+    for eps in ("1,2,3,4", "1,2,3,4,5,6", "zzz", "1,,1,1,1", ""):
+        for action in ("gale", "polytope"):
+            code, out = invoke(capsys, ["lvm", action, "--config",
+                                        five_vector_file, f"--eps={eps}"])
+            assert code == 3, (action, eps)
+            assert json.loads(out)["error"] == "InputError"
+
+
+def test_lvm_actions_without_eps_refuse_it(capsys, five_vector_file):
+    for action in ("check", "dichotomy", "fiber"):
+        for eps in ("1,2,3,4,5", "zzz", ""):
+            assert run(["lvm", action, "--config", five_vector_file,
+                        f"--eps={eps}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("usage: nctoric lvm ")
+            assert captured.err.endswith(
+                f"error: argument --eps: not allowed with {action}\n")
+        # the usage error comes before the configuration is read
+        assert run(["lvm", action, "--config", "/nonexistent/cfg.json",
+                    "--eps", "1"]) == 2
+        assert capsys.readouterr().out == ""
+
+
 def test_hj_expand(capsys):
     code, out = invoke(capsys, ["hj", "expand", "--value", "7/5"])
     assert code == 0

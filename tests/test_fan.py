@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from nctoric import fan
+from nctoric import fan, linalg
 from nctoric.errors import (ChainTooLong, DimensionMismatch, FieldMismatch,
                             InputError, NonRational, NotSimple, NotSimplicial,
                             Unbounded, WrongDimension)
@@ -20,7 +20,7 @@ from nctoric.linalg import (has_nonneg_solution, scalar_rank, solve_exact,
 from nctoric.polytope import IRRATIONAL, SimplePolytope, cube, simplex
 from nctoric.scalars import Scalar, sorted_vectors
 
-from test_linalg import int_det
+from test_linalg import int_det, lp_zero_in_hull
 from test_polytope import lattice_polygon, sqrt2_polygon
 
 
@@ -152,7 +152,7 @@ def seeded_ray_sets(rng):
 def test_pointed_cones_match_the_hull_lp():
     outcomes = set()
     for kind, rays in seeded_ray_sets(random.Random(1757)):
-        line = zero_in_hull([canonical_ray(r) for r in rays])
+        line = lp_zero_in_hull([canonical_ray(r) for r in rays])
         try:
             Cone(rays)
             got = False
@@ -191,7 +191,7 @@ def test_independent_rays_run_no_hull_lp(monkeypatch):
     Cone([[1, 2, 0], [0, 1, 1], [3, 0, -1]])
     Cone([[Scalar(1), r2], [Scalar(0), Scalar(1)]])
     dual_cone_2d(Cone([[0, 1], [101, -100]]))
-    # in the plane every cone is pointed and pruned by cross-product signs
+    # in the plane every cone is pointed and pruned by orientation signs
     Cone([[1, 0]])
     assert len(Cone([[1, 0], [1, 1], [0, 1]]).rays) == 2
     assert len(Cone([[Scalar(1), r2], [Scalar(0), Scalar(1)],
@@ -207,6 +207,31 @@ def test_independent_rays_run_no_hull_lp(monkeypatch):
     with pytest.raises(InputError):
         Cone([[1, r2, 0], [-2, -2 * r2, 0]])
     assert calls == ["hull", "hull"] + ["feasible"] * 3 + ["hull"]
+
+
+def test_planar_fans_run_no_lp(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg, "has_nonneg_solution",
+                        lambda A, b: calls.append(len(A)))
+    monkeypatch.setattr(fan, "has_nonneg_solution",
+                        lambda A, b: calls.append(len(A)))
+    r2 = Scalar.sqrt_int(2)
+    sigma = Cone([[0, 1], [7, -3]])
+    F, _, _ = resolve_cone(sigma)
+    assert is_refinement(F, Fan([sigma]))
+    assert sigma.contains([1, 0]) and not sigma.contains([-1, 0])
+    assert Cone([[1, r2]]).contains([2, 2 * r2])
+    # a maximal cone on dependent rays: pointed, or holding a line
+    with pytest.raises(NotSimplicial):
+        fan_from_json({"dim": 2, "cones": [{"rays": [[1, 0], [1, 1], [0, 1]]}]})
+    with pytest.raises(InputError):
+        fan_from_json({"dim": 2, "cones": [{"rays": [[1, 0], [-1, 0]]}]})
+    with pytest.raises(InputError):
+        Fan.from_faces(2, {0: (Scalar(1), r2), 1: (Scalar(-1), -r2)}, [{0, 1}])
+    assert calls == []
+    # in R^3 the line test of two rays and the membership run phase I
+    Cone([[1, 0, 0], [0, 1, 0]]).contains([1, 1, 0])
+    assert calls == [4, 4]
 
 
 def test_fan_rays_of_two_fields_are_rejected():
@@ -273,6 +298,25 @@ def test_normal_fan_rectangle_equals_square_fan():
     rect = SimplePolytope([([1, 0], 0), ([0, 1], 0),
                            ([-1, 0], -3), ([0, -1], -1)])
     assert normal_fan(rect) == normal_fan(cube(2))
+
+
+def test_normal_fan_reads_the_outward_rays_kept_by_the_polytope(monkeypatch):
+    r2 = Scalar.sqrt_int(2)
+    for P in (cube(3), SimplePolytope([([1, 0], 0), ([0, 1], 0),
+                                       ([-1, -r2], -1)])):
+        first = normal_fan(P)
+        built = []
+        init = Scalar.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Scalar, "__init__", counted)
+        assert fan_to_json(normal_fan(P)) == fan_to_json(first)
+        monkeypatch.undo()
+        assert built == []
+        assert fan_to_json(first) == fan_to_json(negating_normal_fan(P))
 
 
 def test_cone_classify():
@@ -619,7 +663,7 @@ def cone_lp_oracle(rays):
     """The rays of Cone(rays) by the hull LP and one feasibility LP per
     ray, as in R^3 and up; None when the cone holds a line."""
     table = tuple(sorted_vectors({canonical_ray(r) for r in rays}))
-    if zero_in_hull(table):
+    if lp_zero_in_hull(table):
         return None
     if len(table) <= 2:
         return table
@@ -638,9 +682,9 @@ def is_refinement_lp_oracle(fine, coarse):
             if frozenset(index.get(r) for r in rays) not in fine.faces:
                 return False
             continue
-        sector = coarse._cone(face)
+        sector = transpose(coarse._cone(face).rays)
         inside = sorted((i for i, r in enumerate(fine.rays)
-                         if sector.contains(r)), key=ccw)
+                         if has_nonneg_solution(sector, r)), key=ccw)
         if not inside or \
                 {fine.rays[inside[0]], fine.rays[inside[-1]]} != rays:
             return False
@@ -691,6 +735,12 @@ def test_planar_cones_and_refinement_match_the_lp_oracles():
                 got = None
             assert got == want, rays
             seen.add(("cone", field, got is None))
+        # membership in the sector against the feasibility LP
+        sector = Cone([a, b])
+        for v in inner + outer + [[-x for x in a], [0, 0]]:
+            inside = sector.contains(v)
+            assert inside == has_nonneg_solution(transpose(sector.rays), v)
+            seen.add(("contains", field, inside))
         # the fan of the sector cut along the inner rays, counterclockwise
         cut = sorted({canonical_ray(r) for r in [a, b] + inner},
                      key=cmp_to_key(lambda u, w: _cross(w, u).sign()))
@@ -708,7 +758,8 @@ def test_planar_cones_and_refinement_match_the_lp_oracles():
             assert got == is_refinement_lp_oracle(F, G) == \
                 is_refinement_oracle(F, G), (F.rays, G.rays)
             seen.add(("refinement", field, got))
-    assert seen == {(kind, field, answer) for kind in ("cone", "refinement")
+    assert seen == {(kind, field, answer)
+                    for kind in ("cone", "contains", "refinement")
                     for field in (False, True) for answer in (False, True)}
 
 

@@ -6,12 +6,13 @@ from math import gcd, lcm
 
 import pytest
 
+from nctoric import linalg
 from nctoric.errors import DimensionMismatch, FieldMismatch
-from nctoric.linalg import (_free_kernel, _pair_row, _row_reduce,
-                            canonical_ray, has_nonneg_solution, identity,
-                            integer_kernel_basis, mat_mul, pair_det,
-                            scalar_rank, smith_normal_form, solve_exact,
-                            zero_in_hull)
+from nctoric.linalg import (_free_kernel, _orientation, _pair_row,
+                            _row_reduce, canonical_ray, has_nonneg_solution,
+                            identity, integer_kernel_basis, mat_mul,
+                            pair_det, scalar_rank, smith_normal_form,
+                            solve_exact, zero_in_hull)
 from nctoric.scalars import Scalar, common_field
 
 
@@ -177,6 +178,46 @@ def test_pair_det_matches_scalar_cofactors():
     assert {(d, z) for d, z, _ in seen} == {(d, z) for d in (2, 5)
                                             for z in (False, True)}
     assert any(not z and not q for _, z, q in seen)
+
+
+def test_two_by_two_pair_det_matches_the_oracles():
+    # n = 2 is a closed form, not the elimination; the orientation test
+    # reads its sign
+    rng = random.Random(20261105)
+    seen = set()
+    for trial in range(300):
+        big = 10**30 if trial % 5 == 0 else 1
+        A = [[rng.randint(-9, 9) * big for _ in range(2)] for _ in range(2)]
+        if trial % 3 == 1:  # the second row a multiple of the first
+            c = rng.randint(-3, 3)
+            A[1] = [c * x for x in A[0]]
+        elif trial % 3 == 2:  # a zero first pivot
+            A[0][0] = 0
+        want = int_det(A)
+        for d in (0, 2, 5):
+            assert pair_det(int_pairs(A), d) == (want, 0), (A, d)
+            assert _orientation(*int_pairs(A), d) == (want > 0) - (want < 0)
+        seen.add((want > 0) - (want < 0))
+    for trial in range(300):
+        d = (2, 5)[trial % 2]
+        r = Scalar.sqrt_int(d)
+        M = [[Scalar(0) if rng.random() < 0.2 else
+              Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+              + r * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+              for _ in range(2)] for _ in range(2)]
+        if trial % 4 >= 2:  # the second row an irrational multiple
+            M[1] = [(Fraction(rng.randint(-3, 3), 2) + r) * x for x in M[0]]
+        rows = [_pair_row(row) for row in M]
+        scale = 1
+        for row in M:
+            scale *= lcm(*[f.denominator for x in row for f in (x.a, x.b)])
+        want = cofactor_det(M)
+        assert Scalar(*pair_det(rows, d), d) == want * scale, (M, d)
+        assert _orientation(*rows, d) == want.sign(), (M, d)
+        seen.add((d, want.sign(), want.is_rational))
+    assert {s for s in seen if type(s) is int} == {-1, 0, 1}
+    assert {s[:2] for s in seen if type(s) is tuple} == {
+        (d, s) for d in (2, 5) for s in (-1, 0, 1)}
 
 
 def test_integer_kernel_saturated():
@@ -460,6 +501,116 @@ def test_zero_in_hull_matches_caratheodory_oracle():
         assert got == caratheodory_zero_in_hull(pts, dim), (dim, pts)
         seen.add((dim, field, got))
     assert len(seen) == 16  # both answers in every dimension and field
+
+
+def lp_zero_in_hull(points) -> bool:
+    """Oracle: the hull test by phase I in every dimension, t >= 0,
+    sum t_i = 1 and sum t_i p_i = 0."""
+    rows = [list(coords) for coords in zip(*points)] + [[1] * len(points)]
+    return has_nonneg_solution(rows, [0] * (len(rows) - 1) + [1])
+
+
+PLANAR_KINDS = ("random", "zero", "repeat", "antipodal", "ray", "line",
+                "halfplane", "antipodal_halfplane", "line1d")
+
+
+def planar_point_set(rng, d, kind):
+    """A seeded point set of R^2 (R^1 for "line1d") over Q(sqrt(d)) of the
+    given kind: random points, with a zero point, with a direction repeated
+    or reversed, all on one ray or one line through 0, all in an open
+    half-plane, or two antipodal points with the rest on one side of
+    their line.  Half the random and repeated sets lie in an open
+    half-plane, so that both answers occur."""
+    root = Scalar.sqrt_int(d) if d else Scalar(0)
+
+    def entry():
+        return Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3))) \
+            + root * Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+
+    def positive():
+        return Scalar(Fraction(rng.randint(1, 5), rng.randint(1, 3))) \
+            + root * rng.randint(0, 2)
+
+    def vector():
+        while True:
+            v = [entry(), entry()]
+            if not all(x.is_zero() for x in v):
+                return v
+
+    def scaled(c, v):
+        return [c * x for x in v]
+
+    def beside(f, k):
+        """k points on the side of the line through 0 turned from f by
+        -90 degrees that f points to."""
+        turned = [-f[1], f[0]]
+        return [[positive() * a + b * c for a, c in zip(f, turned)]
+                for b in (entry() for _ in range(k))]
+
+    k = rng.randint(1, 6)
+    if kind == "line1d":
+        return [[entry()] for _ in range(k)]
+    if kind in ("ray", "line"):
+        v = vector()
+        return [scaled(positive() if kind == "ray" or rng.random() < 0.5
+                       else -positive(), v) for _ in range(k)]
+    if kind == "halfplane":
+        return beside(vector(), k)
+    if kind == "antipodal_halfplane":
+        f = vector()
+        pts = beside([f[1], -f[0]], k) + [scaled(positive(), f),
+                                          scaled(-positive(), f)]
+        rng.shuffle(pts)
+        return pts
+    pts = beside(vector(), k) if rng.random() < 0.5 else \
+        [vector() for _ in range(k)]
+    if kind == "zero":
+        pts.insert(rng.randrange(k + 1), [Scalar(0), Scalar(0)])
+    elif kind == "repeat":
+        pts.insert(rng.randrange(k + 1), scaled(positive(), rng.choice(pts)))
+    elif kind == "antipodal":
+        pts.insert(rng.randrange(k + 1), scaled(-positive(), rng.choice(pts)))
+    return pts
+
+
+def test_planar_zero_in_hull_matches_the_lp():
+    rng = random.Random(20261106)
+    seen = set()
+    for trial in range(2400):
+        d = (0, 2, 5)[trial % 3]
+        kind = PLANAR_KINDS[trial // 3 % len(PLANAR_KINDS)]
+        pts = planar_point_set(rng, d, kind)
+        if d == 0 and trial % 4 == 0:  # plain Fractions over Q
+            pts = [[x.a for x in p] for p in pts]
+        got = zero_in_hull(pts)
+        assert got == lp_zero_in_hull(pts), (kind, pts)
+        seen.add((d, kind, got))
+    # 0 is a point or on the segment of an antipodal pair, or the points
+    # lie in an open half-plane; every other kind gives both answers in
+    # every field
+    always = {"zero", "antipodal", "antipodal_halfplane"}
+    never = {"ray", "halfplane"}
+    assert seen == {(d, kind, got) for d in (0, 2, 5) for kind in PLANAR_KINDS
+                    for got in (False, True)
+                    if not (kind in always and not got)
+                    and not (kind in never and got)}
+
+
+def test_planar_zero_in_hull_runs_no_lp(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg, "has_nonneg_solution",
+                        lambda A, b: calls.append(len(A)))
+    r5 = Scalar.sqrt_int(5)
+    assert zero_in_hull([[1, 0], [0, 1], [-1, -1]])
+    assert not zero_in_hull([[1, 0], [0, 1], [1, 1]])
+    assert zero_in_hull([[r5, 1], [-2 * r5, -2]])
+    assert not zero_in_hull([[r5, 1], [2 * r5, 2]])
+    assert zero_in_hull([[Fraction(1, 2)], [-r5]])
+    assert not zero_in_hull([[Fraction(1, 2)], [r5]])
+    assert zero_in_hull([[]])
+    assert calls == []
+    zero_in_hull([[1, 0, 0], [-1, 0, 0]])
+    assert calls == [4]
 
 
 def test_zero_in_hull_edge_cases():

@@ -9,7 +9,8 @@ from nctoric.errors import (DegenerateFoliation, DegenerateSystem, InputError,
                             IrrationalWeights, WrongDimension)
 from nctoric.linalg import canonical_ray, scalar_rank, zero_in_hull
 from nctoric.scalars import Scalar, common_field
-from test_linalg import rational_subspace_dim, scalar_kernel_basis
+from test_linalg import (lp_zero_in_hull, rational_subspace_dim,
+                         scalar_kernel_basis)
 
 R2 = Scalar.sqrt_int(2)
 
@@ -56,7 +57,7 @@ def weak_hyperbolic_oracle(cfg):
     """Oracle: no 2m-subset of the points has 0 in its hull, by one hull LP
     per subset."""
     pts = cfg.real_points()
-    return all(not zero_in_hull(s) for s in combinations(pts, 2 * cfg.m))
+    return all(not lp_zero_in_hull(s) for s in combinations(pts, 2 * cfg.m))
 
 
 def planted_configuration(rng, m, d, kind):
@@ -106,7 +107,7 @@ def test_check_admissible_matches_the_hull_scan_oracle():
         kind = rng.choice(kinds)
         cfg = planted_configuration(rng, m, d, kind)
         flags = lvm.check_admissible(cfg)
-        assert flags == {"siegel": zero_in_hull(cfg.real_points()),
+        assert flags == {"siegel": lp_zero_in_hull(cfg.real_points()),
                          "weak_hyperbolic": weak_hyperbolic_oracle(cfg)}, \
             (kind, lvm.configuration_to_json(cfg))
         seen.add((m, d, kind, flags["weak_hyperbolic"]))
@@ -128,7 +129,7 @@ def test_check_admissible_runs_hulls_only_on_singular_subsets(monkeypatch):
 
     monkeypatch.setattr(lvm, "zero_in_hull", counting)
     r2 = Scalar.sqrt_int(2)
-    # no singular 2m-subset: the Siegel hull is the only LP
+    # no singular 2m-subset: the Siegel hull is the only hull test
     for cfg in (lvm.Configuration([[(1, 0)], [(0, 1)], [(-1, -2)]]),
                 lvm.Configuration([[(1, 0), (0, 0)], [(0, 1), (0, 0)],
                                    [(0, 0), (1, 0)], [(0, 0), (0, 1)],
@@ -143,6 +144,33 @@ def test_check_admissible_runs_hulls_only_on_singular_subsets(monkeypatch):
         lvm.Configuration([[(1, 0)], [(-1, 0)], [(0, 1)], [(0, -1)]]))
     assert flags == {"siegel": True, "weak_hyperbolic": False}
     assert calls == [4, 2]
+
+
+def test_admissibility_in_c1_runs_no_lp(monkeypatch):
+    calls = []
+    lp = linalg.has_nonneg_solution
+
+    def counting(A, b):
+        calls.append(len(A))
+        return lp(A, b)
+
+    monkeypatch.setattr(linalg, "has_nonneg_solution", counting)
+    # in C^1 the points lie in the plane: hulls are orientation signs,
+    # also on the singular (antipodal) pairs and for every zero-set
+    for cfg in (five_vector(), five_vector_perturbed(), teardrop(3),
+                lvm.Configuration([[(1, 0)], [(-1, 0)], [(0, R2)],
+                                   [(0, -1)], [(0, 0)]])):
+        lvm.check_admissible(cfg)
+        lvm.minimal_forbidden_zero_sets(cfg)
+    assert calls == []
+    # in C^2 the Siegel hull and each singular 4-subset, here the two
+    # holding the dependent points 0, 1 and 3, run phase I on 4 + 1 rows
+    cfg = lvm.Configuration([[(1, 0), (0, 0)], [(0, 1), (0, 0)],
+                             [(0, 0), (1, 0)], [(1, 1), (0, 0)],
+                             [(-1, -1), (-R2, -1)]])
+    assert lvm.check_admissible(cfg) == {"siegel": False,
+                                         "weak_hyperbolic": True}
+    assert calls == [5, 5, 5]
 
 
 def test_solution_basis_five_vector():
@@ -224,7 +252,7 @@ def siegel_index_family(cfg):
     avoid = []
     for k in range(1, cfg.n + 1):
         for I in combinations(range(cfg.n), k):
-            if not zero_in_hull([pts[i] for i in I]):
+            if not lp_zero_in_hull([pts[i] for i in I]):
                 avoid.append(frozenset(I))
     return avoid
 
