@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nctoric import lvm, polytope
-from nctoric.cli import run
+from nctoric.cli import ACTIONS, run
 from nctoric.errors import NctoricError
 from nctoric.hj import DEPTH_LIMIT
 from nctoric.hochschild import (ground_field, group_algebra_z2, matrix_algebra,
@@ -186,20 +187,103 @@ def test_lvm_gale_reads_eps(capsys, five_vector_file):
             assert json.loads(out)["error"] == "InputError"
 
 
-def test_lvm_actions_without_eps_refuse_it(capsys, five_vector_file):
-    for action in ("check", "dichotomy", "fiber"):
-        for eps in ("1,2,3,4,5", "zzz", ""):
-            assert run(["lvm", action, "--config", five_vector_file,
-                        f"--eps={eps}"]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("usage: nctoric lvm ")
-            assert captured.err.endswith(
-                f"error: argument --eps: not allowed with {action}\n")
-        # the usage error comes before the configuration is read
-        assert run(["lvm", action, "--config", "/nonexistent/cfg.json",
-                    "--eps", "1"]) == 2
+#: a path that does not exist: a call that reads it before refusing a flag
+#: exits 3 with a JSON error instead of 2 with nothing on stdout
+MISSING = "/nonexistent/input.json"
+
+
+def _base_call(key):
+    """argv of the (command, action) entry of ACTIONS with every required
+    flag given and no optional one; files are MISSING."""
+    argv = [part for part in key if part is not None]
+    for name, keywords in ACTIONS[key][0].items():
+        if not name.startswith("--"):
+            argv.append(MISSING)
+        elif keywords.get("required"):
+            argv += [name, "3" if keywords.get("type") is int else MISSING]
+    return argv
+
+
+def _undeclared_flags():
+    """(key, flag, its keywords) for every flag that some entry of ACTIONS
+    declares and the entry under key does not."""
+    flags = {name: keywords for entry in ACTIONS.values()
+             for name, keywords in entry[0].items() if name.startswith("--")}
+    return [(key, name, flags[name]) for key in ACTIONS
+            for name in sorted(flags) if name not in ACTIONS[key][0]]
+
+
+def test_every_action_refuses_the_flags_it_does_not_declare(
+        capsys, five_vector_file):
+    calls = []
+    for key, name, keywords in _undeclared_flags():
+        argv = _base_call(key)
+        # the call is valid without the flag: it gets to read MISSING
+        assert run(argv) == 3, argv
+        capsys.readouterr()
+        calls.append((argv, [name] if keywords.get("action") == "store_true"
+                      else [name, "1"]))
+    # --eps on the lvm actions that take no epsilons, with a configuration
+    # that can be read
+    calls += [(["lvm", action, "--config", five_vector_file], [f"--eps={eps}"])
+              for action in ("check", "dichotomy", "fiber")
+              for eps in ("1,2,3,4,5", "zzz", "")]
+    for argv, extra in calls:
+        assert run(argv + extra) == 2, argv + extra
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: nctoric ")
+        assert captured.err.endswith(
+            "nctoric: error: unrecognized arguments: "
+            + " ".join(extra) + "\n")
+    for command in {command for command, action in ACTIONS if action}:
+        assert run([command]) == 2
         assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["hj", "expand", "--value", "7/5", "--svg"],
+    ["hj", "expand", "--value", "7/5", "--cone", MISSING],
+    ["hj", "resolve", "--cone", MISSING, "--value", "3"],
+    ["nctorus", "classify", "--theta", "sqrt(2)", "--theta1", "zzz"],
+    ["nctorus", "morita", "--theta1", "sqrt(2)", "--theta2", "1+sqrt(2)",
+     "--theta", "1"],
+    ["hh", "ranks", "--algebra", MISSING, "--N", "5"],
+    # abbreviations of declared flags, and of another action's flag
+    ["hj", "expand", "--val", "7/5"],
+    ["nctorus", "classify", "--the", "sqrt(2)"],
+    ["lvm", "check", "--conf", MISSING],
+    ["hh", "hp", "--algebra", MISSING, "--up", "5"],
+    ["hj", "expand", "--value", "sqrt(2)", "--d", "3"],
+], ids=" ".join)
+def test_flag_the_action_does_not_declare_is_a_usage_error(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
+
+
+def test_readme_synopsis_names_every_action_and_its_flags():
+    with open(README) as fh:
+        section = fh.read().split("## CLI examples\n", 1)[1]
+    synopsis = section.split("```text\n", 1)[1].split("```", 1)[0]
+    found = {}
+    for line in synopsis.splitlines():
+        words = [w for w in line.split()[1:]
+                 if w.islower() and not w.startswith(("-", "["))]
+        found[words[0], words[1] if len(words) > 1 else None] = (
+            re.findall(r"--[\w-]+", line), re.findall(r"\[(--[\w-]+)", line))
+    declared = {key: ([name for name in flags if name.startswith("--")],
+                      [name for name, keywords in flags.items()
+                       if name.startswith("--")
+                       and not keywords.get("required")])
+                for key, (flags, _, _) in ACTIONS.items()}
+    assert {key: (sorted(a), sorted(b)) for key, (a, b) in found.items()} == {
+        key: (sorted(a), sorted(b)) for key, (a, b) in declared.items()}
 
 
 def test_hj_expand(capsys):
@@ -282,13 +366,32 @@ def test_usage_errors(capsys):
     assert invoke(capsys, ["hj", "expand"])[0] == 2
 
 
+def _required_flags():
+    """(argv, missing) for each required flag or positional of each entry
+    of ACTIONS: the entry's call with every other required flag given."""
+    calls = []
+    for key, (flags, _, _) in ACTIONS.items():
+        for name, keywords in flags.items():
+            if keywords.get("required") or not name.startswith("--"):
+                argv = _base_call(key)
+                if name.startswith("--"):
+                    i = argv.index(name)
+                    del argv[i:i + 2]
+                else:
+                    argv.remove(MISSING)
+                calls.append((argv, name))
+    return calls
+
+
 def test_missing_required_flag_is_named_on_stderr(capsys):
-    for argv, missing in ((["hj", "expand"], "--value"),
-                          (["hj", "resolve"], "--cone"),
-                          (["nctorus", "classify"], "--theta"),
-                          (["nctorus", "morita", "--theta2=2"], "--theta1"),
-                          (["nctorus", "morita"], "--theta1, --theta2")):
-        assert run(argv) == 2
+    calls = _required_flags()
+    assert {missing for _, missing in calls} == {
+        "file", "--polytope", "--config", "--value", "--cone", "--theta",
+        "--theta1", "--theta2", "--f", "--d", "--algebra"}
+    for argv, missing in calls + [
+            (["nctorus", "morita", "--theta2=2"], "--theta1"),
+            (["nctorus", "morita"], "--theta1, --theta2")]:
+        assert run(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"usage: nctoric {argv[0]} ")
@@ -611,9 +714,10 @@ def algebra_documents(draw):
        n=st.one_of(st.none(), st.integers(-2, 5)))
 def test_hh_fuzz_ends_in_a_known_exit_code(doc, action, upto, n):
     argv = ["hh", action]
-    if upto is not None:
+    flags = ACTIONS["hh", action][0]
+    if upto is not None and "--upto" in flags:
         argv += ["--upto", str(upto)]
-    if n is not None:
+    if n is not None and "--N" in flags:
         argv += ["--N", str(n)]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "alg.json")
