@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import facevectors, fan, hj, hochschild, lvm, nctorus, polytope, svg
-from .errors import InputError, NctoricError
+from .errors import InputError, NctoricError, OutOfRange
 from .quotient import quotient_data
 from .scalars import parse_scalar
 
@@ -29,7 +29,10 @@ EXIT_DOMAIN = 4
 
 
 def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    except ValueError as e:  # an int past the int-to-text digit limit
+        raise OutOfRange.digits() from e
 
 
 def _emit(payload, diagnostics=None) -> str:

@@ -4,6 +4,8 @@ Every domain error carries a stable machine-readable ``name`` so the CLI
 can map it to an exit code and a diagnostic string.
 """
 
+import sys
+
 
 class NctoricError(Exception):
     """Base class for all domain errors."""
@@ -17,6 +19,11 @@ class FieldMismatch(NctoricError):
 
 class OutOfRange(NctoricError):
     name = "OutOfRange"
+
+    @classmethod
+    def digits(cls):  # for an int past the interpreter's int-to-text limit
+        return cls(f"an output number has more than the interpreter's "
+                   f"{sys.get_int_max_str_digits()}-digit limit for text")
 
 
 class RationalInput(NctoricError):

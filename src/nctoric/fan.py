@@ -10,13 +10,13 @@ simplicial cone only, so every maximal cone of a fan has independent rays
 
 from __future__ import annotations
 
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 
 from .errors import (ChainTooLong, DimensionMismatch, InputError,
                      NonRational, NotSimplicial, WrongDimension)
-from .linalg import (_orientation, _pair_row, _plane_extremes, canonical_ray,
-                     has_nonneg_solution, pair_det, scalar_rank, transpose,
-                     zero_in_hull)
+from .linalg import (_orientation, _pair_row, _plane_extremes, _primitive,
+                     canonical_ray, has_nonneg_solution, pair_det,
+                     scalar_rank, transpose, zero_in_hull)
 from .polytope import SimplePolytope, _closure, _ray_table
 from .scalars import Scalar, common_field
 
@@ -29,10 +29,18 @@ DEPTH_LIMIT = 1000
 
 
 class Cone:
-    """Strictly convex polyhedral cone given by its extreme rays."""
+    """Strictly convex polyhedral cone given by its extreme rays; rational
+    ones are found on primitive integer rows, kept as `_rows`, and become
+    Scalars once, when first read."""
 
     def __init__(self, rays, ambient_dim=None):
-        rays = [canonical_ray(r) for r in rays]
+        rays = list(rays)
+        d = 0
+        if any(isinstance(x, Scalar) and x.d for r in rays for x in r):
+            rays = [canonical_ray(r) for r in rays]
+            d = common_field(x for r in rays for x in r)
+        if not d:
+            rays = [_primitive(r) for r in rays]
         if rays:
             if ambient_dim not in (None, len(rays[0])):
                 raise InputError(f"a ray of dimension {len(rays[0])} in a "
@@ -43,31 +51,48 @@ class Cone:
         if any(len(r) != ambient_dim for r in rays):
             raise InputError("rays of mixed dimension")
         self.ambient_dim = ambient_dim
-        self.rays = _ray_table(rays)[0]
+        # primitive integer rows sort as their rays do
+        table = _ray_table(rays)[0] if d else sorted(set(rays))
         if ambient_dim == 2:
             # the rays are nonzero, so the cone is pointed iff they lie in
             # an open half-plane, and then the extreme ones are the
             # clockwise-most and the counterclockwise-most
-            d = common_field(x for r in self.rays for x in r)
-            extreme = _plane_extremes(_ray_rows(self.rays, d), d)
+            extreme = _plane_extremes(
+                [_pair_row(r) for r in table] if d else table, d)
             if extreme is None:
                 raise InputError("cone contains a line (not strictly convex)")
-            self.rays = tuple(self.rays[i] for i in extreme)
-            return
+            table = [table[i] for i in extreme]
         # the rays are nonzero, so the cone holds a line iff some
         # nonnegative combination of them with weights summing to 1
         # vanishes; that makes them dependent, so n independent rays in R^n
         # span a pointed cone, all of them extreme, without an LP
-        if len(self.rays) == ambient_dim and _independent(self.rays,
-                                                          ambient_dim):
-            return
-        if zero_in_hull(self.rays):
-            raise InputError("cone contains a line (not strictly convex)")
-        if len(self.rays) > 2:
-            # two distinct rays of a strictly convex cone are both extreme;
-            # past that, drop each ray in the cone of the others
-            self.rays = tuple(r for r in self.rays if not has_nonneg_solution(
-                transpose([s for s in self.rays if s != r]), r))
+        elif not (len(table) == ambient_dim and
+                  _independent(table, ambient_dim)):
+            if zero_in_hull(table):
+                raise InputError("cone contains a line (not strictly convex)")
+            if len(table) > 2:
+                # two distinct rays of a pointed cone are both extreme;
+                # past that, drop each ray in the cone of the others
+                table = [r for r in table if not has_nonneg_solution(
+                    transpose([s for s in table if s != r]), r)]
+        if d:
+            self.rays = tuple(table)
+        else:
+            self._rows = tuple(table)
+
+    @cached_property
+    def rays(self):
+        """The extreme rays, canonical and in exact lexicographic order; a
+        rational cone builds them from its rows when first read."""
+        return tuple(tuple(map(Scalar, r)) for r in self._rows)
+
+    @cached_property
+    def _rows(self):
+        """The rays as primitive integer rows, None when one is irrational
+        (a canonical rational ray is a primitive integer vector)."""
+        if common_field(x for r in self.rays for x in r):
+            return None
+        return tuple(tuple(x.a.numerator for x in r) for r in self.rays)
 
     @classmethod
     def _view(cls, rays, ambient_dim):
@@ -88,7 +113,7 @@ class Cone:
         return f"Cone[{rays}]"
 
     def is_rational(self):
-        return all(all(x.is_rational for x in r) for r in self.rays)
+        return self._rows is not None
 
     def contains(self, v) -> bool:
         """Exact membership in every dimension: is v a nonnegative
@@ -106,25 +131,20 @@ def _cross(u, w):
     return u[0] * w[1] - u[1] * w[0]
 
 
-def _ray_rows(rays, d):
-    """Canonical rays of the field Q(sqrt(d)) as integer pair rows, the
-    x parts then the y parts of x + y sqrt(d): a rational ray, a primitive
-    integer vector, is its integer entries with zero sqrt(d) parts, and an
-    irrational one is cleared of denominators (linalg._pair_row)."""
-    if d:
-        return [_pair_row(r) for r in rays]
-    return [[x.a.numerator for x in r] + [0] * len(r) for r in rays]
+def _det(rays) -> tuple:
+    """(x, y, d): the determinant x + y sqrt(d) of n rays of R^n, integer
+    rows or Scalar rays, each cleared of denominators (linalg._pair_row)."""
+    d = common_field(x for r in rays for x in r if isinstance(x, Scalar))
+    return (*pair_det([_pair_row(r) for r in rays], d), d)
 
 
 def _independent(rays, n):
-    """Are these nonzero canonical rays of R^n linearly independent?  n of
-    them are iff their determinant over Z[sqrt(d)], each ray cleared of
-    denominators, is nonzero."""
+    """Are these nonzero rays of R^n (as for _det) linearly independent?
+    n of them are iff their determinant is nonzero."""
     k = len(rays)
     if k != n:
-        return k <= 1 or (k < n and scalar_rank([list(r) for r in rays]) == k)
-    d = common_field(x for r in rays for x in r)
-    return any(pair_det(_ray_rows(rays, d), d))
+        return k <= 1 or (k < n and scalar_rank(rays) == k)
+    return any(_det(rays)[:2])
 
 
 def _face_key(face):
@@ -189,7 +209,8 @@ class Fan:
         self.faces = frozenset(family.values())
         self._maximal = sorted((family[m] for m in maximal), key=_face_key)
         dependent = [sigma.rays for sigma in map(self._cone, self._maximal)
-                     if not _independent(sigma.rays, ambient_dim)]
+                     if not _independent(sigma._rows or sigma.rays,
+                                         ambient_dim)]
         if any(zero_in_hull(rays) for rays in dependent):
             raise InputError("cone contains a line (not strictly convex)")
         if dependent:
@@ -238,9 +259,9 @@ def cone_classify(sigma: Cone):
     Z[sqrt(d)], each ray cleared of denominators, is nonzero; for rational
     rays, primitive integer vectors, its absolute value is the index."""
     n = sigma.ambient_dim
-    if len(sigma.rays) == n:
-        d = common_field(x for r in sigma.rays for x in r)
-        x, y = pair_det([_pair_row(r) for r in sigma.rays], d)
+    rays = sigma._rows or sigma.rays
+    if len(rays) == n:
+        x, y, d = _det(rays)
         if d and (x or y):
             return NON_RATIONAL
         if x:
@@ -316,11 +337,11 @@ def hj_chain(v, e, digits) -> list:
 def dual_cone_2d(sigma: Cone):
     """Dual cone rays and the Hilbert basis of sigma-dual intersect Z^2:
     the Hirzebruch-Jung chain of the dual cone, its two rays included."""
-    if sigma.ambient_dim != 2 or len(sigma.rays) != 2:
+    if sigma.ambient_dim != 2 or len(sigma._rows or sigma.rays) != 2:
         raise WrongDimension("dual cone computed for full 2D cones only")
-    if not sigma.is_rational():
+    if sigma._rows is None:
         raise NonRational("dual cone needs a rational cone")
-    u, w = ([int(x.a) for x in r] for r in sigma.rays)
+    u, w = sigma._rows
     if _cross(u, w) < 0:
         u, w = w, u
     # with u -> w counterclockwise, the dual's extreme rays are u rotated
@@ -342,7 +363,7 @@ def is_refinement(fine: Fan, coarse: Fan) -> bool:
         raise WrongDimension("refinement test implemented for dim <= 2")
     index = {r: i for i, r in enumerate(fine.rays)}
     d = common_field(x for r in fine.rays + coarse.rays for x in r)
-    vecs = _ray_rows(fine.rays + coarse.rays, d)
+    vecs = [_pair_row(r) for r in fine.rays + coarse.rays]
     fine_vecs, coarse_vecs = vecs[:len(fine.rays)], vecs[len(fine.rays):]
     ccw = cmp_to_key(lambda i, j: _orientation(fine_vecs[j], fine_vecs[i], d))
     for face in coarse.faces:

@@ -133,16 +133,17 @@ def resolve_cone(sigma: Cone, depth: int | None = None):
     if sigma.ambient_dim != 2 or len(sigma.rays) != 2:
         raise NotNormalizable("need a full-dimensional 2D cone")
     w, ray = sigma.rays
-    if not all(x.is_rational for x in ray):
-        ray, w = w, ray
-        if not all(x.is_rational for x in ray):
-            raise NotNormalizable("no rational primitive ray to normalize")
-    # canonical rational rays are primitive integer vectors
-    v = [int(a.a) for a in ray]
-    if all(a.is_rational for a in w):
-        e, x, y = hj_frame(v, [int(a.a) for a in w])
+    if sigma._rows is not None:
+        u, v = sigma._rows
+        e, x, y = hj_frame(v, u)
         digits = hj_digits(x, y)
     else:
+        if not all(x.is_rational for x in ray):
+            ray, w = w, ray
+            if not all(x.is_rational for x in ray):
+                raise NotNormalizable("no rational primitive ray to normalize")
+        # a canonical rational ray is a primitive integer vector
+        v = [x.a.numerator for x in ray]
         e, x, y = hj_frame(v, w)
         digits = hj_expand(x / y, depth=depth or 5).digits
     inserted = [[Scalar(a) for a in u] for u in hj_chain(v, e, digits)]

@@ -108,7 +108,8 @@ def _orientation(u, w, d: int) -> int:
     """Exact sign of det(u, w) for plane vectors given as integer pair rows
     (see _det2): positive iff w lies counterclockwise of u by an angle
     strictly between 0 and pi.  For d = 0 it is the sign of the integer
-    cross product, and the sqrt(d) parts are not read."""
+    cross product, and the sqrt(d) parts are not read, so plain integer
+    rows [x0, x1] will do."""
     if not d:
         c = u[0] * w[1] - u[1] * w[0]
         return (c > 0) - (c < 0)
@@ -120,16 +121,17 @@ def _turned_within(u, w, d: int) -> bool:
     det(u, w) > 0, or det(u, w) = 0 and w points the way u does: u . w > 0,
     the dot product being det(w, u turned by +90 degrees)."""
     s = _orientation(u, w, d)
-    return s > 0 or s == 0 and \
-        _orientation(w, (-u[1], u[0], -u[3], u[2]), d) > 0
+    return s > 0 or s == 0 and _orientation(
+        w, (-u[1], u[0], -u[3], u[2]) if d else (-u[1], u[0]), d) > 0
 
 
 def _plane_extremes(vecs, d: int):
     """Indices, in increasing order, of the clockwise-most and the
-    counterclockwise-most of plane vectors (integer pair rows, see _det2),
-    or None when the vectors lie in no open half-plane, as when one of them
-    is 0.  In an open half-plane orientation signs order the directions, so
-    one pass finds the clockwise-most u and the counterclockwise-most w.
+    counterclockwise-most of plane vectors (integer pair rows, see _det2,
+    or for d = 0 plain integer rows), or None when the vectors lie in no
+    open half-plane, as when one of them is 0.  In an open half-plane
+    orientation signs order the directions, so one pass finds the
+    clockwise-most u and the counterclockwise-most w.
     The vectors lie in one iff then every v lies within a half-turn
     counterclockwise of u, and w within one of v: every v is in the sector
     from u to w, and w, one of the v, bounds it to less than a half-turn."""
@@ -355,19 +357,24 @@ def has_nonneg_solution(A: ScalarMatrix, b) -> bool:
     return True
 
 
+def _zero_in_plane_hull(rows, d: int) -> bool:
+    """Is 0 in the convex hull of plane vectors given as integer pair rows
+    (see _det2)?  Iff they lie in no open half-plane (_plane_extremes)."""
+    return _plane_extremes(rows, d) is None
+
+
 def zero_in_hull(points) -> bool:
     """Is 0 in the convex hull of the points (ints, Fractions or Scalars of
     one field)?  In R^1 and R^2, where each point is scaled once by a
-    positive integer to an integer pair row (_pair_row), iff the points
-    lie in no open half-plane (_plane_extremes).  In R^n for n >= 3, by
-    phase I on t >= 0, sum t_i = 1 and sum t_i p_i = 0."""
+    positive integer to an integer pair row (_pair_row), by
+    _zero_in_plane_hull.  In R^n for n >= 3, by phase I on t >= 0,
+    sum t_i = 1 and sum t_i p_i = 0."""
     if not points:
         return False
     if len(points[0]) <= 2:
         d = common_field(e for p in points for e in p if isinstance(e, Scalar))
         pad = [0] * (2 - len(points[0]))
-        return _plane_extremes([_pair_row([*p, *pad]) for p in points],
-                               d) is None
+        return _zero_in_plane_hull([_pair_row([*p, *pad]) for p in points], d)
     rows = [list(coords) for coords in zip(*points)] + [[1] * len(points)]
     return has_nonneg_solution(rows, [0] * (len(rows) - 1) + [1])
 
@@ -376,23 +383,31 @@ def scalar_rank(A: ScalarMatrix) -> int:
     return len(_row_reduce(A)[1])
 
 
-def canonical_ray(v) -> tuple:
-    """Canonical representative of the ray through v, always a positive
-    multiple of v: the primitive integer vector when the direction is
-    rational, else v divided by the absolute value of its first nonzero
-    entry.  The zero vector spans no ray (InputError).  An all-int v is
-    divided by its gcd directly."""
+def _primitive(v) -> tuple:
+    """The primitive integer vector, a tuple of ints, on the ray through a
+    vector of ints, Fractions or rational Scalars: cleared of denominators
+    and divided by the gcd of its entries (InputError for the zero vector)."""
     if not all(type(x) is int for x in v):
-        v = [Scalar._coerce(x) for x in v]
-        if common_field(v):
-            # an irrational entry is nonzero: make |first nonzero| = 1
-            scale = abs(next(x for x in v if not x.is_zero())).inverse()
-            v = [x * scale for x in v]
-            if not all(x.is_rational for x in v):
-                return tuple(v)
-        den = lcm(*[x.a.denominator for x in v])
-        v = [x.a.numerator * (den // x.a.denominator) for x in v]
+        v = [Scalar._coerce(x).a for x in v]
+        den = lcm(*[x.denominator for x in v])
+        v = [x.numerator * (den // x.denominator) for x in v]
     g = gcd(*v)
     if not g:
         raise InputError("the zero vector spans no ray")
-    return tuple(Scalar(k // g) for k in v)
+    return tuple([k // g for k in v])
+
+
+def canonical_ray(v) -> tuple:
+    """Canonical representative of the ray through v, always a positive
+    multiple of v: the primitive integer vector (_primitive) when the
+    direction is rational, else v divided by the absolute value of its
+    first nonzero entry.  The zero vector spans no ray (InputError)."""
+    if any(isinstance(x, Scalar) and x.d for x in v):
+        v = [Scalar._coerce(x) for x in v]
+        common_field(v)
+        # an irrational entry is nonzero: make |first nonzero| = 1
+        scale = abs(next(x for x in v if not x.is_zero())).inverse()
+        v = [x * scale for x in v]
+        if not all(x.is_rational for x in v):
+            return tuple(v)
+    return tuple(Scalar(k) for k in _primitive(v))

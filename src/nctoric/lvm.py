@@ -16,8 +16,8 @@ from itertools import combinations
 
 from .errors import (DegenerateFoliation, DegenerateSystem, InputError,
                      IrrationalWeights, WrongDimension)
-from .linalg import (_free_kernel, _pair_row, _row_reduce, canonical_ray,
-                     pair_det, zero_in_hull)
+from .linalg import (_free_kernel, _pair_row, _primitive, _row_reduce,
+                     _zero_in_plane_hull, pair_det, zero_in_hull)
 from .polytope import SimplePolytope, _subsets
 from .scalars import Scalar, common_field
 
@@ -100,14 +100,21 @@ def check_admissible(cfg: Configuration) -> dict:
     dependent, so 2m points in R^2m with a nonzero determinant settle their
     subset and only singular subsets run a hull test.  Each point is
     scaled once by a positive integer to integer pairs (linalg._pair_row),
-    which changes neither a determinant's zero-ness nor hull membership."""
+    which changes neither a determinant's zero-ness nor hull membership;
+    in C^1 the planar hull test reads those pairs too."""
     pts = cfg.real_points()
     subs = _subsets(range(cfg.n), 2 * cfg.m, "the weak hyperbolicity check")
     d = common_field(x for p in pts for x in p)
     rows = [_pair_row(p) for p in pts]
-    return {"siegel": zero_in_hull(pts),
+
+    def hull(s):
+        if cfg.m == 1:
+            return _zero_in_plane_hull([rows[i] for i in s], d)
+        return zero_in_hull([pts[i] for i in s])
+
+    return {"siegel": hull(range(cfg.n)),
             "weak_hyperbolic": not any(
-                zero_in_hull([pts[i] for i in s]) for s in subs
+                hull(s) for s in subs
                 if pair_det([rows[i] for i in s], d) == (0, 0))}
 
 
@@ -202,6 +209,17 @@ class FiberReport:
     slope: Scalar | None = None
 
 
+def _same_line(c, e, i: int, d: int) -> bool:
+    """Do two columns, integer pair rows over Z[sqrt(d)] (linalg._pair_row)
+    whose first nonzero entries sit at index i, lie on one line through 0?
+    They do iff c_j e_i = e_j c_i for every j, by cross-multiplying."""
+    h = len(c) // 2
+    ax, ay, bx, by = c[i], c[h + i], e[i], e[h + i]
+    return all(c[j] * bx + c[h + j] * by * d == e[j] * ax + e[h + j] * ay * d
+               and c[j] * by + c[h + j] * bx == e[j] * ay + e[h + j] * ax
+               for j in range(h))
+
+
 def generic_fiber(cfg: Configuration) -> FiberReport:
     """Foliation data of the fiber torus T^{n-1}: the span of the phase
     directions (Re and Im of each coordinate row of Lambda) modulo the
@@ -220,18 +238,26 @@ def generic_fiber(cfg: Configuration) -> FiberReport:
             f"phase directions span only {dim_mod_diag} dims mod the diagonal")
     # the span is defined over Q iff its kernel is (see condition_K)
     rational = all(x.is_rational for v in cfg._kernel for x in v)
-    # group the nonzero columns by their line, keeping each column's first
-    # nonzero entry; a ratio of two columns is irrational only if one of
-    # their ratios to the line's first column is, so the first pair (i, j)
-    # and the first irrational pair both start at the first column
-    lines = {}
+    # group the nonzero columns by their line, in first-seen order, keeping
+    # each column's first nonzero entry; a ratio of two columns is
+    # irrational only if one of their ratios to the line's first column is,
+    # so the first pair (i, j) and the first irrational pair both start at
+    # the first column
+    d = common_field(x for r in rows for x in r)
+    lines = []  # (index of the first nonzero entry, cleared column, entries)
     for col in zip(*rows):
-        a = next((x for x in col if not x.is_zero()), None)
-        if a is not None:
-            line = canonical_ray(col if a.sign() > 0 else [-x for x in col])
-            lines.setdefault(line, []).append(a)
+        i = next((k for k, x in enumerate(col) if not x.is_zero()), None)
+        if i is None:
+            continue
+        c = _pair_row(col)
+        for j, e, firsts in lines:
+            if j == i and _same_line(c, e, i, d):
+                firsts.append(col[i])
+                break
+        else:
+            lines.append((i, c, [col[i]]))
     slopes = [b / a if abs(b / a) >= Scalar(1) else a / b
-              for a, *rest in lines.values() for b in rest]
+              for _, _, (a, *rest) in lines for b in rest]
     slope = next((s for s in slopes if not s.is_rational),
                  slopes[0] if slopes else None)
     return FiberReport(torus_rank=n - 1, foliation_subspace=rows,
@@ -285,7 +311,7 @@ def orbifold_weights_1d(cfg: Configuration):
         raise IrrationalWeights("rationality condition fails; no integer weights")
     if len(basis) != 1:
         raise WrongDimension("endpoint weights need n - 2m - 1 = 1")
-    v = [int(x.a) for x in canonical_ray(basis[0])]
+    v = _primitive(basis[0])
     _, active_sets = canonical_moment_interval(cfg)
     orders = []
     for act in active_sets:

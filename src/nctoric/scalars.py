@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .errors import DivisionByZero, FieldMismatch, InputError
+from .errors import DivisionByZero, FieldMismatch, InputError, OutOfRange
 
 #: largest radicand accepted: squarefree_split factors by trial division
 RADICAND_LIMIT = 10**6
@@ -245,7 +245,10 @@ class Scalar:
     # -- JSON wire format: {"a": "p/q", "b": "r/s", "d": n} --
 
     def to_json(self) -> dict:
-        return {"a": str(self.a), "b": str(self.b), "d": self.d}
+        try:
+            return {"a": str(self.a), "b": str(self.b), "d": self.d}
+        except ValueError as e:  # a part past the int-to-text digit limit
+            raise OutOfRange.digits() from e
 
     @staticmethod
     def from_json(obj) -> "Scalar":

@@ -13,9 +13,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nctoric import lvm, polytope
+from nctoric import cli, lvm, polytope
 from nctoric.cli import ACTIONS, run
-from nctoric.errors import NctoricError
+from nctoric.errors import NctoricError, OutOfRange
 from nctoric.hj import DEPTH_LIMIT
 from nctoric.hochschild import (ground_field, group_algebra_z2, matrix_algebra,
                                 product_of_fields)
@@ -613,6 +613,32 @@ def test_svg_beyond_the_float_range_is_a_domain_error(capsys, tmp_path):
         code, out = invoke(capsys, [command, "svg", str(path)])
         assert code == 4
         assert json.loads(out)["error"] == "OutOfRange"
+
+
+def test_output_number_past_the_digit_limit_is_a_domain_error(capsys,
+                                                              tmp_path):
+    # every input fits the interpreter's limit on the digits of an int
+    # written as text, but the vertex (A, K A) of this strip has twice as
+    # many digits
+    limit = sys.get_int_max_str_digits()
+    A = K = 10 ** (limit // 2 + 50)
+    path = tmp_path / "strip.json"
+    path.write_text(json.dumps({"facets": [
+        {"normal": [str(a), str(b)], "offset": str(c)}
+        for (a, b), c in (((1, 0), A), ((-1, 0), -(A + 1)), ((-K, 1), 0),
+                          ((K, -1), -1))]}))
+    code, out = invoke(capsys, ["polytope", "info", str(path)])
+    assert code == 4
+    err = json.loads(out)
+    assert (err["status"], err["error"]) == ("error", "OutOfRange")
+    assert f"{limit}-digit limit" in err["message"]
+    # the same number, as a Scalar part or as a payload integer
+    for write in (lambda: Scalar(A * K).to_json(),
+                  lambda: Scalar(0, A * K, 2).to_json(),
+                  lambda: cli._canonical({"digits": [A * K]})):
+        with pytest.raises(OutOfRange):
+            write()
+    assert cli._canonical({"digits": [A]}).startswith('{"digits":[1000')
 
 
 def test_json_decimals_and_floats_are_input_errors(capsys, tmp_path):

@@ -15,10 +15,11 @@ from nctoric.fan import (DEPTH_LIMIT, Cone, Fan, _bezout, _face_key,
                          fan_from_json, fan_to_json, hj_chain, hj_digits,
                          hj_frame, is_refinement, normal_fan)
 from nctoric.hj import resolve_cone
-from nctoric.linalg import (has_nonneg_solution, scalar_rank, solve_exact,
-                            transpose, zero_in_hull)
-from nctoric.polytope import IRRATIONAL, SimplePolytope, cube, simplex
-from nctoric.scalars import Scalar, sorted_vectors
+from nctoric.linalg import (_pair_row, _plane_extremes, has_nonneg_solution,
+                            scalar_rank, solve_exact, transpose, zero_in_hull)
+from nctoric.polytope import (IRRATIONAL, SimplePolytope, _ray_table, cube,
+                              simplex)
+from nctoric.scalars import Scalar, common_field, sorted_vectors
 
 from test_linalg import int_det, lp_zero_in_hull
 from test_polytope import lattice_polygon, sqrt2_polygon
@@ -282,6 +283,96 @@ def test_cones_from_ints_fractions_and_scalars_agree():
         for c in cones[1:]:
             assert c == first and c.rays == first.rays
             assert repr(c) == repr(first) and hash(c) == hash(first)
+
+
+def cone_oracle(rays):
+    """The rays of Cone(rays) as built from canonical_ray per ray: the ray
+    table of those Scalar rays (polytope._ray_table), then in R^2 the
+    extremes of their integer pair rows, and above R^2 an exact rank for n
+    rays in R^n, else the hull LP and one feasibility LP per ray."""
+    rays = [canonical_ray(r) for r in rays]
+    if any(len(r) != len(rays[0]) for r in rays):
+        raise InputError("rays of mixed dimension")
+    n = len(rays[0])
+    table = _ray_table(rays)[0]
+    if n == 2:
+        d = common_field(x for r in table for x in r)
+        extreme = _plane_extremes([_pair_row(r) for r in table], d)
+        if extreme is None:
+            raise InputError("cone contains a line")
+        return tuple(table[i] for i in extreme)
+    if len(table) == n and scalar_rank(table) == n:
+        return table
+    if zero_in_hull(table):
+        raise InputError("cone contains a line")
+    if len(table) <= 2:
+        return table
+    return tuple(r for r in table if not has_nonneg_solution(
+        transpose([s for s in table if s != r]), r))
+
+
+#: how a ray set of seeded_rational_ray_sets is grown from its base rays
+GROWN = ("duplicate", "multiple", "inner", "antiparallel", "zero", "mixed")
+
+
+def seeded_rational_ray_sets(rng):
+    """(kind, form, rays): base rays in R^2 or R^3, pointed (a last
+    coordinate >= 1) or not, grown by a duplicate, a positive multiple, a
+    nonnegative combination, a negative multiple, a zero ray or a ray of
+    the other dimension, and written as ints, Fractions or rational
+    Scalars, each ray over its own denominator."""
+    for trial in range(720):
+        n, kind = 2 + trial % 2, GROWN[trial // 2 % len(GROWN)]
+        low = 1 if rng.random() < 0.6 else -3
+        base = [[rng.randint(-4, 4) for _ in range(n - 1)] +
+                [rng.randint(low, 3) or 1]
+                for _ in range(rng.randint(1, n + 2))]
+        rays = [list(r) for r in base]
+        pick = rng.choice(base)
+        k = rng.randint(2, 4)
+        rays.append({
+            "duplicate": list(pick), "multiple": [k * x for x in pick],
+            "inner": [sum(rng.randint(1, 3) * r[i] for r in base)
+                      for i in range(n)],
+            "antiparallel": [-k * x for x in pick], "zero": [0] * n,
+            "mixed": [1] * (5 - n)}[kind])
+        rng.shuffle(rays)
+        form = ("int", "Fraction", "Scalar")[trial // 12 % 3]
+        if form != "int":
+            wrap = Scalar if form == "Scalar" else Fraction
+            rays = [[wrap(Fraction(x, q)) for x in r]
+                    for r, q in ((r, rng.randint(1, 6)) for r in rays)]
+        yield kind, form, rays
+
+
+def test_cones_on_integer_rows_match_the_scalar_ray_oracle():
+    seen = set()
+    for kind, form, rays in seeded_rational_ray_sets(random.Random(2207)):
+        try:
+            want = cone_oracle(rays)
+        except InputError as e:
+            want = type(e)
+        try:
+            sigma = Cone(rays)
+            got = sigma.rays
+        except InputError as e:
+            got = type(e)
+        assert got == want, (kind, form, rays)
+        if got is not InputError:
+            assert all(type(x) is Scalar for r in got for x in r)
+            assert sigma._rows == tuple(tuple(int(x.a) for x in r)
+                                        for r in got)
+            assert sigma._rows == Cone._view(got, len(rays[0]))._rows
+        seen.add((kind, len(rays[0]), form, got is InputError))
+    # every growth in both dimensions and all three forms; pointed cones
+    # and lines for each growth that keeps the rays nonzero, of one
+    # dimension and without an antiparallel pair
+    assert {s[:3] for s in seen} == {
+        (k, n, f) for k in GROWN for n in (2, 3)
+        for f in ("int", "Fraction", "Scalar")}
+    assert {(s[0], s[3]) for s in seen} == {
+        (k, line) for k in GROWN for line in (False, True)
+        if k in ("duplicate", "multiple", "inner") or line}
 
 
 def test_normal_fan_of_cube_is_all_faces_of_its_orthants():

@@ -2,8 +2,10 @@
 
 The expected outputs in data/cli_golden.json were captured before fans
 became a ray table with index-set faces and before resolutions shared the
-integer Hirzebruch-Jung chain; both changes must reproduce them byte for
-byte.  Temporary paths in the output are replaced by "<tmp>".
+integer Hirzebruch-Jung chain, and those of the cones with duplicate,
+redundant and "p/q" rays before cones decided on primitive integer rows;
+each change must reproduce them byte for byte.  Temporary paths in the
+output are replaced by "<tmp>".
 
 Print a fresh capture (for review, not to paper over a difference) with
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -64,6 +66,12 @@ CONES = {
     "c_r7": [["2", "3"], [_s(0, 1, 7), "-1"]],
     "c_r3_first": [[_s(0, 1, 3), "1"], ["1", "0"]],
     "c_no_rational": [["1", _s(0, 1, 2)], [_s(0, 1, 2), "-1"]],
+    # rays given twice, as a multiple, inside the cone, or as "p/q"
+    "c_duplicate": [["0", "1"], ["5", "-3"], ["0", "1"], ["10", "-6"]],
+    "c_redundant": [["1", "0"], ["1", "1"], ["2", "5"], ["1", "3"]],
+    "c_fractions": [["1/2", "0"], ["2/3", "-5/3"], [_s("1/3", 0, 0), "0"]],
+    "c_all": [["3/2", "-1"], ["0", "1/3"], ["3", "-2"], ["1", "1"],
+              [_s("7/2", 0, 0), "-7/3"]],
 }
 
 

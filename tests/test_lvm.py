@@ -127,7 +127,14 @@ def test_check_admissible_runs_hulls_only_on_singular_subsets(monkeypatch):
         calls.append(len(pts))
         return zero_in_hull(pts)
 
+    def counting_rows(rows, d):
+        calls.append(len(rows))
+        return linalg._zero_in_plane_hull(rows, d)
+
+    # in C^m for m >= 2 the hull test is zero_in_hull; in C^1 it reads the
+    # integer pair rows the determinants were taken on
     monkeypatch.setattr(lvm, "zero_in_hull", counting)
+    monkeypatch.setattr(lvm, "_zero_in_plane_hull", counting_rows)
     r2 = Scalar.sqrt_int(2)
     # no singular 2m-subset: the Siegel hull is the only hull test
     for cfg in (lvm.Configuration([[(1, 0)], [(0, 1)], [(-1, -2)]]),
@@ -382,6 +389,48 @@ def test_slopes_from_column_lines_match_the_pair_scan():
                   "rational" if slope.is_rational else "irrational")
     assert compared >= 60
     assert seen == set(REPEATS) | {"none", "rational", "irrational"}
+
+
+def fiber_lines_oracle(cfg):
+    """generic_fiber's slope with the nonzero phase columns grouped by the
+    canonical ray of each column, negated first when its first nonzero
+    entry is negative, in first-seen order."""
+    lines = {}
+    for col in zip(*lvm._system_rows(cfg)[:-1]):
+        a = next((x for x in col if not x.is_zero()), None)
+        if a is not None:
+            line = canonical_ray(col if a.sign() > 0 else [-x for x in col])
+            lines.setdefault(line, []).append(a)
+    slopes = [b / a if abs(b / a) >= Scalar(1) else a / b
+              for a, *rest in lines.values() for b in rest]
+    return next((s for s in slopes if not s.is_rational),
+                slopes[0] if slopes else None)
+
+
+def test_fiber_lines_by_cross_multiplying_match_the_canonical_rays():
+    rng = random.Random(2208)
+    seen = set()
+    for trial in range(240):
+        d, m = (0, 2, 5)[trial % 3], 1 + trial // 3 % 2
+        cfg, kinds = configuration_with_repeats(rng, m, d)
+        try:
+            slope = lvm.generic_fiber(cfg).slope
+        except DegenerateFoliation:
+            continue
+        want = fiber_lines_oracle(cfg)
+        assert slope == want, cfg.lambdas
+        if slope is not None:
+            assert slope.to_json() == want.to_json()
+        seen.update((d, m, kind) for kind in kinds)
+        seen.add((d, m, "none" if slope is None else
+                  "rational" if slope.is_rational else "irrational"))
+    # every repeat in each field and m, and every kind of slope in each
+    # irrational field
+    assert {s for s in seen if s[2] in REPEATS} == {
+        (d, m, kind) for d in (0, 2, 5) for m in (1, 2) for kind in REPEATS}
+    assert {s[::2] for s in seen if s[2] not in REPEATS} >= {
+        (d, kind) for d in (2, 5) for kind in ("none", "rational",
+                                                "irrational")}
 
 
 def test_one_elimination_per_configuration(monkeypatch):
