@@ -2,10 +2,13 @@
 Hirzebruch-Jung chain of a 2D cone, 2D dual cones with their Hilbert
 bases, and refinement checking.
 
-A Fan stores its rays once, canonical and in exact lexicographic order, and
-its faces as a subset-closed family of frozensets of ray indices, the form
-of SimplePolytope.incidence.  That family is the face lattice of a
-simplicial cone only, so every maximal cone of a fan has independent rays
+Cones and fans keep each ray one way (linalg._stored_ray): a rational ray
+as its primitive integer vector, an irrational one as canonical Scalars;
+their `rays` are all Scalars, built once, when first read.  A Fan stores
+its rays once, in exact lexicographic order, and its faces as a
+subset-closed family of frozensets of ray indices, the form of
+SimplePolytope.incidence.  That family is the face lattice of a simplicial
+cone only, so every maximal cone of a fan has independent rays
 (NotSimplicial otherwise)."""
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from functools import cached_property, cmp_to_key
 from .errors import (ChainTooLong, DimensionMismatch, InputError,
                      NonRational, NotSimplicial, WrongDimension)
 from .linalg import (_orientation, _pair_row, _plane_extremes, _primitive,
-                     canonical_ray, has_nonneg_solution, pair_det,
+                     _scalar_ray, _stored_ray, has_nonneg_solution, pair_det,
                      scalar_rank, transpose, zero_in_hull)
-from .polytope import SimplePolytope, _closure, _ray_table
-from .scalars import Scalar, common_field
+from .polytope import SimplePolytope, _closure
+from .scalars import Scalar, common_field, sorted_vectors
 
 SMOOTH = "Smooth"
 NON_RATIONAL = "NonRational"
@@ -28,18 +31,34 @@ NON_RATIONAL = "NonRational"
 DEPTH_LIMIT = 1000
 
 
+def _ray_table(rays):
+    """(table, positions): the distinct stored rays of a list in exact
+    lexicographic order, and the index in that table of each given ray.
+    Primitive integer vectors sort on their ints, as their rays do; a list
+    with an irrational ray sorts as Scalars (sorted_vectors)."""
+    distinct = set(rays)
+    if all(type(r[0]) is int for r in distinct):
+        order = sorted(distinct)
+    else:
+        ray_of = {_scalar_ray(r): r for r in distinct}
+        order = [ray_of[v] for v in sorted_vectors(ray_of)]
+    pos = {r: i for i, r in enumerate(order)}
+    return tuple(order), [pos[r] for r in rays]
+
+
 class Cone:
-    """Strictly convex polyhedral cone given by its extreme rays; rational
-    ones are found on primitive integer rows, kept as `_rows`, and become
-    Scalars once, when first read."""
+    """Strictly convex polyhedral cone given by its extreme rays, kept as
+    `_stored` in their stored form; rational ones are found on primitive
+    integer rows, and the rays become Scalars once, when first read."""
 
     def __init__(self, rays, ambient_dim=None):
         rays = list(rays)
         d = 0
         if any(isinstance(x, Scalar) and x.d for r in rays for x in r):
-            rays = [canonical_ray(r) for r in rays]
-            d = common_field(x for r in rays for x in r)
-        if not d:
+            rays = [_stored_ray(r) for r in rays]
+            d = common_field(x for r in rays for x in r
+                             if isinstance(x, Scalar))
+        else:
             rays = [_primitive(r) for r in rays]
         if rays:
             if ambient_dim not in (None, len(rays[0])):
@@ -75,41 +94,39 @@ class Cone:
                 # past that, drop each ray in the cone of the others
                 table = [r for r in table if not has_nonneg_solution(
                     transpose([s for s in table if s != r]), r)]
-        if d:
-            self.rays = tuple(table)
-        else:
-            self._rows = tuple(table)
+        self._stored = tuple(table)
+        if not d:
+            self._rows = self._stored
 
     @cached_property
     def rays(self):
-        """The extreme rays, canonical and in exact lexicographic order; a
-        rational cone builds them from its rows when first read."""
-        return tuple(tuple(map(Scalar, r)) for r in self._rows)
+        """The extreme rays, canonical (linalg.canonical_ray) and in exact
+        lexicographic order, built from the stored rays when first read."""
+        return tuple(map(_scalar_ray, self._stored))
 
     @cached_property
     def _rows(self):
-        """The rays as primitive integer rows, None when one is irrational
-        (a canonical rational ray is a primitive integer vector)."""
-        if common_field(x for r in self.rays for x in r):
-            return None
-        return tuple(tuple(x.a.numerator for x in r) for r in self.rays)
+        """The stored rays when all are rational, primitive integer rows;
+        None when one is irrational."""
+        rational = all(type(r[0]) is int for r in self._stored)
+        return self._stored if rational else None
 
     @classmethod
-    def _view(cls, rays, ambient_dim):
-        """Cone on rays that are already canonical and sorted."""
+    def _view(cls, stored, ambient_dim):
+        """Cone on stored rays that are already sorted."""
         c = object.__new__(cls)
-        c.rays, c.ambient_dim = rays, ambient_dim
+        c._stored, c.ambient_dim = stored, ambient_dim
         return c
 
     def __eq__(self, other):
-        return isinstance(other, Cone) and self.rays == other.rays \
+        return isinstance(other, Cone) and self._stored == other._stored \
             and self.ambient_dim == other.ambient_dim
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.rays))
+        return hash((self.ambient_dim, self._stored))
 
     def __repr__(self):
-        rays = ", ".join("(" + ",".join(map(str, r)) + ")" for r in self.rays)
+        rays = ", ".join(f"({','.join(map(str, r))})" for r in self._stored)
         return f"Cone[{rays}]"
 
     def is_rational(self):
@@ -124,7 +141,7 @@ class Cone:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch(f"a vector of dimension {len(v)} in a "
                                     f"cone of dimension {self.ambient_dim}")
-        return zero_in_hull([*self.rays, [-x for x in v]])
+        return zero_in_hull([*self._stored, [-x for x in v]])
 
 
 def _cross(u, w):
@@ -155,9 +172,10 @@ class Fan:
     """Finite simplicial fan; faces of member cones are filled in
     automatically.
 
-    `rays` is the sorted tuple of canonical rays and `faces` the
-    subset-closed family of cones as frozensets of indices into it; its
-    maximal faces are recorded as they are built."""
+    `_stored` is the sorted table of stored rays, `rays` the same rays as
+    Scalars, and `faces` the subset-closed family of cones as frozensets
+    of indices into the table; its maximal faces are recorded as they are
+    built."""
 
     def __init__(self, cones, ambient_dim=None):
         cones = list(cones)
@@ -170,33 +188,36 @@ class Fan:
             raise InputError("empty fan needs an ambient dimension")
         if any(c.ambient_dim != ambient_dim for c in cones):
             raise DimensionMismatch("cones of different ambient dimensions")
-        self._build(ambient_dim, {r: r for c in cones for r in c.rays},
-                    [c.rays for c in cones])
+        self._build(ambient_dim, {r: r for c in cones for r in c._stored},
+                    [c._stored for c in cones])
 
     @classmethod
     def from_faces(cls, ambient_dim, rays, faces):
-        """Fan on canonical rays given as a mapping key -> ray, with cones
-        given as sets of keys; faces of the cones are filled in, and each
-        maximal cone must have independent rays."""
+        """Fan on rays given as a mapping key -> nonzero vector on the ray,
+        with cones given as sets of keys; faces of the cones are filled
+        in, and each maximal cone must have independent rays."""
         F = object.__new__(cls)
-        F._build(ambient_dim, rays, faces)
+        F._build(ambient_dim,
+                 {k: _stored_ray(r) for k, r in rays.items()}, faces)
         return F
 
     @classmethod
-    def _closed(cls, ambient_dim, rays, faces, maximal):
-        """Fan on a sorted table of canonical rays with a subset-closed
+    def _closed(cls, ambient_dim, stored, faces, maximal):
+        """Fan on a sorted table of stored rays with a subset-closed
         family of simplicial faces and its maximal faces, all frozensets
         of indices into the table; nothing is closed or checked."""
         F = object.__new__(cls)
-        F.ambient_dim, F.rays, F.faces = ambient_dim, rays, frozenset(faces)
+        F.ambient_dim, F._stored = ambient_dim, stored
+        F.faces = frozenset(faces)
         F._maximal = sorted(maximal, key=_face_key)
         return F
 
     def _build(self, ambient_dim, rays, faces):
-        """Close the given cones, then check that every maximal cone has
-        independent rays.  Rays that are dependent raise InputError when
-        their cone holds a line, whichever cone that is, and NotSimplicial
-        otherwise: independent rays span a pointed cone."""
+        """Close the given cones, on stored rays given as a mapping key ->
+        ray, then check that every maximal cone has independent rays.
+        Rays that are dependent raise InputError when their cone holds a
+        line, whichever cone that is, and NotSimplicial otherwise:
+        independent rays span a pointed cone."""
         table, pos = _ray_table(list(rays.values()))
         index = dict(zip(rays, pos))
         # by decreasing size, a face not yet in the closure lies in no other
@@ -205,12 +226,11 @@ class Fan:
                        for f in faces}, key=int.bit_count, reverse=True)
         family, maximal = _closure(tops)
         self.ambient_dim = ambient_dim
-        self.rays = table
+        self._stored = table
         self.faces = frozenset(family.values())
         self._maximal = sorted((family[m] for m in maximal), key=_face_key)
-        dependent = [sigma.rays for sigma in map(self._cone, self._maximal)
-                     if not _independent(sigma._rows or sigma.rays,
-                                         ambient_dim)]
+        cones = [[table[i] for i in f] for f in self._maximal]
+        dependent = [c for c in cones if not _independent(c, ambient_dim)]
         if any(zero_in_hull(rays) for rays in dependent):
             raise InputError("cone contains a line (not strictly convex)")
         if dependent:
@@ -218,18 +238,24 @@ class Fan:
                 f"a cone on {len(dependent[0])} dependent rays in dimension "
                 f"{ambient_dim}; fans are simplicial")
 
+    @cached_property
+    def rays(self):
+        """The canonical rays as Scalars, built from the table when first
+        read."""
+        return tuple(map(_scalar_ray, self._stored))
+
     def __eq__(self, other):
         return isinstance(other, Fan) and self.ambient_dim == other.ambient_dim \
-            and self.rays == other.rays and self.faces == other.faces
+            and self._stored == other._stored and self.faces == other.faces
 
     def __hash__(self):
-        return hash((self.rays, self.faces))
+        return hash((self._stored, self.faces))
 
     def __len__(self):
         return len(self.faces)
 
     def _cone(self, face):
-        return Cone._view(tuple(self.rays[i] for i in sorted(face)),
+        return Cone._view(tuple(self._stored[i] for i in sorted(face)),
                           self.ambient_dim)
 
     @property
@@ -242,11 +268,15 @@ class Fan:
 
 def normal_fan(P: SimplePolytope) -> Fan:
     """Fan with one cone per member of F, generated by the outward facet
-    normals, so the unit square yields the four coordinate quadrants.  The
-    polytope keeps their ray table (SimplePolytope._outward_rays), and its
-    family is closed already: only its facet indices become positions in
-    that table."""
-    table, where = P._outward_rays
+    normals, so the unit square yields the four coordinate quadrants.  An
+    outward ray is the negated stored ray of its inward normal, which the
+    polytope keeps (SimplePolytope._normal_rays): the stored form of -v is
+    minus that of v, over Q and Q(sqrt(d)) alike.  The family is closed
+    already: only its facet indices become positions in the ray table."""
+    used = sorted(set().union(*P._maximal))
+    table, pos = _ray_table([tuple(-x for x in P._normal_rays[i][0])
+                             for i in used])
+    where = dict(zip(used, pos))
     return Fan._closed(
         P.dim, table,
         [frozenset(map(where.__getitem__, f)) for f in P.incidence],
@@ -259,7 +289,7 @@ def cone_classify(sigma: Cone):
     Z[sqrt(d)], each ray cleared of denominators, is nonzero; for rational
     rays, primitive integer vectors, its absolute value is the index."""
     n = sigma.ambient_dim
-    rays = sigma._rows or sigma.rays
+    rays = sigma._stored
     if len(rays) == n:
         x, y, d = _det(rays)
         if d and (x or y):
@@ -337,7 +367,7 @@ def hj_chain(v, e, digits) -> list:
 def dual_cone_2d(sigma: Cone):
     """Dual cone rays and the Hilbert basis of sigma-dual intersect Z^2:
     the Hirzebruch-Jung chain of the dual cone, its two rays included."""
-    if sigma.ambient_dim != 2 or len(sigma._rows or sigma.rays) != 2:
+    if sigma.ambient_dim != 2 or len(sigma._stored) != 2:
         raise WrongDimension("dual cone computed for full 2D cones only")
     if sigma._rows is None:
         raise NonRational("dual cone needs a rational cone")
@@ -431,4 +461,4 @@ def fan_from_json(obj) -> Fan:
         raise InputError(f"bad fan JSON: {e}") from e
     raw = {r for c in cones for r in c}
     _check_json_dim("fan", dim, raw)
-    return Fan.from_faces(dim, {r: canonical_ray(r) for r in raw}, cones)
+    return Fan.from_faces(dim, {r: r for r in raw}, cones)

@@ -16,8 +16,8 @@ from math import gcd, isqrt, lcm
 
 from .errors import (DivisionByZero, InputError, NotNormalizable,
                      OutOfRange, PeriodNotFound, RationalInput)
-from .fan import DEPTH_LIMIT, Cone, Fan, hj_chain, hj_digits, hj_frame
-from .polytope import _ray_table
+from .fan import (DEPTH_LIMIT, Cone, Fan, _ray_table, hj_chain, hj_digits,
+                  hj_frame)
 from .scalars import Scalar
 
 #: safety valve for period detection on quadratic irrationals, shared by
@@ -130,26 +130,24 @@ def resolve_cone(sigma: Cone, depth: int | None = None):
     (0, 1) and the first inserted ray (for a smooth cone, the other ray)
     to (1, 0)."""
     _check_depth(depth)
-    if sigma.ambient_dim != 2 or len(sigma.rays) != 2:
+    if sigma.ambient_dim != 2 or len(sigma._stored) != 2:
         raise NotNormalizable("need a full-dimensional 2D cone")
-    w, ray = sigma.rays
-    if sigma._rows is not None:
-        u, v = sigma._rows
-        e, x, y = hj_frame(v, u)
-        digits = hj_digits(x, y)
-    else:
-        if not all(x.is_rational for x in ray):
-            ray, w = w, ray
-            if not all(x.is_rational for x in ray):
-                raise NotNormalizable("no rational primitive ray to normalize")
-        # a canonical rational ray is a primitive integer vector
-        v = [x.a.numerator for x in ray]
-        e, x, y = hj_frame(v, w)
-        digits = hj_expand(x / y, depth=depth or 5).digits
-    inserted = [[Scalar(a) for a in u] for u in hj_chain(v, e, digits)]
+    # the frame keeps the second ray v fixed, or the first when only that
+    # one is rational: a stored rational ray is a primitive integer vector
+    w, v = sigma._stored
+    if type(v[0]) is not int:
+        v, w = w, v
+        if type(v[0]) is not int:
+            raise NotNormalizable("no rational primitive ray to normalize")
+    e, x, y = hj_frame(v, w)
+    digits = hj_digits(x, y) if type(w[0]) is int else \
+        hj_expand(x / y, depth=depth or 5).digits
+    # the chain rays, each a lattice basis with the next, are primitive
+    chain = [tuple(u) for u in hj_chain(v, e, digits)]
+    inserted = [[Scalar(a) for a in u] for u in chain]
     # the fan's faces are the origin, the rays and the consecutive pairs
     # of the chain, closed already
-    table, pos = _ray_table([ray] + [tuple(u) for u in inserted] + [w])
+    table, pos = _ray_table([v, *chain, w])
     pairs = [frozenset(p) for p in zip(pos, pos[1:])]
     F = Fan._closed(2, table, [frozenset()] + [frozenset((k,)) for k in pos]
                     + pairs, pairs)

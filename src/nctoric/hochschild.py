@@ -22,6 +22,8 @@ from .scalars import rational_literal
 
 #: cap on the chain-space dimension D^(k+1) handled by rank computations
 SIZE_LIMIT = 100_000
+#: highest degree that `hh_ranks` and `hp_truncated` compute
+DEGREE_LIMIT = 6
 
 
 class FinDimAlgebra:
@@ -387,8 +389,8 @@ def hh_ranks(A: FinDimAlgebra, up_to: int):
     the reduced complex, whose degree-k space has dimension D (D-1)^k."""
     if up_to < 0:
         raise InputError(f"up_to must be >= 0, got {up_to}")
-    if up_to > 6:
-        raise ComplexTooLarge("degrees beyond 6 are out of range")
+    if up_to > DEGREE_LIMIT:
+        raise ComplexTooLarge(f"degrees beyond {DEGREE_LIMIT} are out of range")
     _guard(A.dim, up_to + 2)
     D = A.dim
     rank_d = [0]  # rank of d_k, k = 0 treated as the zero map
@@ -424,8 +426,8 @@ def hp_truncated(A: FinDimAlgebra, N: int, up_to: int | None = None) -> tuple:
         up_to = 2 * N - 1
     if up_to < 2 * N - 1:
         raise InputError(f"up_to must be >= 2N - 1 = {2 * N - 1}, got {up_to}")
-    if up_to > 6:
-        raise ComplexTooLarge("degrees beyond 6 are out of range")
+    if up_to > DEGREE_LIMIT:
+        raise ComplexTooLarge(f"degrees beyond {DEGREE_LIMIT} are out of range")
     _guard(A.dim, min(2 * N, up_to) + 2)
 
     def summands(t):

@@ -357,24 +357,19 @@ def has_nonneg_solution(A: ScalarMatrix, b) -> bool:
     return True
 
 
-def _zero_in_plane_hull(rows, d: int) -> bool:
-    """Is 0 in the convex hull of plane vectors given as integer pair rows
-    (see _det2)?  Iff they lie in no open half-plane (_plane_extremes)."""
-    return _plane_extremes(rows, d) is None
-
-
 def zero_in_hull(points) -> bool:
     """Is 0 in the convex hull of the points (ints, Fractions or Scalars of
     one field)?  In R^1 and R^2, where each point is scaled once by a
-    positive integer to an integer pair row (_pair_row), by
-    _zero_in_plane_hull.  In R^n for n >= 3, by phase I on t >= 0,
-    sum t_i = 1 and sum t_i p_i = 0."""
+    positive integer to an integer pair row (_pair_row): iff those rows lie
+    in no open half-plane (_plane_extremes).  In R^n for n >= 3, by phase I
+    on t >= 0, sum t_i = 1 and sum t_i p_i = 0."""
     if not points:
         return False
     if len(points[0]) <= 2:
         d = common_field(e for p in points for e in p if isinstance(e, Scalar))
         pad = [0] * (2 - len(points[0]))
-        return _zero_in_plane_hull([_pair_row([*p, *pad]) for p in points], d)
+        return _plane_extremes([_pair_row([*p, *pad]) for p in points],
+                               d) is None
     rows = [list(coords) for coords in zip(*points)] + [[1] * len(points)]
     return has_nonneg_solution(rows, [0] * (len(rows) - 1) + [1])
 
@@ -397,11 +392,11 @@ def _primitive(v) -> tuple:
     return tuple([k // g for k in v])
 
 
-def canonical_ray(v) -> tuple:
-    """Canonical representative of the ray through v, always a positive
-    multiple of v: the primitive integer vector (_primitive) when the
-    direction is rational, else v divided by the absolute value of its
-    first nonzero entry.  The zero vector spans no ray (InputError)."""
+def _stored_ray(v) -> tuple:
+    """The ray through v as cones and fans keep it, a positive multiple of
+    v: the primitive integer vector (_primitive) when the direction is
+    rational, else Scalars, v over the absolute value of its first nonzero
+    entry; so it is rational iff its first entry is an int."""
     if any(isinstance(x, Scalar) and x.d for x in v):
         v = [Scalar._coerce(x) for x in v]
         common_field(v)
@@ -410,4 +405,15 @@ def canonical_ray(v) -> tuple:
         v = [x * scale for x in v]
         if not all(x.is_rational for x in v):
             return tuple(v)
-    return tuple(Scalar(k) for k in _primitive(v))
+    return _primitive(v)
+
+
+def _scalar_ray(ray) -> tuple:
+    """A stored ray (_stored_ray) as a tuple of Scalars."""
+    return tuple(map(Scalar, ray)) if type(ray[0]) is int else ray
+
+
+def canonical_ray(v) -> tuple:
+    """Canonical representative of the ray through v, always a positive
+    multiple of v: its stored form (_stored_ray) as Scalars."""
+    return _scalar_ray(_stored_ray(v))

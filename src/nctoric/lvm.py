@@ -16,8 +16,8 @@ from itertools import combinations
 
 from .errors import (DegenerateFoliation, DegenerateSystem, InputError,
                      IrrationalWeights, WrongDimension)
-from .linalg import (_free_kernel, _pair_row, _primitive, _row_reduce,
-                     _zero_in_plane_hull, pair_det, zero_in_hull)
+from .linalg import (_free_kernel, _pair_row, _plane_extremes, _primitive,
+                     _row_reduce, pair_det, zero_in_hull)
 from .polytope import SimplePolytope, _subsets
 from .scalars import Scalar, common_field
 
@@ -101,7 +101,8 @@ def check_admissible(cfg: Configuration) -> dict:
     subset and only singular subsets run a hull test.  Each point is
     scaled once by a positive integer to integer pairs (linalg._pair_row),
     which changes neither a determinant's zero-ness nor hull membership;
-    in C^1 the planar hull test reads those pairs too."""
+    in C^1 the planar hull test reads those pairs too: 0 is in their hull
+    iff they lie in no open half-plane (linalg._plane_extremes)."""
     pts = cfg.real_points()
     subs = _subsets(range(cfg.n), 2 * cfg.m, "the weak hyperbolicity check")
     d = common_field(x for p in pts for x in p)
@@ -109,7 +110,7 @@ def check_admissible(cfg: Configuration) -> dict:
 
     def hull(s):
         if cfg.m == 1:
-            return _zero_in_plane_hull([rows[i] for i in s], d)
+            return _plane_extremes([rows[i] for i in s], d) is None
         return zero_in_hull([pts[i] for i in s])
 
     return {"siegel": hull(range(cfg.n)),

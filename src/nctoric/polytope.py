@@ -5,20 +5,21 @@ normals).  Vertices, the facet-incidence family F and the Delzant
 classification, read off the facet normals at each vertex, are derived
 eagerly at construction; the object is immutable afterwards.  F is closed
 once, from the essential facet sets of the vertices, and is also kept as
-bit masks for the normal fan and the forbidden strata.
+bit masks for the normal fan and the forbidden strata.  Each nonzero
+normal is kept with its scale as the ray that cones and fans store
+(linalg._stored_ray), which `fan.normal_fan` negates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import comb
 
 from .errors import (Empty, InputError, IrrationalNormals, NotSimple,
                      TooManySubsets, Unbounded)
-from .linalg import (_pair_row, canonical_ray, has_nonneg_solution,
-                     pair_det, scalar_rank, solve_exact, transpose)
+from .linalg import (_pair_row, _stored_ray, has_nonneg_solution, pair_det,
+                     scalar_rank, solve_exact, transpose)
 from .scalars import Scalar, common_field, sorted_vectors
 
 IRRATIONAL = "Irrational"
@@ -72,29 +73,14 @@ def _closure(tops):
     return family, maximal
 
 
-def _ray_table(rays):
-    """(table, positions): the distinct rays of a list of canonical rays in
-    exact lexicographic order, and the index in that table of each given
-    ray.  A canonical rational ray is a primitive integer vector, so a
-    rational list dedupes and sorts on its integer entries, in the same
-    order; an irrational one keeps `sorted_vectors`."""
-    rational = not common_field(x for r in rays for x in r)
-    keys = [tuple(x.a.numerator for x in r) for r in rays] if rational \
-        else rays
-    ray_of = dict(zip(keys, rays))
-    order = sorted(ray_of) if rational else sorted_vectors(ray_of)
-    pos = {k: i for i, k in enumerate(order)}
-    return tuple(ray_of[k] for k in order), [pos[k] for k in keys]
-
-
 def _as_scalars(vec):
     return [Scalar._coerce(x) for x in vec]
 
 
 def _ray_and_scale(nrm):
-    """(ray, t) with ray = canonical_ray(nrm) and nrm = t * ray, t > 0."""
-    ray = canonical_ray(nrm)
-    j = next(i for i, x in enumerate(ray) if not x.is_zero())
+    """(ray, t) with ray = _stored_ray(nrm) and nrm = t * ray, t > 0."""
+    ray = _stored_ray(nrm)
+    j = next(i for i, x in enumerate(nrm) if not x.is_zero())
     return ray, nrm[j] / ray[j]
 
 
@@ -141,7 +127,7 @@ class SimplePolytope:
                                if (self._eval(i, x) - self.facets[i][1]).is_zero())
             self.vertices.append(x)
             self.vertex_facets.append(active)
-        # (canonical ray, scale) of each nonzero normal, None for a zero row
+        # (stored ray, scale) of each nonzero normal, None for a zero row
         self._normal_rays = [
             None if all(x.is_zero() for x in nrm) else _ray_and_scale(nrm)
             for nrm, _ in self.facets]
@@ -160,27 +146,6 @@ class SimplePolytope:
         self._maximal = [self._masks[m] for m in tops]
         self.incidence = set(self._masks.values())
         self.delzant_class = self._classify()
-
-    @cached_property
-    def _outward_rays(self):
-        """(table, where): the ray table (_ray_table) of the outward normals
-        of the facets in some maximal face, and for each facet its index in
-        that table (None for a facet in none).  An outward ray is the
-        negated canonical ray of its inward normal, which _normal_rays
-        keeps: canonical_ray(-v) is -canonical_ray(v) over Q and Q(sqrt(d))
-        alike, and a rational ray, a primitive integer vector, is negated
-        on its integer Fractions."""
-        used = sorted(set().union(*self._maximal))
-        rays = []
-        for i in used:
-            r = self._normal_rays[i][0]
-            rays.append(tuple(-x for x in r) if common_field(r) else
-                        tuple(Scalar(-x.a) for x in r))
-        table, pos = _ray_table(rays)
-        where = [None] * self.N
-        for i, k in zip(used, pos):
-            where[i] = k
-        return table, where
 
     def _eval(self, i, x):
         nrm, _ = self.facets[i]
@@ -232,7 +197,7 @@ class SimplePolytope:
         integral = True
         for top in self._maximal:
             rays = [self._normal_rays[i][0] for i in top]
-            if not all(x.is_rational for r in rays for x in r):
+            if any(type(r[0]) is not int for r in rays):
                 return IRRATIONAL
             if abs(pair_det([_pair_row(r) for r in rays])[0]) != 1:
                 integral = False
@@ -259,15 +224,10 @@ def normal_data(P: SimplePolytope):
             lam.append(c)
             continue
         r, t = ray_and_scale
-        if not all(x.is_rational for x in r):
+        if type(r[0]) is not int:
             raise IrrationalNormals("irrational facet normal")
-        rho.append([int(x.a) for x in r])
-        if t.d:
-            lam.append(c / t)
-        elif c.d:
-            lam.append(Scalar(c.a / t.a, c.b / t.a, c.d))
-        else:
-            lam.append(Scalar(c.a / t.a))
+        rho.append(list(r))
+        lam.append(c / t if c.d or t.d else Scalar(c.a / t.a))
     return rho, lam
 
 

@@ -330,17 +330,19 @@ class _LiteralParser:
             return v
         if t.startswith("sqrt("):
             self.eat()
-            return Scalar.sqrt_int(int(t[5:-1]))
-        if "/" in t:
+            return Scalar.sqrt_int(self.number(t[5:-1]).numerator)
+        if t[0].isdigit():
             self.eat()
-            if int(t.split("/")[1]) == 0:
-                raise InputError(
-                    f"zero denominator in scalar literal {self.text!r}")
-            return Scalar(Fraction(t))
-        if t.isdigit():
-            self.eat()
-            return Scalar(int(t))
+            return Scalar(self.number(t))
         raise InputError(f"bad token {t!r} in scalar literal {self.text!r}")
+
+    def number(self, token: str) -> Fraction:
+        """The rational of a "p" or "p/q" token (rational_literal): a zero
+        denominator or digits past the int limit raise InputError."""
+        if "/" in token and not token.partition("/")[2].strip("0"):
+            raise InputError(
+                f"zero denominator in scalar literal {self.text!r}")
+        return rational_literal(token)
 
     def term(self) -> Scalar:
         v = self.atom()

@@ -470,6 +470,21 @@ def test_radicand_above_the_limit_is_an_input_error(capsys, tmp_path):
     assert json.loads(out)["error"] == "InputError"
 
 
+def test_literal_past_the_digit_limit_is_an_input_error(capsys):
+    # an integer, a denominator and a radicand each longer than the
+    # interpreter reads as an int
+    limit = sys.get_int_max_str_digits()
+    for argv in (["hj", "expand", "--value", "1" * (limit + 700)],
+                 ["nctorus", "morita", "--theta1", "sqrt(2)",
+                  "--theta2", "1/" + "3" * (limit + 100)],
+                 ["nctorus", "classify",
+                  "--theta", "sqrt(" + "9" * (limit + 700) + ")"]):
+        code, out = invoke(capsys, argv)
+        assert code == 3, argv[:2]
+        err = json.loads(out)
+        assert (err["status"], err["error"]) == ("error", "InputError")
+
+
 def test_depth_below_one_is_an_input_error(capsys, tmp_path):
     code, out = invoke(capsys, ["hj", "expand", "--value", "sqrt(2)",
                                 "--depth=-3"])

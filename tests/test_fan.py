@@ -11,14 +11,14 @@ from nctoric.errors import (ChainTooLong, DimensionMismatch, FieldMismatch,
                             InputError, NonRational, NotSimple, NotSimplicial,
                             Unbounded, WrongDimension)
 from nctoric.fan import (DEPTH_LIMIT, Cone, Fan, _bezout, _face_key,
-                         canonical_ray, cone_classify, dual_cone_2d,
-                         fan_from_json, fan_to_json, hj_chain, hj_digits,
-                         hj_frame, is_refinement, normal_fan)
+                         cone_classify, dual_cone_2d, fan_from_json,
+                         fan_to_json, hj_chain, hj_digits, hj_frame,
+                         is_refinement, normal_fan)
 from nctoric.hj import resolve_cone
-from nctoric.linalg import (_pair_row, _plane_extremes, has_nonneg_solution,
-                            scalar_rank, solve_exact, transpose, zero_in_hull)
-from nctoric.polytope import (IRRATIONAL, SimplePolytope, _ray_table, cube,
-                              simplex)
+from nctoric.linalg import (_pair_row, _plane_extremes, canonical_ray,
+                            has_nonneg_solution, scalar_rank, solve_exact,
+                            transpose, zero_in_hull)
+from nctoric.polytope import IRRATIONAL, SimplePolytope, cube, simplex
 from nctoric.scalars import Scalar, common_field, sorted_vectors
 
 from test_linalg import int_det, lp_zero_in_hull
@@ -286,15 +286,15 @@ def test_cones_from_ints_fractions_and_scalars_agree():
 
 
 def cone_oracle(rays):
-    """The rays of Cone(rays) as built from canonical_ray per ray: the ray
-    table of those Scalar rays (polytope._ray_table), then in R^2 the
+    """The rays of Cone(rays) as built from canonical_ray per ray: those
+    distinct Scalar rays in Scalar order (sorted_vectors), then in R^2 the
     extremes of their integer pair rows, and above R^2 an exact rank for n
     rays in R^n, else the hull LP and one feasibility LP per ray."""
     rays = [canonical_ray(r) for r in rays]
     if any(len(r) != len(rays[0]) for r in rays):
         raise InputError("rays of mixed dimension")
     n = len(rays[0])
-    table = _ray_table(rays)[0]
+    table = tuple(sorted_vectors(set(rays)))
     if n == 2:
         d = common_field(x for r in table for x in r)
         extreme = _plane_extremes([_pair_row(r) for r in table], d)
@@ -360,9 +360,11 @@ def test_cones_on_integer_rows_match_the_scalar_ray_oracle():
         assert got == want, (kind, form, rays)
         if got is not InputError:
             assert all(type(x) is Scalar for r in got for x in r)
-            assert sigma._rows == tuple(tuple(int(x.a) for x in r)
-                                        for r in got)
-            assert sigma._rows == Cone._view(got, len(rays[0]))._rows
+            # the cone keeps the rows, and a view on them reads them back
+            rows = tuple(tuple(int(x.a) for x in r) for r in got)
+            assert sigma._stored == sigma._rows == rows
+            view = Cone._view(rows, len(rays[0]))
+            assert view == sigma and view._rows == rows and view.rays == got
         seen.add((kind, len(rays[0]), form, got is InputError))
     # every growth in both dimensions and all three forms; pointed cones
     # and lines for each growth that keeps the rays nonzero, of one
@@ -391,23 +393,15 @@ def test_normal_fan_rectangle_equals_square_fan():
     assert normal_fan(rect) == normal_fan(cube(2))
 
 
-def test_normal_fan_reads_the_outward_rays_kept_by_the_polytope(monkeypatch):
+def test_normal_fan_negates_the_stored_inward_normals():
     r2 = Scalar.sqrt_int(2)
-    for P in (cube(3), SimplePolytope([([1, 0], 0), ([0, 1], 0),
-                                       ([-1, -r2], -1)])):
-        first = normal_fan(P)
-        built = []
-        init = Scalar.__init__
-
-        def counted(self, *args):
-            built.append(args)
-            init(self, *args)
-
-        monkeypatch.setattr(Scalar, "__init__", counted)
-        assert fan_to_json(normal_fan(P)) == fan_to_json(first)
-        monkeypatch.undo()
-        assert built == []
-        assert fan_to_json(first) == fan_to_json(negating_normal_fan(P))
+    for P, rational in ((cube(3), True),
+                        (SimplePolytope([([1, 0], 0), ([0, 1], 0),
+                                         ([-1, -r2], -1)]), False)):
+        F = normal_fan(P)
+        # rational outward rays stay primitive integer vectors
+        assert all(type(x) is int for r in F._stored for x in r) == rational
+        assert fan_to_json(F) == fan_to_json(negating_normal_fan(P))
 
 
 def test_cone_classify():
@@ -976,7 +970,8 @@ def negating_normal_fan(P):
     """normal_fan negating every entry of the canonical inward rays as a
     Scalar."""
     used = {i for I in P.incidence for i in I}
-    rays = {i: tuple(-x for x in P._normal_rays[i][0]) for i in used}
+    rays = {i: tuple(-Scalar._coerce(x) for x in P._normal_rays[i][0])
+            for i in used}
     return Fan.from_faces(P.dim, rays, P.incidence)
 
 

@@ -3,9 +3,11 @@
 The expected outputs in data/cli_golden.json were captured before fans
 became a ray table with index-set faces and before resolutions shared the
 integer Hirzebruch-Jung chain, and those of the cones with duplicate,
-redundant and "p/q" rays before cones decided on primitive integer rows;
-each change must reproduce them byte for byte.  Temporary paths in the
-output are replaced by "<tmp>".
+redundant and "p/q" rays before cones decided on primitive integer rows,
+and the `quotient data` of the polytopes other than the square before
+rays were stored only as primitive integer vectors and `normal_data`
+divided every offset as a Scalar; each change must reproduce them byte
+for byte.  Temporary paths in the output are replaced by "<tmp>".
 
 Print a fresh capture (for review, not to paper over a difference) with
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -156,6 +158,10 @@ def corpus(tmp):
     calls.append(["fan", "svg", p("fan_c_r7.json")])
     for value in ("101/100", "2", "13/4", "1+sqrt(5)", "3/2*sqrt(7)-1"):
         calls.append(["hj", "expand", "--value", value])
+    # quotient data past the square: irrational offsets, rational and
+    # scaled normals, and an irrational normal refused
+    for name in ("sqrt_box", "cube2", "trapezoid", "hexagon", "sqrt_quad"):
+        calls.append(["quotient", "data", "--polytope", p(f"{name}.json")])
     return calls
 
 

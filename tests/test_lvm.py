@@ -129,12 +129,12 @@ def test_check_admissible_runs_hulls_only_on_singular_subsets(monkeypatch):
 
     def counting_rows(rows, d):
         calls.append(len(rows))
-        return linalg._zero_in_plane_hull(rows, d)
+        return linalg._plane_extremes(rows, d)
 
     # in C^m for m >= 2 the hull test is zero_in_hull; in C^1 it reads the
     # integer pair rows the determinants were taken on
     monkeypatch.setattr(lvm, "zero_in_hull", counting)
-    monkeypatch.setattr(lvm, "_zero_in_plane_hull", counting_rows)
+    monkeypatch.setattr(lvm, "_plane_extremes", counting_rows)
     r2 = Scalar.sqrt_int(2)
     # no singular 2m-subset: the Siegel hull is the only hull test
     for cfg in (lvm.Configuration([[(1, 0)], [(0, 1)], [(-1, -2)]]),
