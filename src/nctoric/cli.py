@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import facevectors, fan, hj, hochschild, lvm, nctorus, polytope, svg
-from .errors import InputError, NctoricError, OutOfRange
+from .errors import InputError, NctoricError, OutOfRange, _quote
 from .quotient import quotient_data
 from .scalars import parse_scalar
 
@@ -59,7 +59,7 @@ def _int_list(text: str):
     try:
         return [int(part) for part in text.split(",")]
     except ValueError as e:
-        raise InputError(f"bad integer list {text!r}") from e
+        raise InputError(f"bad integer list {_quote(text)}") from e
 
 
 # -- library calls and payload builders --------------------------------------

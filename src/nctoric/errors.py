@@ -128,3 +128,15 @@ class ChainTooLong(NctoricError):
 
 class InputError(NctoricError):
     name = "InputError"
+
+
+#: most characters of an offending input value that an error message quotes
+_QUOTE_LIMIT = 100
+
+
+def _quote(value) -> str:
+    """repr(value) for an error message; past _QUOTE_LIMIT characters, its
+    start and its length, so a huge input gives a short message."""
+    text = repr(value)
+    return text if len(text) <= _QUOTE_LIMIT else \
+        f"{text[:_QUOTE_LIMIT]}... ({len(text)} characters)"

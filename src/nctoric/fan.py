@@ -16,12 +16,12 @@ from __future__ import annotations
 from functools import cached_property, cmp_to_key
 
 from .errors import (ChainTooLong, DimensionMismatch, InputError,
-                     NonRational, NotSimplicial, WrongDimension)
-from .linalg import (_orientation, _pair_row, _plane_extremes, _primitive,
-                     _scalar_ray, _stored_ray, has_nonneg_solution, pair_det,
-                     scalar_rank, transpose, zero_in_hull)
+                     NonRational, NotSimplicial, WrongDimension, _quote)
+from .linalg import (_orientation, _plane_extremes, _primitive, _scalar_ray,
+                     _stored_ray, has_nonneg_solution, pair_det, scalar_rank,
+                     transpose, zero_in_hull)
 from .polytope import SimplePolytope, _closure
-from .scalars import Scalar, common_field, sorted_vectors
+from .scalars import Scalar, _pair_row, common_field, sorted_vectors
 
 SMOOTH = "Smooth"
 NON_RATIONAL = "NonRational"
@@ -77,7 +77,7 @@ class Cone:
             # an open half-plane, and then the extreme ones are the
             # clockwise-most and the counterclockwise-most
             extreme = _plane_extremes(
-                [_pair_row(r) for r in table] if d else table, d)
+                [_pair_row(r)[0] for r in table] if d else table, d)
             if extreme is None:
                 raise InputError("cone contains a line (not strictly convex)")
             table = [table[i] for i in extreme]
@@ -95,21 +95,12 @@ class Cone:
                 table = [r for r in table if not has_nonneg_solution(
                     transpose([s for s in table if s != r]), r)]
         self._stored = tuple(table)
-        if not d:
-            self._rows = self._stored
 
     @cached_property
     def rays(self):
         """The extreme rays, canonical (linalg.canonical_ray) and in exact
         lexicographic order, built from the stored rays when first read."""
         return tuple(map(_scalar_ray, self._stored))
-
-    @cached_property
-    def _rows(self):
-        """The stored rays when all are rational, primitive integer rows;
-        None when one is irrational."""
-        rational = all(type(r[0]) is int for r in self._stored)
-        return self._stored if rational else None
 
     @classmethod
     def _view(cls, stored, ambient_dim):
@@ -130,7 +121,7 @@ class Cone:
         return f"Cone[{rays}]"
 
     def is_rational(self):
-        return self._rows is not None
+        return all(type(r[0]) is int for r in self._stored)
 
     def contains(self, v) -> bool:
         """Exact membership in every dimension: is v a nonnegative
@@ -150,9 +141,9 @@ def _cross(u, w):
 
 def _det(rays) -> tuple:
     """(x, y, d): the determinant x + y sqrt(d) of n rays of R^n, integer
-    rows or Scalar rays, each cleared of denominators (linalg._pair_row)."""
+    rows or Scalar rays, each cleared of denominators (scalars._pair_row)."""
     d = common_field(x for r in rays for x in r if isinstance(x, Scalar))
-    return (*pair_det([_pair_row(r) for r in rays], d), d)
+    return (*pair_det([_pair_row(r)[0] for r in rays], d), d)
 
 
 def _independent(rays, n):
@@ -369,9 +360,9 @@ def dual_cone_2d(sigma: Cone):
     the Hirzebruch-Jung chain of the dual cone, its two rays included."""
     if sigma.ambient_dim != 2 or len(sigma._stored) != 2:
         raise WrongDimension("dual cone computed for full 2D cones only")
-    if sigma._rows is None:
+    if not sigma.is_rational():
         raise NonRational("dual cone needs a rational cone")
-    u, w = sigma._rows
+    u, w = sigma._stored
     if _cross(u, w) < 0:
         u, w = w, u
     # with u -> w counterclockwise, the dual's extreme rays are u rotated
@@ -393,7 +384,7 @@ def is_refinement(fine: Fan, coarse: Fan) -> bool:
         raise WrongDimension("refinement test implemented for dim <= 2")
     index = {r: i for i, r in enumerate(fine.rays)}
     d = common_field(x for r in fine.rays + coarse.rays for x in r)
-    vecs = [_pair_row(r) for r in fine.rays + coarse.rays]
+    vecs = [_pair_row(r)[0] for r in fine.rays + coarse.rays]
     fine_vecs, coarse_vecs = vecs[:len(fine.rays)], vecs[len(fine.rays):]
     ccw = cmp_to_key(lambda i, j: _orientation(fine_vecs[j], fine_vecs[i], d))
     for face in coarse.faces:
@@ -435,7 +426,8 @@ def _check_json_dim(what, dim, rays):
     and the length of every ray."""
     if type(dim) is not int or dim < 1:
         raise InputError(
-            f"bad {what} JSON: \"dim\" must be an integer >= 1, got {dim!r}")
+            f"bad {what} JSON: \"dim\" must be an integer >= 1, got "
+            f"{_quote(dim)}")
     if any(len(r) != dim for r in rays):
         raise InputError(f"bad {what} JSON: a ray is not of dimension {dim}")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .errors import (DivisionByZero, InputError, NotNormalizable,
                      OutOfRange, PeriodNotFound, RationalInput)
@@ -45,9 +45,9 @@ def hj_expand(x, depth: int | None = None) -> HJExpansion:
     x = Scalar._coerce(x)
     if x <= Scalar(1):
         raise OutOfRange("expansion needs x > 1")
-    if x.is_rational:
-        return HJExpansion(tuple(hj_digits(x.a.numerator, x.a.denominator)),
-                           x, True)
+    A, B, C = x._triple()
+    if not B:
+        return HJExpansion(tuple(hj_digits(A, C)), x, True)
     if depth is None:
         depth = 12
     digits, preperiod_len = quadratic_orbit(x, descending=True)
@@ -70,12 +70,9 @@ def quadratic_orbit(x: Scalar, descending: bool = False):
     GTM 138, 5.7), and for fixed D the pair (P, Q) determines the value,
     so the first repeated pair gives the minimal preperiod.  Raises
     PeriodNotFound when no pair repeats within PERIOD_SEARCH_LIMIT steps."""
-    if x.is_rational:
+    P, B, Q = x._triple()
+    if not B:
         raise RationalInput("continued fraction period needs an irrational")
-    a, b = x.a, x.b
-    Q = lcm(a.denominator, b.denominator)
-    P = a.numerator * (Q // a.denominator)
-    B = b.numerator * (Q // b.denominator)
     # x = (P + B sqrt(d))/Q = (P + sqrt(D))/Q once the sign of B is moved
     # to Q; scaling by k makes Q divide D - P^2
     if B < 0:

@@ -17,7 +17,7 @@ from itertools import product
 from math import gcd, lcm
 
 from .errors import (ComplexTooLarge, DegreeZero, InputError, InvalidAlgebra,
-                     InvalidGroupoid)
+                     InvalidGroupoid, _quote)
 from .scalars import rational_literal
 
 #: cap on the chain-space dimension D^(k+1) handled by rank computations
@@ -107,7 +107,8 @@ class FinDimAlgebra:
         try:
             dim, c, unit = obj["dim"], obj["c"], obj["unit"]
             if type(dim) is not int:
-                raise InputError(f"bad algebra JSON: non-integer dim {dim!r}")
+                raise InputError(
+                    f"bad algebra JSON: non-integer dim {_quote(dim)}")
             return FinDimAlgebra(
                 dim, [[[rational_literal(x) for x in col] for col in row]
                       for row in c],

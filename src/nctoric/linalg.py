@@ -8,10 +8,10 @@ is no floating point anywhere.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DimensionMismatch, InputError
-from .scalars import Scalar, _pair_sign, common_field
+from .scalars import Scalar, _pair_row, _pair_sign, common_field
 
 IntMatrix = list  # list[list[int]]
 ScalarMatrix = list  # list[list[Scalar]]
@@ -33,17 +33,6 @@ def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
 
 def transpose(A):
     return [list(col) for col in zip(*A)] if A else []
-
-
-def _pair_row(entries) -> list:
-    """Entries (ints, Fractions or Scalars of one field d) times the least
-    positive integer that makes them integer pairs x + y sqrt(d): the list
-    of their x parts followed by the list of their y parts."""
-    v = [e.a if isinstance(e, Scalar) else e for e in entries]
-    v += [e.b if isinstance(e, Scalar) else 0 for e in entries]
-    v = [e.as_integer_ratio() for e in v]
-    den = lcm(*[q for _, q in v])
-    return [p * (den // q) for p, q in v]
 
 
 def _bareiss_pivot(T, r, j, rows, D, d: int):
@@ -327,7 +316,7 @@ def has_nonneg_solution(A: ScalarMatrix, b) -> bool:
     w = n + 1  # row i is T[i][:w] + T[i][w:] sqrt(d), right-hand side last
     T = []
     for row, rhs in zip(A, b):
-        v = _pair_row((*row, rhs))
+        v, _ = _pair_row((*row, rhs))
         g = (gcd(*v) or 1) * (-1 if _pair_sign(v[n], v[-1], d) < 0 else 1)
         T.append([e // g for e in v])
     T.append([sum(c) for c in zip([0] * 2 * w, *T)])
@@ -360,15 +349,15 @@ def has_nonneg_solution(A: ScalarMatrix, b) -> bool:
 def zero_in_hull(points) -> bool:
     """Is 0 in the convex hull of the points (ints, Fractions or Scalars of
     one field)?  In R^1 and R^2, where each point is scaled once by a
-    positive integer to an integer pair row (_pair_row): iff those rows lie
-    in no open half-plane (_plane_extremes).  In R^n for n >= 3, by phase I
-    on t >= 0, sum t_i = 1 and sum t_i p_i = 0."""
+    positive integer to an integer pair row (scalars._pair_row): iff those
+    rows lie in no open half-plane (_plane_extremes).  In R^n for n >= 3,
+    by phase I on t >= 0, sum t_i = 1 and sum t_i p_i = 0."""
     if not points:
         return False
     if len(points[0]) <= 2:
         d = common_field(e for p in points for e in p if isinstance(e, Scalar))
         pad = [0] * (2 - len(points[0]))
-        return _plane_extremes([_pair_row([*p, *pad]) for p in points],
+        return _plane_extremes([_pair_row([*p, *pad])[0] for p in points],
                                d) is None
     rows = [list(coords) for coords in zip(*points)] + [[1] * len(points)]
     return has_nonneg_solution(rows, [0] * (len(rows) - 1) + [1])
@@ -383,9 +372,7 @@ def _primitive(v) -> tuple:
     vector of ints, Fractions or rational Scalars: cleared of denominators
     and divided by the gcd of its entries (InputError for the zero vector)."""
     if not all(type(x) is int for x in v):
-        v = [Scalar._coerce(x).a for x in v]
-        den = lcm(*[x.denominator for x in v])
-        v = [x.numerator * (den // x.denominator) for x in v]
+        v = _pair_row(v)[0][:len(v)]
     g = gcd(*v)
     if not g:
         raise InputError("the zero vector spans no ray")

@@ -15,11 +15,11 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import (DegenerateFoliation, DegenerateSystem, InputError,
-                     IrrationalWeights, WrongDimension)
-from .linalg import (_free_kernel, _pair_row, _plane_extremes, _primitive,
-                     _row_reduce, pair_det, zero_in_hull)
+                     IrrationalWeights, WrongDimension, _quote)
+from .linalg import (_free_kernel, _plane_extremes, _primitive, _row_reduce,
+                     pair_det, transpose, zero_in_hull)
 from .polytope import SimplePolytope, _subsets
-from .scalars import Scalar, common_field
+from .scalars import Scalar, _pair_row, common_field
 
 COMPACT_TORI = "CompactTori"
 DENSE_LEAVES = "DenseLeaves"
@@ -30,32 +30,48 @@ class Configuration:
 
     Immutable after construction: the solution space of the attached
     system is computed on first use, by one reduced echelon form that
-    every later query reads."""
+    every later query reads; so are the points' integer pair rows."""
 
     def __init__(self, lambdas, m: int | None = None):
         self.lambdas = []
         for lam in lambdas:
             vec = []
             for z in lam if isinstance(lam, (list, tuple)) else [lam]:
-                if isinstance(z, tuple):
-                    re, im = z
-                else:
-                    re, im = z, 0
+                re, im = z if isinstance(z, tuple) else (z, 0)
                 vec.append((Scalar._coerce(re), Scalar._coerce(im)))
             self.lambdas.append(vec)
         if m is not None and (type(m) is not int or m < 0):
-            raise InputError(f"m must be a non-negative integer, got m={m!r}")
+            raise InputError(
+                f"m must be a non-negative integer, got m={_quote(m)}")
         self.n = len(self.lambdas)
         self.m = m if m is not None else (len(self.lambdas[0]) if self.lambdas else 0)
         if any(len(v) != self.m for v in self.lambdas):
             raise InputError("vectors of mixed dimension")
         if self.n <= 2 * self.m:
             raise InputError(f"need n > 2m, got n={self.n}, m={self.m}")
-        common_field([x for v in self.lambdas for z in v for x in z])
+        self._field = common_field(
+            [x for v in self.lambdas for z in v for x in z])
 
     def real_points(self):
         """Lambda_i as points of R^{2m} (re_1, im_1, ..., re_m, im_m)."""
         return [[x for z in v for x in z] for v in self.lambdas]
+
+    @cached_property
+    def _cleared(self):
+        """(points, rows, d): real_points(), each scaled by a positive
+        integer to an integer pair row over Z[sqrt(d)] (scalars._pair_row),
+        which keeps determinants' zero-ness, hulls and lines through 0."""
+        pts = self.real_points()
+        return pts, [_pair_row(p)[0] for p in pts], self._field
+
+    def _hull_holds_zero(self, idx) -> bool:
+        """Is 0 in the convex hull of the points Lambda_i, i in idx?  In C^1
+        iff their cleared rows lie in no open half-plane
+        (linalg._plane_extremes), else by phase I (linalg.zero_in_hull)."""
+        pts, rows, d = self._cleared
+        if self.m == 1:
+            return _plane_extremes([rows[i] for i in idx], d) is None
+        return zero_in_hull([pts[i] for i in idx])
 
     @cached_property
     def _echelon(self):
@@ -98,36 +114,21 @@ def check_admissible(cfg: Configuration) -> dict:
 
     If 0 = sum t_i p_i with sum t_i = 1, the points p_i are linearly
     dependent, so 2m points in R^2m with a nonzero determinant settle their
-    subset and only singular subsets run a hull test.  Each point is
-    scaled once by a positive integer to integer pairs (linalg._pair_row),
-    which changes neither a determinant's zero-ness nor hull membership;
-    in C^1 the planar hull test reads those pairs too: 0 is in their hull
-    iff they lie in no open half-plane (linalg._plane_extremes)."""
-    pts = cfg.real_points()
+    subset and only singular subsets run a hull test.  The determinants
+    and the planar hull tests read the cleared rows of the points
+    (Configuration._cleared)."""
     subs = _subsets(range(cfg.n), 2 * cfg.m, "the weak hyperbolicity check")
-    d = common_field(x for p in pts for x in p)
-    rows = [_pair_row(p) for p in pts]
-
-    def hull(s):
-        if cfg.m == 1:
-            return _plane_extremes([rows[i] for i in s], d) is None
-        return zero_in_hull([pts[i] for i in s])
-
-    return {"siegel": hull(range(cfg.n)),
+    _, rows, d = cfg._cleared
+    return {"siegel": cfg._hull_holds_zero(range(cfg.n)),
             "weak_hyperbolic": not any(
-                hull(s) for s in subs
+                cfg._hull_holds_zero(s) for s in subs
                 if pair_det([rows[i] for i in s], d) == (0, 0))}
 
 
 def _system_rows(cfg: Configuration):
     """Coefficient rows of the homogeneous system: 2m hull equations plus
     the sum-zero equation, as an (2m+1) x n Scalar matrix."""
-    rows = []
-    for j in range(cfg.m):
-        rows.append([v[j][0] for v in cfg.lambdas])
-        rows.append([v[j][1] for v in cfg.lambdas])
-    rows.append([Scalar(1)] * cfg.n)
-    return rows
+    return transpose(cfg.real_points()) + [[Scalar(1)] * cfg.n]
 
 
 def solution_basis(cfg: Configuration):
@@ -188,7 +189,6 @@ def minimal_forbidden_zero_sets(cfg: Configuration):
     """Inclusion-minimal zero-sets J such that every point vanishing on J
     lies outside the union of admissible leaves (0 not in the hull of the
     complementary sub-configuration)."""
-    pts = cfg.real_points()
     allidx = set(range(cfg.n))
     minimal = []
     for k in range(1, cfg.n + 1):
@@ -196,8 +196,7 @@ def minimal_forbidden_zero_sets(cfg: Configuration):
             s = frozenset(J)
             if any(m0 <= s for m0 in minimal):
                 continue
-            rest = [pts[i] for i in sorted(allidx - s)]
-            if not zero_in_hull(rest):
+            if not cfg._hull_holds_zero(sorted(allidx - s)):
                 minimal.append(s)
     return sorted(minimal, key=lambda s: (len(s), sorted(s)))
 
@@ -211,7 +210,7 @@ class FiberReport:
 
 
 def _same_line(c, e, i: int, d: int) -> bool:
-    """Do two columns, integer pair rows over Z[sqrt(d)] (linalg._pair_row)
+    """Do two columns, integer pair rows over Z[sqrt(d)] (scalars._pair_row)
     whose first nonzero entries sit at index i, lie on one line through 0?
     They do iff c_j e_i = e_j c_i for every j, by cross-multiplying."""
     h = len(c) // 2
@@ -239,18 +238,17 @@ def generic_fiber(cfg: Configuration) -> FiberReport:
             f"phase directions span only {dim_mod_diag} dims mod the diagonal")
     # the span is defined over Q iff its kernel is (see condition_K)
     rational = all(x.is_rational for v in cfg._kernel for x in v)
-    # group the nonzero columns by their line, in first-seen order, keeping
-    # each column's first nonzero entry; a ratio of two columns is
-    # irrational only if one of their ratios to the line's first column is,
-    # so the first pair (i, j) and the first irrational pair both start at
-    # the first column
-    d = common_field(x for r in rows for x in r)
+    # group the nonzero columns, the points, by their line, in first-seen
+    # order, keeping each column's first nonzero entry; a ratio of two
+    # columns is irrational only if one of their ratios to the line's first
+    # column is, so the first pair (i, j) and the first irrational pair
+    # both start at the first column
+    pts, cleared, d = cfg._cleared
     lines = []  # (index of the first nonzero entry, cleared column, entries)
-    for col in zip(*rows):
+    for col, c in zip(pts, cleared):
         i = next((k for k, x in enumerate(col) if not x.is_zero()), None)
         if i is None:
             continue
-        c = _pair_row(col)
         for j, e, firsts in lines:
             if j == i and _same_line(c, e, i, d):
                 firsts.append(col[i])
@@ -294,13 +292,10 @@ def canonical_moment_interval(cfg: Configuration):
             hi = bound if hi is None or bound < hi else hi
     if lo is None or hi is None or lo > hi:
         raise DegenerateSystem("canonical slice unbounded or empty")
-    endpoints = []
-    active_sets = []
-    for t in (lo, hi):
-        x = [p + d * t for p, d in zip(part, direction)]
-        endpoints.append(x)
-        active_sets.append(frozenset(i for i, xi in enumerate(x) if xi.is_zero()))
-    return endpoints, active_sets
+    endpoints = [[p + d * t for p, d in zip(part, direction)]
+                 for t in (lo, hi)]
+    return endpoints, [frozenset(i for i, xi in enumerate(x) if xi.is_zero())
+                       for x in endpoints]
 
 
 def orbifold_weights_1d(cfg: Configuration):
@@ -314,8 +309,4 @@ def orbifold_weights_1d(cfg: Configuration):
         raise WrongDimension("endpoint weights need n - 2m - 1 = 1")
     v = _primitive(basis[0])
     _, active_sets = canonical_moment_interval(cfg)
-    orders = []
-    for act in active_sets:
-        weights = sorted(abs(v[i]) for i in act)
-        orders.append(weights)
-    return orders
+    return [sorted(abs(v[i]) for i in act) for act in active_sets]

@@ -18,9 +18,9 @@ from math import comb
 
 from .errors import (Empty, InputError, IrrationalNormals, NotSimple,
                      TooManySubsets, Unbounded)
-from .linalg import (_pair_row, _stored_ray, has_nonneg_solution, pair_det,
-                     scalar_rank, solve_exact, transpose)
-from .scalars import Scalar, common_field, sorted_vectors
+from .linalg import (_stored_ray, has_nonneg_solution, pair_det, scalar_rank,
+                     solve_exact, transpose)
+from .scalars import Scalar, _pair_row, common_field, sorted_vectors
 
 IRRATIONAL = "Irrational"
 RATIONAL_DELZANT = "RationalDelzant"
@@ -199,7 +199,7 @@ class SimplePolytope:
             rays = [self._normal_rays[i][0] for i in top]
             if any(type(r[0]) is not int for r in rays):
                 return IRRATIONAL
-            if abs(pair_det([_pair_row(r) for r in rays])[0]) != 1:
+            if abs(pair_det([_pair_row(r)[0] for r in rays])[0]) != 1:
                 integral = False
         return INTEGRAL_DELZANT if integral else RATIONAL_DELZANT
 
@@ -216,18 +216,14 @@ def normal_data(P: SimplePolytope):
     or not, gives lambda_i = c_i / t."""
     if P.delzant_class == IRRATIONAL:
         raise IrrationalNormals("polytope has irrational facet normals")
-    rho = []
-    lam = []
+    rho, lam = [], []
     for (_, c), ray_and_scale in zip(P.facets, P._normal_rays):
-        if ray_and_scale is None:
-            rho.append([0] * P.dim)
-            lam.append(c)
-            continue
-        r, t = ray_and_scale
+        # a zero row keeps its offset
+        r, t = ray_and_scale or ([0] * P.dim, 1)
         if type(r[0]) is not int:
             raise IrrationalNormals("irrational facet normal")
         rho.append(list(r))
-        lam.append(c / t if c.d or t.d else Scalar(c.a / t.a))
+        lam.append(c / t)
     return rho, lam
 
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from .errors import CodimensionOne, RankDeficient
 from .linalg import integer_kernel_basis, transpose
 from .polytope import SimplePolytope, normal_data
-from .scalars import Scalar, common_field
+from .scalars import Scalar, _pair_row, common_field
 
 
 def forbidden_strata(family, N: int):
@@ -84,16 +83,13 @@ def quotient_data(P: SimplePolytope) -> QuotientData:
     rho, lam = normal_data(P)
     basis = kernel_lattice(rho)
     d = common_field(lam)
-    if d:
-        # one Fraction sum for the rational part and one for the sqrt(d) part
-        nu = [Scalar(-sum(bj * x.a for bj, x in zip(b, lam) if bj),
-                     -sum(bj * x.b for bj, x in zip(b, lam) if bj), d)
-              for b in basis]
-    else:
-        # over the common denominator each entry is one integer dot product
-        den = lcm(*[x.a.denominator for x in lam])
-        num = [x.a.numerator * (den // x.a.denominator) for x in lam]
-        nu = [Scalar(Fraction(-sum(bj * k for bj, k in zip(b, num)), den))
-              for b in basis]
+    # each part of an entry is one integer dot product over den
+    row, den = _pair_row(lam)
+    xs, ys = row[:P.N], row[P.N:]
+    nu = []
+    for b in basis:
+        x = Fraction(-sum(bj * k for bj, k in zip(b, xs) if bj), den)
+        y = d and -sum(bj * k for bj, k in zip(b, ys) if bj)
+        nu.append(Scalar(x, Fraction(y, den), d) if y else Scalar(x))
     return QuotientData(N=P.N, forbidden_strata=strata, kernel_basis=basis,
                         nu_P=nu, lambda_P=lam)

@@ -14,7 +14,8 @@ import re
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .errors import DivisionByZero, FieldMismatch, InputError, OutOfRange
+from .errors import (DivisionByZero, FieldMismatch, InputError, OutOfRange,
+                     _quote)
 
 #: largest radicand accepted: squarefree_split factors by trial division
 RADICAND_LIMIT = 10**6
@@ -70,30 +71,18 @@ class Scalar:
         d = int(0 if d is None else d)
         if d < 0:
             raise ValueError("d must be non-negative")
-        if d in (0, 1):
-            a += b * d  # sqrt(0)=0, sqrt(1)=1
-            b = Fraction(0)
-            d = 0
-        elif b == 0:
-            d = 0
-        else:
-            s, d0 = squarefree_split(d)
-            if d0 in (0, 1):
-                a += b * s * d0
-                b = Fraction(0)
-                d = 0
-            else:
-                b *= s
-                d = d0
+        if d > 1 and b:
+            s, d = squarefree_split(d)  # b sqrt(s^2 d) = b s sqrt(d)
+            b *= s
+        if d < 2 or not b:  # a rational: sqrt(0) = 0, sqrt(1) = 1
+            a += b * d
+            b, d = Fraction(0), 0
         self.a, self.b, self.d = a, b, d
 
     @staticmethod
     def sqrt_int(n: int) -> "Scalar":
         """Exact sqrt of a non-negative integer."""
-        s, d = squarefree_split(int(n))
-        if d in (0, 1):
-            return Scalar(s * d)
-        return Scalar(0, s, d)
+        return Scalar(0, 1, n)
 
     @property
     def is_rational(self) -> bool:
@@ -109,9 +98,7 @@ class Scalar:
 
     @staticmethod
     def _coerce(x) -> "Scalar":
-        if isinstance(x, Scalar):
-            return x
-        return Scalar(x)
+        return x if isinstance(x, Scalar) else Scalar(x)
 
     def __add__(self, other):
         o = Scalar._coerce(other)
@@ -143,7 +130,10 @@ class Scalar:
         return Scalar(self.a / n, -self.b / n, self.d)
 
     def __truediv__(self, other):
-        return self * Scalar._coerce(other).inverse()
+        o = Scalar._coerce(other)
+        if self.d or o.d or not o.a:  # 0 raises in inverse
+            return self * o.inverse()
+        return Scalar(self.a / o.a)  # two rationals: one Fraction quotient
 
     def __rtruediv__(self, other):
         return Scalar._coerce(other) * self.inverse()
@@ -163,10 +153,20 @@ class Scalar:
         """Exact sign of the real number a + b sqrt(d)."""
         return _pair_sign(self.a, self.b, self.d)
 
-    def __eq__(self, other):
+    @staticmethod
+    def _number(x):
+        """x as a Scalar for a comparison, or None when x is no number; a
+        str is none, as for Fraction, though Scalar(x) would parse it."""
+        if isinstance(x, Scalar):
+            return x
         try:
-            o = Scalar._coerce(other)
+            return None if isinstance(x, str) else Scalar(x)
         except (TypeError, ValueError):
+            return None
+
+    def __eq__(self, other):
+        o = Scalar._number(other)
+        if o is None:
             return NotImplemented
         return self.a == o.a and self.b == o.b and self.d == o.d
 
@@ -177,10 +177,9 @@ class Scalar:
     def _order(self, other):
         """Sign of self - other without building a Scalar for it: the
         Fractions compared over Q, else _pair_sign of the differences of
-        the parts.  None when other is no number."""
-        try:
-            o = Scalar._coerce(other)
-        except (TypeError, ValueError):
+        the parts.  None when other is no number (_number)."""
+        o = Scalar._number(other)
+        if o is None:
             return None
         d = self._join(o)
         if not d:
@@ -209,17 +208,25 @@ class Scalar:
     def __float__(self):
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 
+    def _triple(self) -> tuple:
+        """The integers (A, B, C) with self = (A + B sqrt(d)) / C and C > 0
+        least, the lcm of the denominators of a and b; B = 0 for a
+        rational."""
+        p, q = self.a.as_integer_ratio()
+        if not self.d:
+            return p, 0, q
+        r, s = self.b.as_integer_ratio()
+        C = math.lcm(q, s)
+        return p * (C // q), r * (C // s), C
+
     def floor(self) -> int:
         """Exact floor, from integer square roots (Cohen, GTM 138, 5.7)."""
-        a, b = self.a, self.b
-        if b == 0:
-            return a.numerator // a.denominator
-        # self = (A + B sqrt(d)) / C with C > 0.  B sqrt(d) is irrational,
-        # so its floor is isqrt(B^2 d) for B > 0 and -isqrt(B^2 d) - 1 for
-        # B < 0, and floor((A + y) / C) = (A + floor(y)) // C for integer A
-        C = a.denominator * b.denominator
-        A = a.numerator * b.denominator
-        B = b.numerator * a.denominator
+        A, B, C = self._triple()
+        if not B:
+            return A // C
+        # B sqrt(d) is irrational, so its floor is isqrt(B^2 d) for B > 0
+        # and -isqrt(B^2 d) - 1 for B < 0, and floor((A + y) / C) =
+        # (A + floor(y)) // C for integer A
         r = math.isqrt(B * B * self.d)
         return (A + (r if B > 0 else -r - 1)) // C
 
@@ -256,7 +263,7 @@ class Scalar:
             return Scalar(rational_literal(obj))
         d = obj.get("d", 0)
         if "a" not in obj or type(d) is not int or d < 0:
-            raise InputError(f"not a scalar: {obj!r}")
+            raise InputError(f"not a scalar: {_quote(obj)}")
         return Scalar(rational_literal(obj["a"]),
                       rational_literal(obj.get("b", 0)), d)
 
@@ -275,9 +282,9 @@ def rational_literal(x) -> Fraction:
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as e:
-            raise InputError(f"not an exact rational: {x!r}") from e
+            raise InputError(f"not an exact rational: {_quote(x)}") from e
     raise InputError(f"not an exact rational (an int or a \"p/q\" string): "
-                     f"{x!r}")
+                     f"{_quote(x)}")
 
 
 _TOKEN = re.compile(r"\s*(sqrt\(\d+\)|\d+/\d+|\d+|[+\-*()])")
@@ -299,7 +306,8 @@ class _LiteralParser:
             m = _TOKEN.match(text, pos)
             if not m:
                 if text[pos:].strip():
-                    raise InputError(f"bad scalar literal at {text[pos:]!r}")
+                    raise InputError(
+                        f"bad scalar literal at {_quote(text[pos:])}")
                 break
             tokens.append(m.group(1))
             pos = m.end()
@@ -312,7 +320,8 @@ class _LiteralParser:
     def eat(self, tok=None) -> str:
         t = self.tokens[self.pos]
         if tok is not None and t != tok:
-            raise InputError(f"expected {tok!r}, found {t!r} in {self.text!r}")
+            raise InputError(f"expected {tok!r}, found {_quote(t)} in "
+                             f"{_quote(self.text)}")
         self.pos += 1
         return t
 
@@ -334,14 +343,15 @@ class _LiteralParser:
         if t[0].isdigit():
             self.eat()
             return Scalar(self.number(t))
-        raise InputError(f"bad token {t!r} in scalar literal {self.text!r}")
+        raise InputError(f"bad token {_quote(t)} in scalar literal "
+                         f"{_quote(self.text)}")
 
     def number(self, token: str) -> Fraction:
         """The rational of a "p" or "p/q" token (rational_literal): a zero
         denominator or digits past the int limit raise InputError."""
         if "/" in token and not token.partition("/")[2].strip("0"):
             raise InputError(
-                f"zero denominator in scalar literal {self.text!r}")
+                f"zero denominator in scalar literal {_quote(self.text)}")
         return rational_literal(token)
 
     def term(self) -> Scalar:
@@ -375,8 +385,23 @@ def parse_scalar(text: str) -> Scalar:
     parser = _LiteralParser(text)
     v = parser.expr()
     if parser.peek() != "$":
-        raise InputError(f"trailing tokens in scalar literal {text!r}")
+        raise InputError(f"trailing tokens in scalar literal {_quote(text)}")
     return v
+
+
+def _pair_row(entries) -> tuple:
+    """(row, den): entries (ints, Fractions or Scalars of one field d)
+    times den, the least positive integer that makes them integer pairs
+    x + y sqrt(d), as the list of their x parts followed by the list of
+    their y parts."""
+    if not entries or type(entries[0]) is int and all(
+            type(e) is int for e in entries):  # ints are their own pairs
+        return [*entries, *[0] * len(entries)], 1
+    v = [e.a if isinstance(e, Scalar) else e for e in entries]
+    v += [e.b if isinstance(e, Scalar) else 0 for e in entries]
+    v = [e.as_integer_ratio() for e in v]
+    den = math.lcm(*[q for _, q in v])
+    return [p * (den // q) for p, q in v], den
 
 
 def common_field(values) -> int:

@@ -15,11 +15,11 @@ from nctoric.fan import (DEPTH_LIMIT, Cone, Fan, _bezout, _face_key,
                          fan_to_json, hj_chain, hj_digits, hj_frame,
                          is_refinement, normal_fan)
 from nctoric.hj import resolve_cone
-from nctoric.linalg import (_pair_row, _plane_extremes, canonical_ray,
+from nctoric.linalg import (_plane_extremes, canonical_ray,
                             has_nonneg_solution, scalar_rank, solve_exact,
                             transpose, zero_in_hull)
 from nctoric.polytope import IRRATIONAL, SimplePolytope, cube, simplex
-from nctoric.scalars import Scalar, common_field, sorted_vectors
+from nctoric.scalars import Scalar, _pair_row, common_field, sorted_vectors
 
 from test_linalg import int_det, lp_zero_in_hull
 from test_polytope import lattice_polygon, sqrt2_polygon
@@ -297,7 +297,7 @@ def cone_oracle(rays):
     table = tuple(sorted_vectors(set(rays)))
     if n == 2:
         d = common_field(x for r in table for x in r)
-        extreme = _plane_extremes([_pair_row(r) for r in table], d)
+        extreme = _plane_extremes([_pair_row(r)[0] for r in table], d)
         if extreme is None:
             raise InputError("cone contains a line")
         return tuple(table[i] for i in extreme)
@@ -362,9 +362,10 @@ def test_cones_on_integer_rows_match_the_scalar_ray_oracle():
             assert all(type(x) is Scalar for r in got for x in r)
             # the cone keeps the rows, and a view on them reads them back
             rows = tuple(tuple(int(x.a) for x in r) for r in got)
-            assert sigma._stored == sigma._rows == rows
+            assert sigma._stored == rows and sigma.is_rational()
             view = Cone._view(rows, len(rays[0]))
-            assert view == sigma and view._rows == rows and view.rays == got
+            assert view == sigma and view._stored == rows and \
+                view.is_rational() and view.rays == got
         seen.add((kind, len(rays[0]), form, got is InputError))
     # every growth in both dimensions and all three forms; pointed cones
     # and lines for each growth that keeps the rays nonzero, of one

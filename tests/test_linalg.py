@@ -8,12 +8,12 @@ import pytest
 
 from nctoric import linalg
 from nctoric.errors import DimensionMismatch, FieldMismatch
-from nctoric.linalg import (_free_kernel, _orientation, _pair_row,
-                            _row_reduce, canonical_ray, has_nonneg_solution,
-                            identity, integer_kernel_basis, mat_mul,
-                            pair_det, scalar_rank, smith_normal_form,
-                            solve_exact, zero_in_hull)
-from nctoric.scalars import Scalar, common_field
+from nctoric.linalg import (_free_kernel, _orientation, _row_reduce,
+                            canonical_ray, has_nonneg_solution, identity,
+                            integer_kernel_basis, mat_mul, pair_det,
+                            scalar_rank, smith_normal_form, solve_exact,
+                            zero_in_hull)
+from nctoric.scalars import Scalar, _pair_row, common_field
 
 
 def int_det(A) -> int:
@@ -167,7 +167,7 @@ def test_pair_det_matches_scalar_cofactors():
         if n > 1 and trial % 4 >= 2:  # a row an irrational multiple of another
             i, j = rng.sample(range(n), 2)
             M[i] = [(1 + r) * x for x in M[j]]
-        rows = [_pair_row(row) for row in M]
+        rows = [_pair_row(row)[0] for row in M]
         scale = 1
         for row in M:  # the positive integer each row was multiplied by
             scale *= lcm(*[f.denominator for x in row for f in (x.a, x.b)])
@@ -207,7 +207,7 @@ def test_two_by_two_pair_det_matches_the_oracles():
               for _ in range(2)] for _ in range(2)]
         if trial % 4 >= 2:  # the second row an irrational multiple
             M[1] = [(Fraction(rng.randint(-3, 3), 2) + r) * x for x in M[0]]
-        rows = [_pair_row(row) for row in M]
+        rows = [_pair_row(row)[0] for row in M]
         scale = 1
         for row in M:
             scale *= lcm(*[f.denominator for x in row for f in (x.a, x.b)])

@@ -180,6 +180,35 @@ def test_admissibility_in_c1_runs_no_lp(monkeypatch):
     assert calls == [5, 5, 5]
 
 
+def test_a_configuration_clears_its_points_once(monkeypatch):
+    calls = {lvm: [], linalg: []}
+    clear = lvm._pair_row
+
+    def counting(module):
+        def count(entries):
+            calls[module].append(len(entries))
+            return clear(entries)
+        return count
+
+    # check_admissible, generic_fiber and minimal_forbidden_zero_sets read
+    # one cleared row per point, however often they are called; in C^1 no
+    # other clearing runs, in C^2 the LPs clear their own rows
+    for module in calls:
+        monkeypatch.setattr(module, "_pair_row", counting(module))
+    for cfg in (five_vector(), five_vector_perturbed(), teardrop(3),
+                lvm.Configuration([[(1, 0), (0, 0)], [(0, 1), (0, 0)],
+                                   [(0, 0), (1, 0)], [(0, 0), (0, 1)],
+                                   [(-1, -1), (-R2, -1)], [(1, 1), (1, 1)]])):
+        for c in calls.values():
+            c.clear()
+        for _ in range(2):
+            lvm.check_admissible(cfg)
+            lvm.generic_fiber(cfg)
+            lvm.minimal_forbidden_zero_sets(cfg)
+        assert calls[lvm] == [2 * cfg.m] * cfg.n
+        assert (calls[linalg] == []) == (cfg.m == 1)
+
+
 def test_solution_basis_five_vector():
     basis = lvm.solution_basis(five_vector())
     assert len(basis) == 2

@@ -233,6 +233,23 @@ def test_ordering_against_a_non_number_is_a_type_error():
                     op(other, x)
 
 
+def test_a_numeric_string_is_no_number_as_for_fraction():
+    # Scalar("4") parses, but a comparison does not: == is False, with a
+    # hash that differs anyway, and ordering raises TypeError
+    for x, text in ((Scalar(1), "1"), (Scalar(3), "4"),
+                    (Scalar(Fraction(1, 2)), "1/2")):
+        assert Fraction(x.a) != text and not x == text and x != text
+        assert text != x and x not in [text] and len({x, text}) == 2
+        for op in ORDERS:
+            with pytest.raises(TypeError):
+                op(x, text)
+            with pytest.raises(TypeError):
+                op(text, x)
+    # ints, Fractions and floats compare as before
+    assert Scalar(1) == 1 == Scalar(1.0) and Scalar(3) < 4 < Scalar(4.5)
+    assert Scalar(Fraction(1, 2)) == 0.5 and Scalar.sqrt_int(2) > 1.4
+
+
 def test_comparing_two_scalars_builds_no_scalar(monkeypatch):
     r2 = Scalar.sqrt_int(2)
     pairs = [(Scalar(1), Scalar(Fraction(1, 2))), (Scalar(3), Scalar(3)),
