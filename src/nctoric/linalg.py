@@ -8,7 +8,7 @@ is no floating point anywhere.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
 from .errors import DimensionMismatch, InputError
 from .scalars import Scalar, _pair_row, _pair_sign, common_field
@@ -369,10 +369,13 @@ def scalar_rank(A: ScalarMatrix) -> int:
 
 def _primitive(v) -> tuple:
     """The primitive integer vector, a tuple of ints, on the ray through a
-    vector of ints, Fractions or rational Scalars: cleared of denominators
-    and divided by the gcd of its entries (InputError for the zero vector)."""
+    vector of ints, Fractions or rational Scalars: each entry A / C
+    (Scalar._triple) times the product of the C's, which the gcd division
+    makes primitive (InputError for the zero vector)."""
     if not all(type(x) is int for x in v):
-        v = _pair_row(v)[0][:len(v)]
+        v = [Scalar._coerce(x)._triple() for x in v]
+        den = prod(C for _, _, C in v)
+        v = [A * (den // C) for A, _, C in v]
     g = gcd(*v)
     if not g:
         raise InputError("the zero vector spans no ray")

@@ -37,7 +37,10 @@ class Configuration:
         for lam in lambdas:
             vec = []
             for z in lam if isinstance(lam, (list, tuple)) else [lam]:
-                re, im = z if isinstance(z, tuple) else (z, 0)
+                if isinstance(z, tuple):
+                    re, im = z
+                else:
+                    re, im = z, 0
                 vec.append((Scalar._coerce(re), Scalar._coerce(im)))
             self.lambdas.append(vec)
         if m is not None and (type(m) is not int or m < 0):
@@ -292,10 +295,13 @@ def canonical_moment_interval(cfg: Configuration):
             hi = bound if hi is None or bound < hi else hi
     if lo is None or hi is None or lo > hi:
         raise DegenerateSystem("canonical slice unbounded or empty")
-    endpoints = [[p + d * t for p, d in zip(part, direction)]
-                 for t in (lo, hi)]
-    return endpoints, [frozenset(i for i, xi in enumerate(x) if xi.is_zero())
-                       for x in endpoints]
+    endpoints = []
+    active_sets = []
+    for t in (lo, hi):
+        x = [p + d * t for p, d in zip(part, direction)]
+        endpoints.append(x)
+        active_sets.append(frozenset(i for i, xi in enumerate(x) if xi.is_zero()))
+    return endpoints, active_sets
 
 
 def orbifold_weights_1d(cfg: Configuration):
@@ -309,4 +315,8 @@ def orbifold_weights_1d(cfg: Configuration):
         raise WrongDimension("endpoint weights need n - 2m - 1 = 1")
     v = _primitive(basis[0])
     _, active_sets = canonical_moment_interval(cfg)
-    return [sorted(abs(v[i]) for i in act) for act in active_sets]
+    orders = []
+    for act in active_sets:
+        weights = sorted(abs(v[i]) for i in act)
+        orders.append(weights)
+    return orders

@@ -216,10 +216,14 @@ def normal_data(P: SimplePolytope):
     or not, gives lambda_i = c_i / t."""
     if P.delzant_class == IRRATIONAL:
         raise IrrationalNormals("polytope has irrational facet normals")
-    rho, lam = [], []
+    rho = []
+    lam = []
     for (_, c), ray_and_scale in zip(P.facets, P._normal_rays):
-        # a zero row keeps its offset
-        r, t = ray_and_scale or ([0] * P.dim, 1)
+        if ray_and_scale is None:
+            rho.append([0] * P.dim)
+            lam.append(c)
+            continue
+        r, t = ray_and_scale
         if type(r[0]) is not int:
             raise IrrationalNormals("irrational facet normal")
         rho.append(list(r))

@@ -27,7 +27,8 @@ def squarefree_split(n: int) -> tuple[int, int]:
     if n < 0:
         raise ValueError("negative radicand")
     if n > RADICAND_LIMIT:
-        raise InputError(f"radicand {n} exceeds the limit {RADICAND_LIMIT}")
+        raise InputError(
+            f"radicand {_quote(n)} exceeds the limit {RADICAND_LIMIT}")
     if n in (0, 1):
         return (1, n)
     s, d, p = 1, 1, 2
@@ -71,18 +72,30 @@ class Scalar:
         d = int(0 if d is None else d)
         if d < 0:
             raise ValueError("d must be non-negative")
-        if d > 1 and b:
-            s, d = squarefree_split(d)  # b sqrt(s^2 d) = b s sqrt(d)
-            b *= s
-        if d < 2 or not b:  # a rational: sqrt(0) = 0, sqrt(1) = 1
-            a += b * d
-            b, d = Fraction(0), 0
+        if d in (0, 1):
+            a += b * d  # sqrt(0)=0, sqrt(1)=1
+            b = Fraction(0)
+            d = 0
+        elif b == 0:
+            d = 0
+        else:
+            s, d0 = squarefree_split(d)
+            if d0 in (0, 1):
+                a += b * s * d0
+                b = Fraction(0)
+                d = 0
+            else:
+                b *= s
+                d = d0
         self.a, self.b, self.d = a, b, d
 
     @staticmethod
     def sqrt_int(n: int) -> "Scalar":
         """Exact sqrt of a non-negative integer."""
-        return Scalar(0, 1, n)
+        s, d = squarefree_split(int(n))
+        if d in (0, 1):
+            return Scalar(s * d)
+        return Scalar(0, s, d)
 
     @property
     def is_rational(self) -> bool:
@@ -98,7 +111,9 @@ class Scalar:
 
     @staticmethod
     def _coerce(x) -> "Scalar":
-        return x if isinstance(x, Scalar) else Scalar(x)
+        if isinstance(x, Scalar):
+            return x
+        return Scalar(x)
 
     def __add__(self, other):
         o = Scalar._coerce(other)
@@ -394,9 +409,6 @@ def _pair_row(entries) -> tuple:
     times den, the least positive integer that makes them integer pairs
     x + y sqrt(d), as the list of their x parts followed by the list of
     their y parts."""
-    if not entries or type(entries[0]) is int and all(
-            type(e) is int for e in entries):  # ints are their own pairs
-        return [*entries, *[0] * len(entries)], 1
     v = [e.a if isinstance(e, Scalar) else e for e in entries]
     v += [e.b if isinstance(e, Scalar) else 0 for e in entries]
     v = [e.as_integer_ratio() for e in v]

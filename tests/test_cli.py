@@ -486,22 +486,25 @@ def test_literal_past_the_digit_limit_is_an_input_error(capsys):
 
 
 def test_an_error_message_quotes_a_huge_input_in_short(capsys, tmp_path):
-    # a 5000-digit literal, integer list and JSON rational each exit 3
-    # with a message that quotes the start of the input and its length
+    # a 5000-digit literal, integer list and JSON rational and a 4000-digit
+    # radicand each exit 3 with a message that quotes the start of the
+    # input and its length
     digits = "1" * 5000
     path = tmp_path / "cone.json"
     path.write_text(json.dumps({"rays": [["0", "1"], [{"a": digits}, "1"]]}))
     for argv, quoted in ((["hj", "expand", "--value", digits], digits),
                          (["gvec", "--f", "1," + digits, "--d", "3"],
                           "1," + digits),
-                         (["hj", "resolve", "--cone", str(path)], digits)):
+                         (["hj", "resolve", "--cone", str(path)], digits),
+                         (["hj", "expand", "--value", f"sqrt({digits[:4000]})"],
+                          int(digits[:4000]))):
         code, out = invoke(capsys, argv)
         assert code == 3, argv[:2]
         err = json.loads(out)
         assert (err["status"], err["error"]) == ("error", "InputError")
         assert len(err["message"]) < 200
-        assert err["message"].endswith(
-            f"{repr(quoted)[:100]}... ({len(repr(quoted))} characters)")
+        assert f"{repr(quoted)[:100]}... ({len(repr(quoted))} characters)" \
+            in err["message"]
 
 
 def test_depth_below_one_is_an_input_error(capsys, tmp_path):

@@ -3,10 +3,9 @@ one value and `scalars._pair_row` for a row of them.  Each clearing they
 replaced is kept here as an oracle (the old bodies of `_pair_row`,
 `linalg._primitive`'s Fraction path, the (P, B, Q) of `hj.quadratic_orbit`,
 both moment-vector formulas of `quotient.quotient_data` and the offsets of
-`polytope.normal_data`), with the old `Scalar` normalisation, rational
-division and floor, and each is compared with the new code on seeded
-values over Q, Q(sqrt 2) and Q(sqrt 5), denominators near 10^50 among
-them."""
+`polytope.normal_data`), with the old `Scalar` division and floor, and
+each is compared with the new code on seeded values over Q, Q(sqrt 2) and
+Q(sqrt 5), denominators near 10^50 among them."""
 
 import math
 import random
@@ -17,7 +16,7 @@ from nctoric.errors import Empty, NotSimple, Unbounded
 from nctoric.linalg import _primitive
 from nctoric.polytope import SimplePolytope, normal_data
 from nctoric.quotient import quotient_data
-from nctoric.scalars import Scalar, _pair_row, common_field, squarefree_split
+from nctoric.scalars import Scalar, _pair_row, common_field
 
 from test_polytope import lattice_polygon, small_polygon
 
@@ -60,19 +59,6 @@ def floor_oracle(x):
     B = b.numerator * a.denominator
     r = math.isqrt(B * B * x.d)
     return (A + (r if B > 0 else -r - 1)) // C
-
-
-def normalised_oracle(a, b, d):
-    """(a, b, d) as the old Scalar constructor normalised them."""
-    a, b, d = Fraction(a), Fraction(b), int(d)
-    if d in (0, 1):
-        return a + b * d, Fraction(0), 0
-    if b == 0:
-        return a, b, 0
-    s, d0 = squarefree_split(d)
-    if d0 in (0, 1):
-        return a + b * s * d0, Fraction(0), 0
-    return a, b * s, d0
 
 
 def nu_oracle(basis, lam):
@@ -179,15 +165,8 @@ def test_triple_matches_the_orbit_start_and_the_old_floor():
                                   for r in (False, True)}
 
 
-def test_constructor_and_division_match_the_old_arithmetic():
+def test_division_matches_the_old_arithmetic():
     rng = random.Random(2404)
-    for _ in range(400):
-        a, b = rational(rng, 0), rng.choice((0, rational(rng, 0)))
-        # squares, square-free radicands and radicands with square factors
-        d = rng.choice((0, 1, 2, 4, 5, 8, 9, 12, 18, 20, 45, 49, 50, 999983))
-        x = Scalar(a, b, d)
-        assert (x.a, x.b, x.d) == normalised_oracle(a, b, d), (a, b, d)
-        assert Scalar.sqrt_int(d) == Scalar(*normalised_oracle(0, 1, d))
     for trial in range(300):
         d = (0, 2, 5)[trial % 3]
         big = 10**50 if trial // 3 % 2 else 0
