@@ -2,12 +2,13 @@
 algebras over Q, given by structure constants; includes convolution
 algebras of finite groupoids.
 
-Chains of degree k are linear combinations of basis tensors
-e_{i_0} x ... x e_{i_k}.  The reduced (normalized) complex takes the
-factors in positions 1..k modulo the unit, A x (A/Q.1)^k; it has the same
-homology as the full bar complex (Loday, *Cyclic Homology*, 1.1.14), so
-Hochschild ranks are computed on it.  Ranks come from exact sparse
-elimination done fraction-free on integers.
+Chains live in the normalized complex A x (A/Q.1)^k: linear combinations
+of basis tensors e_{i_0} x ... x e_{i_k} whose factors in positions 1..k
+are taken modulo the unit.  It has the same homology as the full bar
+complex (Loday, *Cyclic Homology*, 1.1.14) and carries Connes' B
+(ibid., 2.1.9); the bar complex itself is computed only by the tests, as
+an oracle.  Ranks come from exact sparse elimination done fraction-free
+on integers.
 """
 
 from __future__ import annotations
@@ -79,10 +80,6 @@ class FinDimAlgebra:
 
     def _basis_vec(self, i):
         return [Fraction(int(j == i)) for j in range(self.dim)]
-
-    def mul_basis(self, i, j):
-        """e_i e_j as a coefficient vector."""
-        return self.c[i][j]
 
     def mul_vec(self, u, v):
         out = [Fraction(0)] * self.dim
@@ -164,6 +161,7 @@ class FiniteGroupoid:
         self._check()
 
     def _check(self):
+        arrows = set(self.arrows)
         for a in self.arrows:
             if self.source.get(a) not in self.objects \
                     or self.target.get(a) not in self.objects:
@@ -177,6 +175,9 @@ class FiniteGroupoid:
                         f"composition table wrong at ({b!r}, {g!r})")
                 if defined:
                     h = self.compose[(b, g)]
+                    if h not in arrows:
+                        raise InvalidGroupoid(
+                            f"composite of ({b!r}, {g!r}) is not an arrow")
                     if self.source[h] != self.source[g] \
                             or self.target[h] != self.target[b]:
                         raise InvalidGroupoid(
@@ -234,97 +235,73 @@ def convolution_algebra(G: FiniteGroupoid) -> FinDimAlgebra:
 
 
 class ChainElement:
-    """Formal Q-combination of basis tensors, as {index tuple: coeff}.
+    """Chain of the normalized complex: a formal Q-combination of basis
+    tensors, as {index tuple: coeff}.
 
-    degree = tensor length - 1.  In reduced mode the factors in positions
-    1..k are taken modulo the unit: any occurrence of the pivot basis
-    index there is rewritten through e_p = (unit - other terms)/u_p."""
+    degree = tensor length - 1.  The factors in positions 1..k are taken
+    modulo the unit: any occurrence of the pivot basis index there is
+    rewritten through e_p = (unit - other terms)/u_p."""
 
-    def __init__(self, algebra: FinDimAlgebra, degree: int, coeffs=None,
-                 reduced: bool = False):
+    def __init__(self, algebra: FinDimAlgebra, degree: int, coeffs=None):
         self.algebra = algebra
         self.degree = int(degree)
-        self.reduced = bool(reduced)
         self.coeffs = {}
+        indices = frozenset(range(algebra.dim))
         for key, val in (coeffs or {}).items():
+            # True and 1.0 hash like 1, so the entry types are checked too
+            if type(key) is not tuple or not indices.issuperset(key) \
+                    or not set(map(type, key)) <= {int}:
+                raise InputError(f"tensor key {_quote(key)} is not a tuple "
+                                 "of basis indices")
             if len(key) != self.degree + 1:
                 raise InputError("tensor length does not match degree")
-            self._add_tensor(tuple(key), Fraction(val))
+            self._add_tensor(key, Fraction(val))
 
     def _add_tensor(self, key, val):
         if val == 0:
             return
-        if self.reduced:
-            p = self.algebra.unit_pivot
-            pos = next((l for l in range(1, len(key)) if key[l] == p), None)
-            if pos is not None:
-                u = self.algebra.unit
-                # e_p = (unit - sum_{i != p} u_i e_i) / u_p; the unit tensor
-                # is zero in the reduced complex
-                for i in range(self.algebra.dim):
-                    if i == p or u[i] == 0:
-                        continue
-                    self._add_tensor(key[:pos] + (i,) + key[pos + 1:],
-                                     -val * u[i] / u[p])
-                return
+        p = self.algebra.unit_pivot
+        pos = next((l for l in range(1, len(key)) if key[l] == p), None)
+        if pos is not None:
+            u = self.algebra.unit
+            # e_p = (unit - sum_{i != p} u_i e_i) / u_p; the unit tensor is
+            # zero in the normalized complex
+            for i in range(self.algebra.dim):
+                if i == p or u[i] == 0:
+                    continue
+                self._add_tensor(key[:pos] + (i,) + key[pos + 1:],
+                                 -val * u[i] / u[p])
+            return
         self.coeffs[key] = self.coeffs.get(key, Fraction(0)) + val
         if self.coeffs[key] == 0:
             del self.coeffs[key]
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        if self.algebra is not other.algebra or self.degree != other.degree \
-                or self.reduced != other.reduced:
-            raise InputError("incompatible chain elements")
-        out = ChainElement(self.algebra, self.degree, self.coeffs, self.reduced)
-        for key, val in other.coeffs.items():
-            out._add_tensor(key, val)
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, ChainElement) and self.algebra is other.algebra \
-            and self.degree == other.degree and self.reduced == other.reduced \
-            and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        terms = " + ".join(
-            f"{v}*(" + "x".join(self.algebra.labels[i] for i in k) + ")"
-            for k, v in sorted(self.coeffs.items()))
-        return terms or "0"
-
 
 def hochschild_boundary(x: ChainElement) -> ChainElement:
-    """d(a_0 x ... x a_n) = sum_i (-1)^i a_0 x..x a_i a_{i+1} x..x a_n
+    """b(a_0 x ... x a_n) = sum_{i<n} (-1)^i a_0 x..x a_i a_{i+1} x..x a_n
     + (-1)^n (a_n a_0) x a_1 x..x a_{n-1}."""
     n = x.degree
     if n < 1:
         raise DegreeZero("boundary needs degree >= 1")
     A = x.algebra
-    out = ChainElement(A, n - 1, reduced=x.reduced)
+    out = ChainElement(A, n - 1)
     for key, val in x.coeffs.items():
-        for i in range(n):
-            prod_vec = A.mul_basis(key[i], key[i + 1])
-            sign = -1 if i % 2 else 1
-            for k, ck in enumerate(prod_vec):
+        for i in range(n + 1):
+            # face n is face 0 of the rotation a_n x a_0 x ... x a_{n-1}
+            t, f = (key, i) if i < n else ((key[n],) + key[:n], 0)
+            signed = -val if i % 2 else val
+            for k, ck in enumerate(A.c[t[f]][t[f + 1]]):
                 if ck != 0:
-                    out._add_tensor(key[:i] + (k,) + key[i + 2:],
-                                    val * ck * sign)
-        prod_vec = A.mul_basis(key[n], key[0])
-        sign = -1 if n % 2 else 1
-        for k, ck in enumerate(prod_vec):
-            if ck != 0:
-                out._add_tensor((k,) + key[1:n], val * ck * sign)
+                    out._add_tensor(t[:f] + (k,) + t[f + 2:], signed * ck)
     return out
 
 
 def connes_B(x: ChainElement) -> ChainElement:
     """B(a_0 x ... x a_n) = sum_i (-1)^{n i} 1 x a_i x ... x a_{i-1}
-    (cyclic rotations with a unit in front), on the reduced complex."""
+    (cyclic rotations with a unit in front)."""
     n = x.degree
     A = x.algebra
-    out = ChainElement(A, n + 1, reduced=x.reduced)
+    out = ChainElement(A, n + 1)
     for key, val in x.coeffs.items():
         for i in range(n + 1):
             rot = key[i:] + key[:i]
@@ -378,7 +355,11 @@ def _primitive(col):
     return {r: v // g for r, v in col.items()}
 
 
-def _guard(dim_algebra: int, max_len: int):
+def _guard(dim_algebra: int, up_to: int, max_len: int):
+    """Refuse degrees past DEGREE_LIMIT and tensors of max_len factors
+    whose chain space exceeds SIZE_LIMIT."""
+    if up_to > DEGREE_LIMIT:
+        raise ComplexTooLarge(f"degrees beyond {DEGREE_LIMIT} are out of range")
     if dim_algebra ** max_len > SIZE_LIMIT:
         raise ComplexTooLarge(
             f"chain space dimension {dim_algebra}^{max_len} exceeds "
@@ -387,17 +368,15 @@ def _guard(dim_algebra: int, max_len: int):
 
 def hh_ranks(A: FinDimAlgebra, up_to: int):
     """Hochschild homology ranks HH_0..HH_up_to, from the boundaries of
-    the reduced complex, whose degree-k space has dimension D (D-1)^k."""
+    the normalized complex, whose degree-k space has dimension D (D-1)^k."""
     if up_to < 0:
         raise InputError(f"up_to must be >= 0, got {up_to}")
-    if up_to > DEGREE_LIMIT:
-        raise ComplexTooLarge(f"degrees beyond {DEGREE_LIMIT} are out of range")
-    _guard(A.dim, up_to + 2)
+    _guard(A.dim, up_to, up_to + 2)
     D = A.dim
     rank_d = [0]  # rank of d_k, k = 0 treated as the zero map
     for k in range(1, up_to + 2):
         columns = (hochschild_boundary(
-            ChainElement(A, k, {key: 1}, reduced=True)).coeffs
+            ChainElement(A, k, {key: 1})).coeffs
             for key in _reduced_basis(A, k))
         rank_d.append(_sparse_rank(columns))
     return [D * (D - 1) ** k - rank_d[k] - rank_d[k + 1]
@@ -427,9 +406,7 @@ def hp_truncated(A: FinDimAlgebra, N: int, up_to: int | None = None) -> tuple:
         up_to = 2 * N - 1
     if up_to < 2 * N - 1:
         raise InputError(f"up_to must be >= 2N - 1 = {2 * N - 1}, got {up_to}")
-    if up_to > DEGREE_LIMIT:
-        raise ComplexTooLarge(f"degrees beyond {DEGREE_LIMIT} are out of range")
-    _guard(A.dim, min(2 * N, up_to) + 2)
+    _guard(A.dim, up_to, min(2 * N, up_to) + 2)
 
     def summands(t):
         # (j, k) with 2j - k = t, 0 <= j < N, 0 <= k <= up_to
@@ -450,7 +427,7 @@ def hp_truncated(A: FinDimAlgebra, N: int, up_to: int | None = None) -> tuple:
         for j, key in space(t):
             k = len(key) - 1
             col = {}
-            x = ChainElement(A, k, {key: 1}, reduced=True)
+            x = ChainElement(A, k, {key: 1})
             if k >= 1:
                 for tk, v in hochschild_boundary(x).coeffs.items():
                     r = target_index.get((j, tk))

@@ -82,14 +82,22 @@ def random_algebra(rng):
     return change_of_basis(base, random_invertible(rng, base.dim))
 
 
-def random_chain(rng, A, degree, reduced=True):
-    x = ChainElement(A, degree, reduced=reduced)
+def chain_sum(x, y):
+    """x + y, for two chains of one algebra and degree."""
+    assert x.algebra is y.algebra and x.degree == y.degree
+    coeffs = dict(x.coeffs)
+    for key, val in y.coeffs.items():
+        coeffs[key] = coeffs.get(key, 0) + val
+    return ChainElement(x.algebra, x.degree, coeffs)
+
+
+def random_chain(rng, A, degree):
+    coeffs = {}
     pool = list(range(A.dim))
     for _ in range(4):
         key = tuple(rng.choice(pool) for _ in range(degree + 1))
-        x = x + ChainElement(A, degree, {key: Fraction(rng.randint(-3, 3))},
-                             reduced=reduced)
-    return x
+        coeffs[key] = coeffs.get(key, 0) + Fraction(rng.randint(-3, 3))
+    return ChainElement(A, degree, coeffs)
 
 
 def test_algebra_validation():
@@ -122,15 +130,18 @@ def test_algebra_json_roundtrip():
 
 def test_boundary_small_cases():
     z2 = group_algebra_z2()
-    # d(g x g) = g.g - g.g = 0
-    assert hochschild_boundary(ChainElement(z2, 1, {(1, 1): 1})).is_zero()
-    # d(1 x g x g) = g x g - 1 x 1 + g x g
+    # b(g x g) = g.g - g.g = 0
+    assert not hochschild_boundary(ChainElement(z2, 1, {(1, 1): 1})).coeffs
+    # b(1 x g x g) = g x g - 1 x 1 + g x g, and 1 x 1 is zero in the
+    # normalized complex; the bar complex keeps it
     out = hochschild_boundary(ChainElement(z2, 2, {(0, 1, 1): 1}))
-    assert out == ChainElement(z2, 1, {(1, 1): 2, (0, 0): -1})
+    assert out.coeffs == {(1, 1): 2}
+    assert bar_boundary(z2, (0, 1, 1)) == {(1, 1): 2, (0, 0): -1}
     m2 = matrix_algebra(2)
-    # d(e01 x e10) = e00 - e11
+    # b(e01 x e10) = e00 - e11
     out = hochschild_boundary(ChainElement(m2, 1, {(1, 2): 1}))
-    assert out == ChainElement(m2, 0, {(0,): 1, (3,): -1})
+    assert out.coeffs == {(0,): 1, (3,): -1}
+    assert bar_boundary(m2, (1, 2)) == {(0,): 1, (3,): -1}
     with pytest.raises(DegreeZero):
         hochschild_boundary(ChainElement(z2, 0, {(1,): 1}))
 
@@ -138,20 +149,17 @@ def test_boundary_small_cases():
 def test_connes_B_small_cases():
     z2 = group_algebra_z2()
     # B(a0) = 1 x a0
-    out = connes_B(ChainElement(z2, 0, {(1,): 1}, reduced=True))
-    assert out == ChainElement(z2, 1, {(0, 1): 1}, reduced=True)
+    assert connes_B(ChainElement(z2, 0, {(1,): 1})).coeffs == {(0, 1): 1}
     # B(g x g): the two rotations cancel by sign
-    assert connes_B(ChainElement(z2, 1, {(1, 1): 1}, reduced=True)).is_zero()
+    assert not connes_B(ChainElement(z2, 1, {(1, 1): 1})).coeffs
 
 
 def test_reduced_unit_rewrite():
     z2 = group_algebra_z2()
-    # a unit in position >= 1 dies in the reduced complex
-    x = ChainElement(z2, 1, {(1, 0): 1}, reduced=True)
-    assert x.is_zero()
+    # a unit in position >= 1 dies in the normalized complex
+    assert not ChainElement(z2, 1, {(1, 0): 1}).coeffs
     # ... but position 0 is kept
-    x = ChainElement(z2, 1, {(0, 1): 1}, reduced=True)
-    assert not x.is_zero()
+    assert ChainElement(z2, 1, {(0, 1): 1}).coeffs == {(0, 1): 1}
 
 
 def test_complex_identities_random():
@@ -159,12 +167,50 @@ def test_complex_identities_random():
     for _ in range(20):
         A = random_algebra(rng)
         for k in (1, 2, 3):
-            x = random_chain(rng, A, k, reduced=True)
+            x = random_chain(rng, A, k)
             if k >= 2:
-                assert hochschild_boundary(hochschild_boundary(x)).is_zero()
-            assert connes_B(connes_B(x)).is_zero()
-            assert (hochschild_boundary(connes_B(x))
-                    + connes_B(hochschild_boundary(x))).is_zero()
+                assert not hochschild_boundary(hochschild_boundary(x)).coeffs
+            assert not connes_B(connes_B(x)).coeffs
+            assert not chain_sum(hochschild_boundary(connes_B(x)),
+                                 connes_B(hochschild_boundary(x))).coeffs
+
+
+def test_chain_keys_must_be_basis_indices():
+    z2 = group_algebra_z2()
+    assert ChainElement(z2, 1, {(1, 1): 1}).coeffs == {(1, 1): 1}
+    for key in ((-1, 1), (2, 1), ("a", 1), (1.0, 1), (True, 1), "gg", 3):
+        with pytest.raises(InputError):
+            ChainElement(z2, 1, {key: 1})
+    with pytest.raises(InputError):
+        ChainElement(z2, 1, {(1, 1, 1): 1})
+
+
+def test_identities_on_chains_with_unit_factors():
+    """b b = 0, B B = 0 and b B + B b = 0 on chains built from seeded keys
+    that each carry the unit pivot somewhere, as the constructor takes them."""
+    b, B = hochschild_boundary, connes_B
+    rng = random.Random(43)
+    # one algebra of each family in this file, the sheared ones included
+    for A in (ground_field(), product_of_fields(2), product_of_fields(3),
+              group_algebra_z2(), dual_numbers(), upper_triangular2(),
+              matrix_algebra(2), convolution_algebra(pair_groupoid(3)),
+              change_of_basis(product_of_fields(3), SHEAR_Q3),
+              change_of_basis(matrix_algebra(2), SHEAR_M2)):
+        for k in (0, 1, 2):
+            for _ in range(4):
+                coeffs = {}
+                for _ in range(3):
+                    key = [rng.randrange(A.dim) for _ in range(k + 1)]
+                    key[rng.randrange(k + 1)] = A.unit_pivot
+                    key = tuple(key)
+                    coeffs[key] = coeffs.get(key, 0) + rng.randint(-3, 3)
+                x = ChainElement(A, k, coeffs)
+                if k >= 2:
+                    assert not b(b(x)).coeffs
+                assert not B(B(x)).coeffs
+                bB = b(B(x))
+                Bb = B(b(x)) if k else ChainElement(A, 0)
+                assert not chain_sum(bB, Bb).coeffs
 
 
 def dense_rank(columns, nrows):
@@ -191,15 +237,30 @@ def dense_rank(columns, nrows):
     return rank
 
 
+def bar_boundary(A, key):
+    """b of one basis tensor of the full bar complex, as {tensor: coeff},
+    read straight off the structure constants A.c."""
+    n = len(key) - 1
+    faces = [(key[:i], key[i], key[i + 1], key[i + 2:], (-1) ** i)
+             for i in range(n)]
+    faces.append(((), key[n], key[0], key[1:n], (-1) ** n))
+    out = {}
+    for head, a, b, tail, sign in faces:
+        for t, v in enumerate(A.c[a][b]):
+            if v:
+                term = head + (t,) + tail
+                out[term] = out.get(term, 0) + sign * v
+    return {term: v for term, v in out.items() if v}
+
+
 def _boundary_columns(A, k):
     """Columns of d_k : C_k -> C_{k-1} on the full bar complex, indexed by
     the lexicographic position of the target tensors."""
     D = A.dim
     cols = []
     for key in product(range(D), repeat=k + 1):
-        bx = hochschild_boundary(ChainElement(A, k, {key: 1}))
         col = {}
-        for t, v in bx.coeffs.items():
+        for t, v in bar_boundary(A, key).items():
             row = 0
             for i in t:
                 row = row * D + i
@@ -222,7 +283,7 @@ def commutator_hh0(A):
     cols = []
     for i in range(A.dim):
         for j in range(A.dim):
-            v = [a - b for a, b in zip(A.mul_basis(i, j), A.mul_basis(j, i))]
+            v = [a - b for a, b in zip(A.c[i][j], A.c[j][i])]
             cols.append({r: x for r, x in enumerate(v) if x != 0})
     return A.dim - dense_rank(cols, A.dim)
 
@@ -365,12 +426,18 @@ def test_hp_truncated_needs_degrees_up_to_2n_minus_1():
 
 
 def test_size_and_degree_guards():
-    with pytest.raises(ComplexTooLarge):
+    degree, size = "degrees beyond 6 are out of range", "chain space dimension"
+    with pytest.raises(ComplexTooLarge, match=degree):
         hh_ranks(ground_field(), 7)
-    with pytest.raises(ComplexTooLarge):
+    with pytest.raises(ComplexTooLarge, match=size + " 9\\^8 exceeds 100000"):
         hh_ranks(matrix_algebra(3), 6)
-    with pytest.raises(ComplexTooLarge):
-        hp_truncated(matrix_algebra(3), 4)
+    with pytest.raises(ComplexTooLarge, match=size + " 9\\^7 exceeds 100000"):
+        hp_truncated(matrix_algebra(3), 3)
+    # past both caps, the degree is refused first
+    for call in (lambda: hh_ranks(matrix_algebra(3), 7),
+                 lambda: hp_truncated(matrix_algebra(3), 4)):
+        with pytest.raises(ComplexTooLarge, match=degree):
+            call()
 
 
 def test_pair_groupoid_is_matrix_algebra():
@@ -396,6 +463,8 @@ def test_group_as_groupoid():
 def test_invalid_groupoids():
     with pytest.raises(InvalidGroupoid):
         FiniteGroupoid(["*"], ["e"], {"e": "x"}, {"e": "*"}, {("e", "e"): "e"})
+    with pytest.raises(InvalidGroupoid, match="is not an arrow"):
+        FiniteGroupoid([0], ["e"], {"e": 0}, {"e": 0}, {("e", "e"): "zzz"})
     with pytest.raises(InvalidGroupoid):
         # missing composite of composable arrows
         FiniteGroupoid(["*"], ["e", "g"],
