@@ -200,9 +200,9 @@ ACTIONS = {
         {**_CONFIG, "--eps": {}},
         lambda args: lvm.gale_transform(_config(args), _eps(args)), _gale),
     ("lvm", "dichotomy"): (
-        _CONFIG, lambda args: lvm.condition_K(_config(args)),
-        lambda K, args: _emit({"condition_K": K, "dichotomy":
-                               lvm.COMPACT_TORI if K else lvm.DENSE_LEAVES})),
+        _CONFIG, lambda args: lvm.leaf_dichotomy(_config(args)),
+        lambda leaf, args: _emit({"condition_K": leaf == lvm.COMPACT_TORI,
+                                  "dichotomy": leaf})),
     ("lvm", "fiber"): (
         _CONFIG, lambda args: lvm.generic_fiber(_config(args)), _fiber),
     ("lvm", "polytope"): (

@@ -7,8 +7,12 @@ of basis tensors e_{i_0} x ... x e_{i_k} whose factors in positions 1..k
 are taken modulo the unit.  It has the same homology as the full bar
 complex (Loday, *Cyclic Homology*, 1.1.14) and carries Connes' B
 (ibid., 2.1.9); the bar complex itself is computed only by the tests, as
-an oracle.  Ranks come from exact sparse elimination done fraction-free
-on integers.
+an oracle.  One total complex (C[u]/u^N, b + uB) is built and ranked, by
+`_total_homology`: `hp_truncated` reads it in total degrees 0 and 1, and
+`hh_ranks` is its N = 1 case.  Ranks come from exact sparse elimination
+done fraction-free on integers.  Both algebra laws are checked on one
+table of nonzero structure constants, and coefficients are exact:
+ints, Fractions and "p"/"p/q" strings (scalars.rational_literal).
 """
 
 from __future__ import annotations
@@ -27,15 +31,27 @@ SIZE_LIMIT = 100_000
 DEGREE_LIMIT = 6
 
 
+def _integer(name: str, x) -> int:
+    """x, if it is an int (a bool is not), else InputError."""
+    if type(x) is not int:
+        raise InputError(f"{name} must be an integer, got {_quote(x)}")
+    return x
+
+
+def _exact(x) -> Fraction:
+    """x if it is a Fraction, else its value by scalars.rational_literal."""
+    return x if isinstance(x, Fraction) else rational_literal(x)
+
+
 class FinDimAlgebra:
     """Unital associative algebra by structure constants:
     e_i e_j = sum_k c[i][j][k] e_k.  Associativity and the unit laws are
     checked exhaustively at construction."""
 
     def __init__(self, dim, c, unit, labels=None):
-        self.dim = int(dim)
-        self.c = [[[Fraction(x) for x in col] for col in row] for row in c]
-        self.unit = [Fraction(x) for x in unit]
+        self.dim = _integer("dim", dim)
+        self.c = [[[_exact(x) for x in col] for col in row] for row in c]
+        self.unit = [_exact(x) for x in unit]
         # the shape is checked before the default labels are built, so a
         # huge dim with a small table fails at once
         if len(self.c) != self.dim or len(self.unit) != self.dim \
@@ -72,27 +88,17 @@ class FinDimAlgebra:
                     if lhs != rhs:
                         raise InvalidAlgebra(
                             f"associativity fails at ({i},{j},{k})")
+        unit = [(s, x) for s, x in enumerate(self.unit) if x]
         for i in range(d):
-            left = self.mul_vec(self.unit, self._basis_vec(i))
-            right = self.mul_vec(self._basis_vec(i), self.unit)
-            if left != self._basis_vec(i) or right != self._basis_vec(i):
+            left, right = [0] * d, [0] * d
+            for s, x in unit:
+                for l, y in nz[s][i]:
+                    left[l] += x * y
+                for l, y in nz[i][s]:
+                    right[l] += x * y
+            e = [int(l == i) for l in range(d)]
+            if left != e or right != e:
                 raise InvalidAlgebra(f"unit law fails at basis {i}")
-
-    def _basis_vec(self, i):
-        return [Fraction(int(j == i)) for j in range(self.dim)]
-
-    def mul_vec(self, u, v):
-        out = [Fraction(0)] * self.dim
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            for j, vj in enumerate(v):
-                if vj == 0:
-                    continue
-                for k, ck in enumerate(self.c[i][j]):
-                    if ck != 0:
-                        out[k] += ui * vj * ck
-        return out
 
     def to_json(self):
         return {"dim": self.dim, "labels": self.labels,
@@ -102,14 +108,8 @@ class FinDimAlgebra:
     @staticmethod
     def from_json(obj):
         try:
-            dim, c, unit = obj["dim"], obj["c"], obj["unit"]
-            if type(dim) is not int:
-                raise InputError(
-                    f"bad algebra JSON: non-integer dim {_quote(dim)}")
-            return FinDimAlgebra(
-                dim, [[[rational_literal(x) for x in col] for col in row]
-                      for row in c],
-                [rational_literal(x) for x in unit], obj.get("labels"))
+            return FinDimAlgebra(obj["dim"], obj["c"], obj["unit"],
+                                 obj.get("labels"))
         except (KeyError, TypeError) as e:
             raise InputError(f"bad algebra JSON: {e}") from e
 
@@ -244,7 +244,7 @@ class ChainElement:
 
     def __init__(self, algebra: FinDimAlgebra, degree: int, coeffs=None):
         self.algebra = algebra
-        self.degree = int(degree)
+        self.degree = _integer("degree", degree)
         self.coeffs = {}
         indices = frozenset(range(algebra.dim))
         for key, val in (coeffs or {}).items():
@@ -255,7 +255,7 @@ class ChainElement:
                                  "of basis indices")
             if len(key) != self.degree + 1:
                 raise InputError("tensor length does not match degree")
-            self._add_tensor(key, Fraction(val))
+            self._add_tensor(key, _exact(val))
 
     def _add_tensor(self, key, val):
         if val == 0:
@@ -367,20 +367,13 @@ def _guard(dim_algebra: int, up_to: int, max_len: int):
 
 
 def hh_ranks(A: FinDimAlgebra, up_to: int):
-    """Hochschild homology ranks HH_0..HH_up_to, from the boundaries of
-    the normalized complex, whose degree-k space has dimension D (D-1)^k."""
-    if up_to < 0:
+    """Hochschild homology ranks HH_0..HH_up_to: the N = 1 case of
+    `_total_homology`, whose complex is then the normalized Hochschild
+    complex, with C_k of dimension D (D-1)^k in degree -k."""
+    if _integer("up_to", up_to) < 0:
         raise InputError(f"up_to must be >= 0, got {up_to}")
     _guard(A.dim, up_to, up_to + 2)
-    D = A.dim
-    rank_d = [0]  # rank of d_k, k = 0 treated as the zero map
-    for k in range(1, up_to + 2):
-        columns = (hochschild_boundary(
-            ChainElement(A, k, {key: 1})).coeffs
-            for key in _reduced_basis(A, k))
-        rank_d.append(_sparse_rank(columns))
-    return [D * (D - 1) ** k - rank_d[k] - rank_d[k + 1]
-            for k in range(up_to + 1)]
+    return _total_homology(A, 1, up_to + 1, range(0, -up_to - 1, -1))
 
 
 def _reduced_basis(A: FinDimAlgebra, k: int):
@@ -395,52 +388,49 @@ def _reduced_basis(A: FinDimAlgebra, k: int):
 def hp_truncated(A: FinDimAlgebra, N: int, up_to: int | None = None) -> tuple:
     """(even_rank, odd_rank) of the truncated periodic complex
     (C^red[u]/u^N, d + uB): ranks of the total homology at total degree 0
-    (even) and 1 (odd), with u of degree +2 and C_k in degree -k, so the
-    summand u^j C_k sits in degree 2j - k.
+    (even) and 1 (odd), by `_total_homology`.
 
     Total degrees -1..2 reach C_k up to k = 2N - 1, so `up_to` (default
     2N - 1) must be at least that; a smaller one would cut the complex."""
-    if N < 1:
+    if _integer("N", N) < 1:
         raise InputError("truncation order must be >= 1")
     if up_to is None:
         up_to = 2 * N - 1
-    if up_to < 2 * N - 1:
+    if _integer("up_to", up_to) < 2 * N - 1:
         raise InputError(f"up_to must be >= 2N - 1 = {2 * N - 1}, got {up_to}")
     _guard(A.dim, up_to, min(2 * N, up_to) + 2)
+    return tuple(_total_homology(A, N, up_to, (0, 1)))
 
-    def summands(t):
-        # (j, k) with 2j - k = t, 0 <= j < N, 0 <= k <= up_to
-        return [(j, 2 * j - t) for j in range(N)
-                if 0 <= 2 * j - t <= up_to]
 
-    def space(t):
-        out = []
-        for j, k in summands(t):
-            for key in _reduced_basis(A, k):
-                out.append((j, key))
-        return out
+def _total_homology(A: FinDimAlgebra, N: int, top: int, degrees) -> list:
+    """Homology ranks at the consecutive total degrees `degrees` of the
+    truncated periodic complex (C^red[u]/u^N, d + uB), cut at chain degree
+    `top`.  u has degree +2 and C_k degree -k, so the summand u^j C_k sits
+    in degree 2j - k.
 
-    def total_d_columns(t):
-        # d + uB maps degree t to degree t + 1
-        target_index = {b: r for r, b in enumerate(space(t + 1))}
-        cols = []
-        for j, key in space(t):
+    Each map d + uB out of a degree is ranked once, its columns built one
+    at a time, with rows numbered in (j, _reduced_basis) order; within a
+    degree a key's length fixes its power of u, so the key alone names
+    its row.  b keeps the power of u and B raises it, so their terms never
+    share a row; b stays inside the cut and B leaves it only from C_top.
+    A map into an empty space has rank 0 and is not built."""
+    one = Fraction(1)
+
+    def columns(space, row):
+        for j, key in space:
             k = len(key) - 1
-            col = {}
-            x = ChainElement(A, k, {key: 1})
-            if k >= 1:
-                for tk, v in hochschild_boundary(x).coeffs.items():
-                    r = target_index.get((j, tk))
-                    if r is not None:
-                        col[r] = col.get(r, Fraction(0)) + v
-            if j + 1 < N:
-                for tk, v in connes_B(x).coeffs.items():
-                    r = target_index.get((j + 1, tk))
-                    if r is not None:
-                        col[r] = col.get(r, Fraction(0)) + v
-            cols.append({r: v for r, v in col.items() if v != 0})
-        return cols
+            x = ChainElement(A, k, {key: one})
+            bx = hochschild_boundary(x).coeffs if k else {}
+            col = {row[s]: v for s, v in bx.items()}
+            if j + 1 < N and k < top:
+                col.update((row[s], v) for s, v in connes_B(x).coeffs.items())
+            yield col
 
-    # the ranks of d_{-1}, d_0 and d_1, each built and ranked once
-    rank = {t: _sparse_rank(total_d_columns(t)) for t in (-1, 0, 1)}
-    return tuple(len(space(t)) - rank[t - 1] - rank[t] for t in (0, 1))
+    dims, ranks, space = {}, {}, []
+    for t in range(max(degrees) + 1, min(degrees) - 2, -1):
+        row = {key: r for r, (_, key) in enumerate(space)}  # degree t + 1
+        space = [(j, key) for j in range(N) if 0 <= 2 * j - t <= top
+                 for key in _reduced_basis(A, 2 * j - t)]
+        dims[t] = len(space)
+        ranks[t] = _sparse_rank(columns(space, row)) if row else 0
+    return [dims[t] - ranks[t - 1] - ranks[t] for t in degrees]

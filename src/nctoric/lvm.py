@@ -239,8 +239,9 @@ def generic_fiber(cfg: Configuration) -> FiberReport:
     if dim_mod_diag < 2 * m:
         raise DegenerateFoliation(
             f"phase directions span only {dim_mod_diag} dims mod the diagonal")
-    # the span is defined over Q iff its kernel is (see condition_K)
-    rational = all(x.is_rational for v in cfg._kernel for x in v)
+    # the span is defined over Q iff its kernel is; the check above leaves
+    # the kernel its expected dimension, so condition_K cannot raise
+    rational = condition_K(cfg)
     # group the nonzero columns, the points, by their line, in first-seen
     # order, keeping each column's first nonzero entry; a ratio of two
     # columns is irrational only if one of their ratios to the line's first
@@ -308,9 +309,9 @@ def orbifold_weights_1d(cfg: Configuration):
     """Orbifold orders at the two endpoints of the 1D moment polytope: the
     absolute integer solution-vector weights active at each endpoint of the
     canonical moment segment."""
-    basis = solution_basis(cfg)
-    if not all(x.is_rational for v in basis for x in v):  # condition (K)
+    if not condition_K(cfg):
         raise IrrationalWeights("rationality condition fails; no integer weights")
+    basis = solution_basis(cfg)
     if len(basis) != 1:
         raise WrongDimension("endpoint weights need n - 2m - 1 = 1")
     v = _primitive(basis[0])

@@ -58,8 +58,9 @@ def change_of_basis(A, P):
     for i in range(n):
         row = []
         for j in range(n):
-            prod = A.mul_vec([Fraction(x) for x in P[i]],
-                             [Fraction(x) for x in P[j]])
+            prod = [sum(P[i][a] * P[j][b] * A.c[a][b][k]
+                        for a in range(n) for b in range(n))
+                    for k in range(n)]
             row.append(to_new(prod))
         c.append(row)
     return FinDimAlgebra(n, c, to_new(A.unit))
@@ -408,6 +409,7 @@ def test_hp_truncated_ranks_each_differential_once(monkeypatch):
     shapes = []
 
     def counting_rank(columns):
+        columns = list(columns)
         shapes.append(len(columns))
         return _sparse_rank(columns)
 
@@ -415,6 +417,46 @@ def test_hp_truncated_ranks_each_differential_once(monkeypatch):
     assert hp_truncated(matrix_algebra(2), 2, 4) == (1, 0)
     # d_{-1}, d_0 and d_1 of the total complex, one rank each
     assert sorted(shapes) == [12, 40, 120]
+    # HH: b_1, b_2 and b_3 of the normalized complex, one rank each; the
+    # map out of C_0 has no target and is not built
+    shapes.clear()
+    assert hh_ranks(matrix_algebra(2), 2) == [1, 0, 0]
+    assert sorted(shapes) == [12, 36, 108]
+
+
+def test_hp_truncated_invariant_under_base_change():
+    rng = random.Random(17)
+    pairs = [(base, change_of_basis(base, random_invertible(rng, base.dim)))
+             for base in (dual_numbers(), group_algebra_z2(),
+                          upper_triangular2())]
+    pairs += [(base, change_of_basis(base, P))
+              for base, P in ((product_of_fields(3), SHEAR_Q3),
+                              (matrix_algebra(2), SHEAR_M2))]
+    for base, A in pairs:
+        for N in (1, 2):
+            assert hp_truncated(A, N) == hp_truncated(base, N)
+
+
+def test_inexact_numbers_are_refused():
+    """Coefficients are ints, Fractions or "p"/"p/q" strings; degrees,
+    sizes and truncation orders are ints; anything else is an InputError."""
+    z2 = group_algebra_z2()
+    doc = z2.to_json()
+    for x in (1, Fraction(-1, 2), "-1/2"):
+        assert ChainElement(z2, 1, {(1, 1): x}).coeffs == {(1, 1): Fraction(x)}
+    assert FinDimAlgebra(1, [[[Fraction(1)]]], ["1"]).unit == [1]
+    for bad in (0.5, True, "x", "0.5", 2.5):
+        for call in (lambda: ChainElement(z2, 1, {(1, 1): bad}),
+                     lambda: FinDimAlgebra(2, doc["c"], [bad, 0]),
+                     lambda: FinDimAlgebra(1, [[[bad]]], [1]),
+                     lambda: FinDimAlgebra.from_json({**doc, "unit": [bad, 0]}),
+                     lambda: ChainElement(z2, bad, {}),
+                     lambda: FinDimAlgebra(bad, doc["c"], doc["unit"]),
+                     lambda: hh_ranks(z2, bad),
+                     lambda: hp_truncated(z2, bad),
+                     lambda: hp_truncated(z2, 1, bad)):
+            with pytest.raises(InputError):
+                call()
 
 
 def test_hp_truncated_needs_degrees_up_to_2n_minus_1():
