@@ -8,18 +8,19 @@ import sys
 
 
 class NctoricError(Exception):
-    """Base class for all domain errors."""
+    """Base class for all domain errors, each named by its class."""
 
     name = "DomainError"
 
+    def __init_subclass__(cls):
+        cls.name = cls.__name__
+
 
 class FieldMismatch(NctoricError):
-    name = "FieldMismatch"
+    pass
 
 
 class OutOfRange(NctoricError):
-    name = "OutOfRange"
-
     @classmethod
     def digits(cls):  # for an int past the interpreter's int-to-text limit
         return cls(f"an output number has more than the interpreter's "
@@ -27,107 +28,107 @@ class OutOfRange(NctoricError):
 
 
 class RationalInput(NctoricError):
-    name = "RationalInput"
+    pass
 
 
 class PoleAtInput(NctoricError):
-    name = "PoleAtInput"
+    pass
 
 
 class DivisionByZero(NctoricError):
-    name = "DivisionByZero"
+    pass
 
 
 class Unbounded(NctoricError):
-    name = "Unbounded"
+    pass
 
 
 class Empty(NctoricError):
-    name = "Empty"
+    pass
 
 
 class NotSimple(NctoricError):
-    name = "NotSimple"
+    pass
 
 
 class NotSimplicial(NctoricError):
-    name = "NotSimplicial"
+    pass
 
 
 class NonRational(NctoricError):
-    name = "NonRational"
+    pass
 
 
 class IrrationalNormals(NctoricError):
-    name = "IrrationalNormals"
+    pass
 
 
 class WrongDimension(NctoricError):
-    name = "WrongDimension"
+    pass
 
 
 class DimensionMismatch(NctoricError):
-    name = "DimensionMismatch"
+    pass
 
 
 class CodimensionOne(NctoricError):
-    name = "CodimensionOne"
+    pass
 
 
 class RankDeficient(NctoricError):
-    name = "RankDeficient"
+    pass
 
 
 class DegenerateSystem(NctoricError):
-    name = "DegenerateSystem"
+    pass
 
 
 class DegenerateFoliation(NctoricError):
-    name = "DegenerateFoliation"
+    pass
 
 
 class IrrationalWeights(NctoricError):
-    name = "IrrationalWeights"
+    pass
 
 
 class NotNormalizable(NctoricError):
-    name = "NotNormalizable"
+    pass
 
 
 class PeriodNotFound(NctoricError):
-    name = "PeriodNotFound"
+    pass
 
 
 class InvalidGroupoid(NctoricError):
-    name = "InvalidGroupoid"
+    pass
 
 
 class InvalidAlgebra(NctoricError):
-    name = "InvalidAlgebra"
+    pass
 
 
 class DegreeZero(NctoricError):
-    name = "DegreeZero"
+    pass
 
 
 class ComplexTooLarge(NctoricError):
-    name = "ComplexTooLarge"
+    pass
 
 
 class LengthMismatch(NctoricError):
-    name = "LengthMismatch"
+    pass
 
 
 class TooManySubsets(NctoricError):
-    name = "TooManySubsets"
+    pass
 
 
 class ChainTooLong(NctoricError):
-    name = "ChainTooLong"
+    pass
 
 
 class InputError(NctoricError):
-    name = "InputError"
+    pass
 
 
 #: most characters of an offending input value that an error message quotes
@@ -140,3 +141,10 @@ def _quote(value) -> str:
     text = repr(value)
     return text if len(text) <= _QUOTE_LIMIT else \
         f"{text[:_QUOTE_LIMIT]}... ({len(text)} characters)"
+
+
+def _integer(name: str, x) -> int:
+    """x, if it is an int (a bool is not), else InputError."""
+    if type(x) is not int:
+        raise InputError(f"{name} must be an integer, got {_quote(x)}")
+    return x

@@ -6,12 +6,14 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import LengthMismatch
+from .errors import InputError, LengthMismatch, _integer
 
 
 def h_from_f(f, d: int):
     """h_i = sum_j C(d-j, d-i) (-1)^{i-j} f_{j-1} for i = 0..d, where the
     input lists (f_{-1}, f_0, ..., f_{d-1}) and f_{-1} = 1."""
+    if _integer("d", d) < 0:
+        raise InputError(f"d must be >= 0, got {d}")
     f = list(f)
     if len(f) != d + 1:
         raise LengthMismatch(f"need f_(-1)..f_({d - 1}), got {len(f)} entries")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import (DivisionByZero, InputError, NotNormalizable,
-                     OutOfRange, PeriodNotFound, RationalInput)
+                     OutOfRange, PeriodNotFound, RationalInput, _integer)
 from .fan import (DEPTH_LIMIT, Cone, Fan, _ray_table, hj_chain, hj_digits,
                   hj_frame)
 from .scalars import Scalar
@@ -156,6 +156,6 @@ def resolve_cone(sigma: Cone, depth: int | None = None):
 
 
 def _check_depth(depth):
-    if depth is not None and not 1 <= depth <= DEPTH_LIMIT:
+    if depth is not None and not 1 <= _integer("depth", depth) <= DEPTH_LIMIT:
         raise InputError(
             f"depth must be between 1 and {DEPTH_LIMIT}, got {depth}")

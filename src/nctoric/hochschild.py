@@ -22,20 +22,13 @@ from itertools import product
 from math import gcd, lcm
 
 from .errors import (ComplexTooLarge, DegreeZero, InputError, InvalidAlgebra,
-                     InvalidGroupoid, _quote)
+                     InvalidGroupoid, _integer, _quote)
 from .scalars import rational_literal
 
 #: cap on the chain-space dimension D^(k+1) handled by rank computations
 SIZE_LIMIT = 100_000
 #: highest degree that `hh_ranks` and `hp_truncated` compute
 DEGREE_LIMIT = 6
-
-
-def _integer(name: str, x) -> int:
-    """x, if it is an int (a bool is not), else InputError."""
-    if type(x) is not int:
-        raise InputError(f"{name} must be an integer, got {_quote(x)}")
-    return x
 
 
 def _exact(x) -> Fraction:

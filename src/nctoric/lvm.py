@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 from .errors import (DegenerateFoliation, DegenerateSystem, InputError,
                      IrrationalWeights, WrongDimension, _quote)
 from .linalg import (_free_kernel, _plane_extremes, _primitive, _row_reduce,
                      pair_det, transpose, zero_in_hull)
-from .polytope import SimplePolytope, _subsets
+from .polytope import SimplePolytope, _minimal_non_faces, _subsets
 from .scalars import Scalar, _pair_row, common_field
 
 COMPACT_TORI = "CompactTori"
@@ -191,17 +190,9 @@ def polytope_from_gale(g: GaleData) -> SimplePolytope:
 def minimal_forbidden_zero_sets(cfg: Configuration):
     """Inclusion-minimal zero-sets J such that every point vanishing on J
     lies outside the union of admissible leaves (0 not in the hull of the
-    complementary sub-configuration)."""
-    allidx = set(range(cfg.n))
-    minimal = []
-    for k in range(1, cfg.n + 1):
-        for J in combinations(range(cfg.n), k):
-            s = frozenset(J)
-            if any(m0 <= s for m0 in minimal):
-                continue
-            if not cfg._hull_holds_zero(sorted(allidx - s)):
-                minimal.append(s)
-    return sorted(minimal, key=lambda s: (len(s), sorted(s)))
+    complementary sub-configuration), by polytope._minimal_non_faces."""
+    return _minimal_non_faces(lambda J: cfg._hull_holds_zero(
+        [i for i in range(cfg.n) if not J >> i & 1]), cfg.n)
 
 
 @dataclass

@@ -73,6 +73,32 @@ def _closure(tops):
     return family, maximal
 
 
+def _minimal_non_faces(is_face, N: int):
+    """The minimal non-faces of a subset-closed family of subsets of
+    range(N), whose nonempty members `is_face` recognises by bit mask, as
+    frozensets by size and then as sorted lists, the order the levels are
+    built in.  Breadth-first from the empty face, F + {j} for a face F and
+    j above its indices is asked about only if F + {j} minus each index of
+    F is a face: once per face and per minimal non-face, and no more."""
+    # level: the faces of one size, each bit mask -> its sorted indices
+    minimal, level = [], {0: []}
+    while level:
+        grown = {}
+        for F, face in level.items():
+            for j in range(F.bit_length(), N):
+                S = F | 1 << j
+                for i in face:
+                    if S ^ 1 << i not in level:
+                        break
+                else:
+                    if is_face(S):
+                        grown[S] = face + [j]
+                    else:
+                        minimal.append(face + [j])
+        level = grown
+    return [frozenset(s) for s in minimal]
+
+
 def _as_scalars(vec):
     return [Scalar._coerce(x) for x in vec]
 

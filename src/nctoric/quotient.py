@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import CodimensionOne, RankDeficient
 from .linalg import integer_kernel_basis, transpose
-from .polytope import SimplePolytope, normal_data
+from .polytope import SimplePolytope, _minimal_non_faces, normal_data
 from .scalars import Scalar, _pair_row, common_field
 
 
@@ -24,36 +24,15 @@ def forbidden_strata(family, N: int):
 
     These index the coordinate subspaces removed from C^N; their minimal
     size must be >= 2, otherwise the halfspace data is degenerate."""
-    masks = {sum(1 << i for i in f): f for f in map(frozenset, family)}
-    masks.setdefault(0, frozenset())
-    return _strata(masks, N)
+    return _strata({sum(1 << i for i in f) for f in map(frozenset, family)}, N)
 
 
 def _strata(masks, N: int):
-    """forbidden_strata of a subset-closed family given as a dict from bit
-    masks to frozensets, sorted by size and then as sorted lists.  A
-    minimal non-face is F + {j} for a face F and j above every index of F,
-    whose one-smaller subsets are all faces while it is not: S is tested
-    first, then S minus each bit of F."""
-    minimal = []
-    for F, face in masks.items():
-        for j in range(F.bit_length(), N):
-            S = F | 1 << j
-            if S in masks:
-                continue
-            rest = F
-            while rest:
-                low = rest & -rest
-                if S ^ low not in masks:
-                    break
-                rest ^= low
-            else:
-                minimal.append(sorted(face) + [j])
-    minimal.sort()
-    minimal.sort(key=len)
-    if minimal and len(minimal[0]) == 1:
+    """forbidden_strata of a family given as bit masks (a set or P._masks)."""
+    strata = _minimal_non_faces(masks.__contains__, N)
+    if strata and len(strata[0]) == 1:
         raise CodimensionOne("a single facet index is already forbidden")
-    return [frozenset(m) for m in minimal]
+    return strata
 
 
 def kernel_lattice(rho):

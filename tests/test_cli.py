@@ -336,6 +336,13 @@ def test_gvec(capsys):
     assert p["h"] == [1, 3, 3, 1] and p["pass"]
     code, out = invoke(capsys, ["gvec", "--f", "1,6,12,7", "--d", "3"])
     assert code == 0 and not parse(out)["payload"]["pass"]
+    # a negative d is bad input, a wrong length for a valid d a domain error
+    code, out = invoke(capsys, ["gvec", "--f", "1,2", "--d", "-1"])
+    assert (code, json.loads(out)) == (3, {
+        "status": "error", "error": "InputError",
+        "message": "d must be >= 0, got -1"})
+    code, out = invoke(capsys, ["gvec", "--f", "1,4", "--d", "2"])
+    assert code == 4 and json.loads(out)["error"] == "LengthMismatch"
 
 
 def test_gvec_with_large_entries_finishes_quickly(capsys):

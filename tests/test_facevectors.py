@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from nctoric.errors import LengthMismatch
+from nctoric.errors import InputError, LengthMismatch
 from nctoric.facevectors import (_binomial_decomposition,
                                  check_dehn_sommerville, g_from_h,
                                  g_theorem_necessity, h_from_f, is_m_vector,
@@ -29,6 +29,12 @@ def test_h_from_f_known():
         h_from_f([1, 6, 12], 3)
     with pytest.raises(LengthMismatch):
         h_from_f([2, 6, 12, 8], 3)
+    # d is a non-negative int; a negative d is bad input, not a length
+    # mismatch, whatever f is
+    assert h_from_f([1], 0) == [1]
+    for f, d in (([1, 2], -1), ([], -1), ([1, 2], 1.0), ([1, 2], True)):
+        with pytest.raises(InputError):
+            h_from_f(f, d)
 
 
 def test_f_h_roundtrip():

@@ -48,7 +48,8 @@ def test_depth_is_capped():
     e = hj_expand(x, depth=DEPTH_LIMIT)
     assert e.digits == (3,) + ((2, 4) * DEPTH_LIMIT)[:DEPTH_LIMIT - 1]
     sigma = Cone([[0, 1], [x, -1]])
-    for depth in (0, DEPTH_LIMIT + 1):
+    # a depth is an int: not a float, Fraction, bool or string
+    for depth in (0, DEPTH_LIMIT + 1, 2.5, 2.0, True, Fraction(2), "2"):
         with pytest.raises(InputError):
             hj_expand(x, depth=depth)
         with pytest.raises(InputError):

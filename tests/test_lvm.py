@@ -323,6 +323,35 @@ def test_minimal_forbidden_zero_sets_match_the_siegel_family():
     assert {1, 2} <= sizes
 
 
+def test_minimal_forbidden_zero_sets_run_one_hull_test_per_candidate(
+        monkeypatch):
+    """On the seeded configurations of the Siegel-family test, a zero-set J
+    gets one hull test exactly when no proper subset of J is forbidden:
+    the faces and the minimal forbidden zero-sets."""
+    rng = random.Random(20261019)
+    hull = lvm.Configuration._hull_holds_zero
+    asked = []
+
+    def counting(cfg, idx):
+        asked.append(frozenset(range(cfg.n)) - frozenset(idx))
+        return hull(cfg, idx)
+
+    monkeypatch.setattr(lvm.Configuration, "_hull_holds_zero", counting)
+    for trial in range(40):
+        m = 1 + trial % 2
+        cfg = random_admissible(rng, irrational=trial % 3 == 0, m=m,
+                                n=rng.randint(2 * m + 1, 2 * m + 3),
+                                d=(2, 3, 5)[trial % 3])
+        everything = frozenset(range(cfg.n))
+        forbidden = {everything - I for I in siegel_index_family(cfg)}
+        asked.clear()
+        lvm.minimal_forbidden_zero_sets(cfg)
+        assert sorted(asked, key=sorted) == sorted(
+            (frozenset(J) for k in range(1, cfg.n + 1)
+             for J in combinations(range(cfg.n), k)
+             if not any(K < frozenset(J) for K in forbidden)), key=sorted)
+
+
 def test_minimal_zero_sets_match_forbidden_strata():
     from nctoric.quotient import forbidden_strata
     cfg = five_vector()

@@ -6,8 +6,8 @@ import pytest
 
 from nctoric.errors import (CodimensionOne, Empty, NotSimple, RankDeficient,
                             Unbounded)
-from nctoric.polytope import (INTEGRAL_DELZANT, SimplePolytope, cube,
-                              normal_data, simplex)
+from nctoric.polytope import (INTEGRAL_DELZANT, SimplePolytope,
+                              _minimal_non_faces, cube, normal_data, simplex)
 from nctoric.quotient import forbidden_strata, kernel_lattice, quotient_data
 from nctoric.scalars import Scalar
 
@@ -33,7 +33,7 @@ def test_forbidden_strata_codimension_one():
         forbidden_strata({frozenset()}, 2)
 
 
-def scan_forbidden_strata(family, N):
+def scan_minimal_non_faces(family, N):
     """Oracle: scan all 2^N index sets by size, keeping each set outside the
     family that contains no minimal set found so far."""
     fam = {frozenset(I) for I in family}
@@ -43,9 +43,15 @@ def scan_forbidden_strata(family, N):
             s = frozenset(I)
             if s not in fam and not any(m <= s for m in minimal):
                 minimal.append(s)
+    return sorted(minimal, key=lambda s: (len(s), sorted(s)))
+
+
+def scan_forbidden_strata(family, N):
+    """Oracle: the minimal non-faces, when none is a single index."""
+    minimal = scan_minimal_non_faces(family, N)
     if any(len(m) == 1 for m in minimal):
         raise CodimensionOne("a single facet index is already forbidden")
-    return sorted(minimal, key=lambda s: (len(s), sorted(s)))
+    return minimal
 
 
 def strata_or_error(strata, family, N):
@@ -102,6 +108,31 @@ def test_forbidden_strata_match_scan_on_random_families():
             assert got == "CodimensionOne"
         outcomes.add(got == "CodimensionOne")
     assert outcomes == {False, True}
+
+
+def test_minimal_non_faces_asks_once_per_face_and_minimal_non_face():
+    """_minimal_non_faces asks about each nonempty face and each minimal
+    non-face exactly once, and about nothing else: the sets whose proper
+    subsets are all faces."""
+    rng = random.Random(27)
+    for _ in range(200):
+        N = rng.randint(0, 9)
+        fam = {frozenset()}
+        for _ in range(rng.randint(0, 4)):
+            gen = [i for i in range(N) if rng.random() < 0.6]
+            fam.update(frozenset(c) for k in range(len(gen) + 1)
+                       for c in combinations(gen, k))
+        masks = {sum(1 << i for i in f) for f in fam}
+        asked = []
+
+        def is_face(S):
+            asked.append(S)
+            return S in masks
+
+        got = _minimal_non_faces(is_face, N)
+        assert got == scan_minimal_non_faces(fam, N), (fam, N)
+        assert sorted(asked) == sorted(
+            (masks - {0}) | {sum(1 << i for i in s) for s in got})
 
 
 def test_quotient_data_strata_from_masks_match_scan():
