@@ -4,10 +4,13 @@ Subcommands mirror the library modules: polytope, fan, quotient, lvm, hj,
 nctorus, gvec, hh.  ACTIONS declares each action's flags, library call and
 payload builder.  An action accepts exactly the flags it declares, spelled
 in full: a missing required flag, or a flag the action does not declare, is
-a usage error, reported before any file is read.  Output is canonical JSON
-(sorted keys, "p/q" rational formatting) wrapped in a CommandResult
-envelope, or raw SVG for the rendering actions.  Exit codes: 0 ok, 2 usage,
-3 bad input, 4 domain error (the error name is included in the JSON).
+a usage error, reported before any file is read.  A call whose first words
+name an action goes straight to that action's own parser; the whole parser
+tree reads only the calls that name none, and prints their usage or help.
+Output is canonical JSON (sorted keys, "p/q" rational formatting) wrapped
+in a CommandResult envelope, or raw SVG for the rendering actions.  Exit
+codes: 0 ok, 2 usage, 3 bad input, 4 domain error (the error name is
+included in the JSON).
 """
 
 from __future__ import annotations
@@ -247,14 +250,16 @@ ACTIONS = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, one subparser per ACTIONS entry, built on the
-    first call and shared by every later `run` in the process; parsing
-    leaves it unchanged."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The argument parser, one subparser per ACTIONS entry, and the map
+    from each ACTIONS key to its subparser; built on the first call and
+    shared by every later `run` in the process.  Parsing leaves both
+    unchanged."""
     top = argparse.ArgumentParser(prog="nctoric")
     commands = top.add_subparsers(dest="command", required=True)
-    actions = {}
-    for (command, action), entry in ACTIONS.items():
+    actions, leaves = {}, {}
+    for key, entry in ACTIONS.items():
+        command, action = key
         if action is None:
             p = commands.add_parser(command, allow_abbrev=False)
         else:
@@ -265,15 +270,33 @@ def _build_parser() -> argparse.ArgumentParser:
         for name, keywords in entry[0].items():
             p.add_argument(name, **keywords)
         p.set_defaults(entry=entry)
-    return top
+        leaves[key] = p
+    return top, leaves
+
+
+def _parse(argv: list):
+    """The parsed arguments of argv, or SystemExit on a usage error or
+    help.  An argv that starts with an action's name is parsed by that
+    action's own subparser alone, and what it leaves over is refused in
+    the words of the whole tree; any other argv goes to the tree."""
+    top, leaves = _build_parser()
+    key, rest = tuple(argv[:2]), argv[2:]
+    if key not in leaves:  # gvec has no action
+        key, rest = (*argv[:1], None), argv[1:]
+    if key not in leaves:
+        return top.parse_args(argv)
+    args, extras = leaves[key].parse_known_args(rest)
+    if extras:
+        top.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def run(argv=None) -> int:
-    """Dispatch one CLI invocation; returns the exit code, prints the
-    CommandResult (or SVG) to stdout and usage errors to stderr.  Safe to
-    call repeatedly in one process."""
+    """Dispatch one CLI invocation (argv defaults to sys.argv[1:]); returns
+    the exit code, prints the CommandResult (or SVG) to stdout and usage
+    errors to stderr.  Safe to call repeatedly in one process."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         return EXIT_USAGE if e.code else EXIT_OK
     _, call, build = args.entry

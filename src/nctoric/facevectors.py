@@ -10,8 +10,9 @@ from .errors import InputError, LengthMismatch, _integer
 
 
 def h_from_f(f, d: int):
-    """h_i = sum_j C(d-j, d-i) (-1)^{i-j} f_{j-1} for i = 0..d, where the
-    input lists (f_{-1}, f_0, ..., f_{d-1}) and f_{-1} = 1."""
+    """The h-vector (h_0, ..., h_d), the coefficients of sum_i f_{i-1}
+    (x-1)^{d-i} from x^d down, where the input lists (f_{-1}, f_0, ...,
+    f_{d-1}) and f_{-1} = 1.  Horner's rule in (x-1): O(d^2) additions."""
     if _integer("d", d) < 0:
         raise InputError(f"d must be >= 0, got {d}")
     f = list(f)
@@ -19,9 +20,12 @@ def h_from_f(f, d: int):
         raise LengthMismatch(f"need f_(-1)..f_({d - 1}), got {len(f)} entries")
     if f[0] != 1:
         raise LengthMismatch("f_(-1) must be 1")
-    return [sum(comb(d - j, d - i) * (-1) ** (i - j) * f[j]
-                for j in range(i + 1))
-            for i in range(d + 1)]
+    h = []
+    for fi in f:
+        # h(x) <- h(x) (x-1) + f_{i-1}
+        h = [a - b for a, b in zip(h + [0], [0] + h)]
+        h[-1] += fi
+    return h
 
 
 def check_dehn_sommerville(h) -> bool:

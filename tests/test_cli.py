@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import os
 import random
 import re
@@ -353,6 +354,18 @@ def test_gvec_with_large_entries_finishes_quickly(capsys):
     assert time.perf_counter() - start < 2.0
     assert code == 0
     assert parse(out)["payload"]["g"] == [1, 99999999, 0]
+
+
+def test_gvec_in_high_dimension_finishes_within_the_fuzz_budget(capsys):
+    # the f-vector of the 1200-simplex, entries up to 360 digits
+    d = 1200
+    f = ",".join(str(math.comb(d + 1, i)) for i in range(d + 1))
+    start = time.perf_counter()
+    code, out = invoke(capsys, ["gvec", "--f", f, "--d", str(d)])
+    assert time.perf_counter() - start < LVM_CALL_BUDGET_S
+    assert code == 0
+    p = parse(out)["payload"]
+    assert p["h"] == [1] * (d + 1) and p["pass"]
 
 
 def test_hh(capsys, tmp_path):

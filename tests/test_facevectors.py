@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -9,6 +10,13 @@ from nctoric.facevectors import (_binomial_decomposition,
                                  check_dehn_sommerville, g_from_h,
                                  g_theorem_necessity, h_from_f, is_m_vector,
                                  shadow)
+
+
+def h_from_f_oracle(f, d: int):
+    """The binomial sum h_i = sum_j C(d-j, d-i) (-1)^{i-j} f_{j-1}."""
+    return [sum(comb(d - j, d - i) * (-1) ** (i - j) * f[j]
+                for j in range(i + 1))
+            for i in range(d + 1)]
 
 
 def f_from_h(h, d: int):
@@ -35,6 +43,18 @@ def test_h_from_f_known():
     for f, d in (([1, 2], -1), ([], -1), ([1, 2], 1.0), ([1, 2], True)):
         with pytest.raises(InputError):
             h_from_f(f, d)
+
+
+def test_h_from_f_against_the_binomial_sum():
+    rng = random.Random(1600)
+    for _ in range(3000):
+        d = rng.randint(0, 30)
+        top = 10 ** rng.choice((2, 10, 40))
+        f = [1] + [rng.randint(-top, top) for _ in range(d)]
+        assert h_from_f(f, d) == h_from_f_oracle(f, d), (f, d)
+    for d in (200, 400):
+        f = [comb(d + 1, i) for i in range(d + 1)]
+        assert h_from_f(f, d) == h_from_f_oracle(f, d) == [1] * (d + 1)
 
 
 def test_f_h_roundtrip():
